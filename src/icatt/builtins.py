@@ -8,9 +8,11 @@ normaliser, inverse construction) agrees syntactically.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Sequence
 
 from .errors import TypeMismatch
 from .syntax import (
+    DESTRUCTORS,
     Arr,
     Coh,
     Context,
@@ -130,28 +132,33 @@ def _telescope_order(pairs: list[tuple[Var, Term]], cod: Context) -> tuple[tuple
     return tuple((v, by_name[v.name]) for v, _ in cod)
 
 
-def destructor_result_type(kind: str, e: Term, inv_ty: Inv) -> Type:
-    """Result type of a destructor applied to ``e : inv_ty``."""
-    base = inv_ty.base
-    if not isinstance(base, Arr):
-        raise TypeMismatch("invertibility subject must have an arrow type")
-    t = inv_ty.subject
-    u, v = base.src, base.tgt
+def component_type(kind: str, ty: Arr, comps: Sequence[Term]) -> Type:
+    """The typing table of invertibility structures on ``t : ty``.
+
+    ``comps`` lists the seven components ``t, tl, tr, tlu, tru, tilu,
+    tiru``; the result is the type of the one that destructor ``kind``
+    projects (``linv`` gives ``tl``, ..., ``rwit`` gives ``tiru``).  It
+    reads only components before that one.
+    """
+    t = comps[0]
+    flipped = Arr(ty.base, ty.tgt, ty.src)
     match kind:
         case "linv" | "rinv":
-            return Arr(base.base, v, u)
-        case "lunit":
-            left, _ = comp_of([(Destr("linv", e), Arr(base.base, v, u)), (t, base)])
-            return Arr(Arr(base.base, v, v), left, id_of(v, base.base))
-        case "runit":
-            right, _ = comp_of([(t, base), (Destr("rinv", e), Arr(base.base, v, u))])
-            return Arr(Arr(base.base, u, u), right, id_of(u, base.base))
-        case "lwit":
-            lu_ty = destructor_result_type("lunit", e, inv_ty)
-            assert isinstance(lu_ty, Arr)
-            return Inv(lu_ty, Destr("lunit", e))
-        case "rwit":
-            ru_ty = destructor_result_type("runit", e, inv_ty)
-            assert isinstance(ru_ty, Arr)
-            return Inv(ru_ty, Destr("runit", e))
+            return flipped
+        case "lunit" | "lwit":
+            left, _ = comp_of([(comps[1], flipped), (t, ty)])
+            lu_ty = Arr(Arr(ty.base, ty.tgt, ty.tgt), left, id_of(ty.tgt, ty.base))
+            return lu_ty if kind == "lunit" else Inv(lu_ty, comps[3])
+        case "runit" | "rwit":
+            right, _ = comp_of([(t, ty), (comps[2], flipped)])
+            ru_ty = Arr(Arr(ty.base, ty.src, ty.src), right, id_of(ty.src, ty.base))
+            return ru_ty if kind == "runit" else Inv(ru_ty, comps[4])
     raise ValueError(f"unknown destructor {kind}")
+
+
+def destructor_result_type(kind: str, e: Term, inv_ty: Inv) -> Type:
+    """Result type of a destructor applied to ``e : inv_ty``."""
+    if not isinstance(inv_ty.base, Arr):
+        raise TypeMismatch("invertibility subject must have an arrow type")
+    comps = (inv_ty.subject,) + tuple(Destr(k, e) for k in DESTRUCTORS)
+    return component_type(kind, inv_ty.base, comps)

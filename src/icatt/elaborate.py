@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .builtins import comp_of, comp_schema, destructor_result_type, id_of, id_schema
+from .builtins import comp_schema, component_type, destructor_result_type, id_schema
 from .errors import (
     ArityError,
     BadCanSubject,
@@ -43,6 +43,7 @@ from .meta import (
     suspend_judgment,
     suspend_term,
     suspend_type,
+    suspension_base,
     walking_equiv,
 )
 from .parser import (
@@ -58,6 +59,7 @@ from .parser import (
     SWild,
 )
 from .syntax import (
+    DESTRUCTORS,
     Arr,
     Can,
     Coh,
@@ -65,6 +67,7 @@ from .syntax import (
     Context,
     Destr,
     Inv,
+    MemoMap,
     MetaRef,
     Obj,
     Rec,
@@ -74,12 +77,15 @@ from .syntax import (
     Var,
     VarRef,
     alpha_eq_context,
-    alpha_key_context,
     alpha_key_term,
-    alpha_key_type,
     apply_sub_term,
     apply_sub_type,
+    children,
+    coh_head_key,
     dim_type,
+    identity_sub,
+    map_type,
+    subterms,
     variables_used_type,
 )
 
@@ -119,17 +125,18 @@ def _schema_of_decl(decl) -> _Schema:
 
 
 def _suspend_schema(s: _Schema) -> _Schema:
-    if s.kind == "coh":
-        sctx = suspend_context(s.telescope)
-        base = (VarRef(sctx.entries[0][0]), VarRef(sctx.entries[1][0]))
-        return _Schema("coh", sctx, suspend_type(s.ty, base))
     if s.kind == "term":
         sctx, sterm, sty = suspend_judgment(s.telescope, s.term, s.ty)
         return _Schema("term", sctx, sty, term=sterm)
     sctx = suspend_context(s.telescope)
-    base = (VarRef(sctx.entries[0][0]), VarRef(sctx.entries[1][0]))
-    comps = tuple(suspend_term(c, base) for c in s.components)
-    return _Schema("rec", sctx, suspend_type(s.ty, base), components=comps)
+    base = suspension_base(sctx)
+    comps = None if s.components is None else tuple(suspend_term(c, base) for c in s.components)
+    return _Schema(s.kind, sctx, suspend_type(s.ty, base), components=comps)
+
+
+def _cell_dim(ty: Type | None) -> int | None:
+    """Dimension of the cells of type ``ty``; metas inside do not change it."""
+    return None if ty is None else dim_type(ty) + 1
 
 
 def explicit_positions(tele: Context) -> list[int]:
@@ -174,36 +181,25 @@ class Elaborator:
             t = self.metas.solutions[t.uid]
         return t
 
+    def _zonker(self, strict: bool) -> MemoMap:
+        """The map instantiating solved metavariables; an unsolved one
+        raises when ``strict`` and is kept otherwise."""
+
+        def leaf(x: Term, go: MemoMap) -> Term:
+            if isinstance(x, MetaRef):
+                if x.uid in self.metas.solutions:
+                    return go(self.metas.solutions[x.uid])
+                if strict:
+                    raise UnsolvedMeta(f"unsolved implicit argument {x.hint or x.uid}; give it explicitly")
+            return x
+
+        return MemoMap(leaf)
+
     def zonk_term(self, t: Term) -> Term:
-        t = self.resolve(t)
-        match t:
-            case MetaRef(uid, hint):
-                raise UnsolvedMeta(f"unsolved implicit argument {hint or uid}; give it explicitly")
-            case VarRef():
-                return t
-            case Coh(ps, ty, sub):
-                pairs = tuple((x, self.zonk_term(s)) for x, s in sub.pairs)
-                return Coh(ps, ty, Substitution(pairs, sub.codomain))
-            case Coind():
-                return Coind(*(self.zonk_term(c) for c in t.components()))
-            case Rec():
-                pairs = tuple((x, self.zonk_term(s)) for x, s in t.sub.pairs)
-                return Rec(*t.components(), Substitution(pairs, t.sub.codomain))
-            case Can(subject, wit):
-                return Can(self.zonk_term(subject), tuple((x, self.zonk_term(w)) for x, w in wit))
-            case Destr(kind, arg):
-                return Destr(kind, self.zonk_term(arg))
-        raise TypeMismatch(f"not a term: {t!r}")
+        return self._zonker(True)(t)
 
     def zonk_type(self, ty: Type) -> Type:
-        match ty:
-            case Obj():
-                return ty
-            case Arr(base, src, tgt):
-                return Arr(self.zonk_type(base), self.zonk_term(src), self.zonk_term(tgt))
-            case Inv(base, subject):
-                return Inv(self.zonk_type(base), self.zonk_term(subject))
-        raise TypeMismatch(f"not a type: {ty!r}")
+        return map_type(ty, self._zonker(True))
 
     # -- unification -------------------------------------------------------
 
@@ -218,41 +214,25 @@ class Elaborator:
             self._bind(b, a)
             return
         match (a, b):
+            case (Coh(), Coh()) if coh_head_key(a.ps, a.ty) != coh_head_key(b.ps, b.ty):
+                raise UnificationFailure("distinct coherence heads")
+            case (Rec(), Rec()) if _rec_head(a) != _rec_head(b):
+                raise UnificationFailure("distinct recursive definitions")
+            case (Coh(), Coh()) | (Coind(), Coind()) | (Rec(), Rec()):
+                pass
+            case (Destr(k1, _), Destr(k2, _)) if k1 == k2:
+                pass
             case (VarRef(v), VarRef(w)) if v.name == w.name:
                 return
-            case (Coh(ps1, ty1, sub1), Coh(ps2, ty2, sub2)):
-                if alpha_key_context(ps1) != alpha_key_context(ps2) or alpha_key_type(
-                    ty1, _ctx_index(ps1)
-                ) != alpha_key_type(ty2, _ctx_index(ps2)):
-                    raise UnificationFailure("distinct coherence heads")
-                for (_, s1), (_, s2) in zip(sub1.pairs, sub2.pairs):
-                    self.unify_term(s1, s2)
+            case (Can(_, w1), Can(_, w2)) if len(w1) == len(w2):
+                pass
+            case _:
+                if alpha_key_term(a) != alpha_key_term(b):
+                    raise UnificationFailure("terms do not unify")
                 return
-            case (Destr(k1, a1), Destr(k2, a2)) if k1 == k2:
-                self.unify_term(a1, a2)
-                return
-            case (Coind(), Coind()):
-                for c1, c2 in zip(a.components(), b.components()):
-                    self.unify_term(c1, c2)
-                return
-            case (Can(s1, w1), Can(s2, w2)) if len(w1) == len(w2):
-                self.unify_term(s1, s2)
-                for (_, x1), (_, x2) in zip(w1, w2):
-                    self.unify_term(x1, x2)
-                return
-            case (Rec(), Rec()):
-                from .syntax import identity_sub
-
-                head_a = Rec(*a.components(), identity_sub(a.sub.codomain))
-                head_b = Rec(*b.components(), identity_sub(b.sub.codomain))
-                if alpha_key_term(head_a) != alpha_key_term(head_b):
-                    raise UnificationFailure("distinct recursive definitions")
-                for (_, s1), (_, s2) in zip(a.sub.pairs, b.sub.pairs):
-                    self.unify_term(s1, s2)
-                return
-        if alpha_key_term(a) == alpha_key_term(b):
-            return
-        raise UnificationFailure("terms do not unify")
+        # same head: unify position by position
+        for c1, c2 in zip(children(a), children(b)):
+            self.unify_term(c1, c2)
 
     def _bind(self, m: MetaRef, t: Term) -> None:
         if self._occurs(m.uid, t):
@@ -260,22 +240,7 @@ class Elaborator:
         self.metas.solutions[m.uid] = t
 
     def _occurs(self, uid: int, t: Term) -> bool:
-        t = self.resolve(t)
-        match t:
-            case MetaRef(u, _):
-                return u == uid
-            case Coh(_, _, sub):
-                return any(self._occurs(uid, s) for s in sub.terms())
-            case Coind():
-                return any(self._occurs(uid, c) for c in t.components())
-            case Rec():
-                return any(self._occurs(uid, s) for s in t.sub.terms())
-            case Can(subject, wit):
-                return self._occurs(uid, subject) or any(self._occurs(uid, w) for _, w in wit)
-            case Destr(_, arg):
-                return self._occurs(uid, arg)
-            case _:
-                return False
+        return any(isinstance(x, MetaRef) and x.uid == uid for x in subterms((self._resolve_deep(t),)))
 
     def unify_type(self, a: Type | None, b: Type | None) -> None:
         if a is None or b is None:
@@ -365,7 +330,7 @@ class Elaborator:
         if name == "id":
             if len(args) != 1:
                 raise ArityError("id takes exactly one argument", span=span)
-            dims = self._expected_dim(expected)
+            dims = _cell_dim(expected)
             k = None if dims is None else dims - 1
             term, ty = self.elab_infer(args[0])
             ty = self._zonkish_type(ty)
@@ -388,70 +353,41 @@ class Elaborator:
             # a unary composite is its argument
             term, ty = self.elab_infer(args[0], expected)
             return term, ty
+        pre, first = self._pre_elaborate(args)
+        dim = _cell_dim(expected) if first is None else dim_type(first[1]) + 1
+        if dim is None or dim < 1:
+            raise UnificationFailure("cannot infer the dimension of this composite", span=span)
+        ctx, full = comp_schema(len(args), dim)
+        arg_data = [pre.get(i, a) for i, a in enumerate(args)]
+        return self._apply_schema_core(_Schema("coh", ctx, full), arg_data, expected, span)
+
+    def _pre_elaborate(self, args: tuple) -> tuple[dict[int, tuple[Term, Type | None]], tuple[int, Type] | None]:
+        """First pass over the arguments: elaborate the ones that stand
+        alone (not ``_``; a failed attempt leaves no solved metas), by
+        position, with the position and type of the first one whose type
+        is known."""
         pre: dict[int, tuple[Term, Type | None]] = {}
-        dim = None
+        first = None
         for i, a in enumerate(args):
             if isinstance(a, SWild):
                 continue
             snapshot = dict(self.metas.solutions)
             try:
-                term, ty = self.elab_infer(a)
+                pre[i] = self.elab_infer(a)
             except IcattError:
                 self.metas.solutions = snapshot
                 continue
-            pre[i] = (term, ty)
-            ty = self._zonkish_type(ty)
-            if dim is None and ty is not None:
-                dim = dim_type(ty) + 1
-        if dim is None:
-            exp_dim = self._expected_dim(expected)
-            if exp_dim is not None:
-                dim = exp_dim
-        if dim is None or dim < 1:
-            raise UnificationFailure("cannot infer the dimension of this composite", span=span)
-        ctx, full = comp_schema(len(args), dim)
-        arg_data = []
-        for i, a in enumerate(args):
-            arg_data.append(pre.get(i, a))
-        return self._apply_schema_core(_Schema("coh", ctx, full), arg_data, expected, span)
-
-    def _expected_dim(self, expected: Type | None) -> int | None:
-        if expected is None:
-            return None
-        expected = self._zonkish_type(expected)
-        if expected is None:
-            return None
-        return dim_type(expected) + 1
+            if first is None and pre[i][1] is not None:
+                first = (i, pre[i][1])
+        return pre, first
 
     def _zonkish_type(self, ty: Type | None) -> Type | None:
         """Resolve solved metas inside a type without failing on
         unsolved ones."""
-        if ty is None:
-            return None
-        match ty:
-            case Obj():
-                return ty
-            case Arr(base, src, tgt):
-                return Arr(self._zonkish_type(base), self._resolve_deep(src), self._resolve_deep(tgt))
-            case Inv(base, subject):
-                return Inv(self._zonkish_type(base), self._resolve_deep(subject))
-        return ty
+        return None if ty is None else map_type(ty, self._zonker(False))
 
     def _resolve_deep(self, t: Term) -> Term:
-        t = self.resolve(t)
-        match t:
-            case Coh(ps, ty, sub):
-                return Coh(ps, ty, Substitution(tuple((x, self._resolve_deep(s)) for x, s in sub.pairs), sub.codomain))
-            case Coind():
-                return Coind(*(self._resolve_deep(c) for c in t.components()))
-            case Rec():
-                return Rec(*t.components(), Substitution(tuple((x, self._resolve_deep(s)) for x, s in t.sub.pairs), t.sub.codomain))
-            case Can(subject, wit):
-                return Can(self._resolve_deep(subject), tuple((x, self._resolve_deep(w)) for x, w in wit))
-            case Destr(kind, arg):
-                return Destr(kind, self._resolve_deep(arg))
-            case _:
-                return t
+        return self._zonker(False)(t)
 
     def _apply_schema(
         self, schema: _Schema, args: tuple, expected: Type | None, span
@@ -463,28 +399,13 @@ class Elaborator:
             )
         # first pass: elaborate what can stand alone, to find the
         # suspension level from the argument dimensions
-        pre: dict[int, tuple[Term, Type | None]] = {}
-        susp = None
-        for i, (pos, a) in enumerate(zip(explicit, args)):
-            if isinstance(a, SWild):
-                continue
-            snapshot = dict(self.metas.solutions)
-            try:
-                term, ty = self.elab_infer(a)
-            except IcattError:
-                self.metas.solutions = snapshot
-                continue
-            pre[i] = (term, ty)
-            ty = self._zonkish_type(ty)
-            if susp is None and ty is not None:
-                slot_dim = dim_type(schema.telescope.entries[pos][1])
-                susp = dim_type(ty) - slot_dim
-        if susp is None:
-            exp_dim = self._expected_dim(expected)
-            if exp_dim is not None:
-                susp = exp_dim - (dim_type(schema.ty) + 1)
-        if susp is None:
-            susp = 0
+        pre, first = self._pre_elaborate(args)
+        if first is not None:
+            i, ty = first
+            susp = dim_type(ty) - dim_type(schema.telescope.entries[explicit[i]][1])
+        else:
+            exp_dim = _cell_dim(expected)
+            susp = 0 if exp_dim is None else exp_dim - (dim_type(schema.ty) + 1)
         if susp < 0:
             raise UnificationFailure("argument dimensions are below the definition's", span=span)
         for _ in range(susp):
@@ -613,8 +534,10 @@ class Elaborator:
         raise TypeMismatch(f"not a surface type: {s!r}")
 
 
-def _ctx_index(ctx: Context) -> dict[str, int]:
-    return {v.name: i for i, (v, _) in enumerate(ctx)}
+def _rec_head(r: Rec):
+    """Alpha-invariant key of a recursive definition without its
+    instantiating substitution."""
+    return alpha_key_term(Rec(*r.components(), identity_sub(r.sub.codomain)))
 
 
 # ---------------------------------------------------------------------------
@@ -677,24 +600,15 @@ def elaborate_decl(env: Environment, sdecl: SurfaceDecl):
     t_ty = infer_term(ctx, t_term)
     if not isinstance(t_ty, Arr):
         raise TypeMismatch("the first component must be positive-dimensional", span=sdecl.span)
-    flipped = Arr(t_ty.base, t_ty.tgt, t_ty.src)
-    tl = el.zonk_term(el.elab_check(comps[1], flipped))
-    tr = el.zonk_term(el.elab_check(comps[2], flipped))
-    left, _ = comp_of([(tl, flipped), (t_term, t_ty)])
-    right, _ = comp_of([(t_term, t_ty), (tr, flipped)])
-    lu_ty = Arr(Arr(t_ty.base, t_ty.tgt, t_ty.tgt), left, id_of(t_ty.tgt, t_ty.base))
-    ru_ty = Arr(Arr(t_ty.base, t_ty.src, t_ty.src), right, id_of(t_ty.src, t_ty.base))
-    tlu = el.zonk_term(el.elab_check(comps[3], lu_ty))
-    tru = el.zonk_term(el.elab_check(comps[4], ru_ty))
-    if sdecl.kind == "rec":
-        ind_ctx, hm, hp = equiv_ind_context(ctx, t_term, t_ty)
-        el.ctx = ind_ctx
-        el.ih = ((hm, ind_ctx.lookup(hm)), (hp, ind_ctx.lookup(hp)))
-    tilu = el.zonk_term(el.elab_check(comps[5], Inv(lu_ty, tlu)))
-    tiru = el.zonk_term(el.elab_check(comps[6], Inv(ru_ty, tru)))
+    done = [t_term]
+    for kind, surface in zip(DESTRUCTORS, comps[1:]):
+        if kind == "lwit" and sdecl.kind == "rec":
+            ind_ctx, hm, hp = equiv_ind_context(ctx, t_term, t_ty)
+            el.ctx = ind_ctx
+            el.ih = ((hm, ind_ctx.lookup(hm)), (hp, ind_ctx.lookup(hp)))
+        done.append(el.zonk_term(el.elab_check(surface, component_type(kind, t_ty, done))))
     el.ctx = ctx
     el.ih = None
     if sdecl.kind == "inv":
-        body = Coind(t_term, tl, tr, tlu, tru, tilu, tiru)
-        return TermDecl(sdecl.name, ctx, body, Inv(t_ty, t_term))
-    return RecDecl(sdecl.name, ctx, (t_term, tl, tr, tlu, tru, tilu, tiru))
+        return TermDecl(sdecl.name, ctx, Coind(*done), Inv(t_ty, t_term))
+    return RecDecl(sdecl.name, ctx, tuple(done))

@@ -20,6 +20,7 @@ from .kernel import check_sub, infer_term
 from .meta import rename_to, suspend_context, suspend_sub, walking_equiv, wit_classifier
 from .normalize import beta_reduce
 from .syntax import (
+    DESTRUCTORS,
     Arr,
     Context,
     Destr,
@@ -86,8 +87,6 @@ def brute_force_neutrals(n: int, max_len: int | None = None) -> set:
     """Independent oracle: generate every destructor string over the
     variables of the walking equivalence, keep the ones the kernel
     accepts, and collect the categorical ones of dimension exactly n."""
-    from .syntax import DESTRUCTORS
-
     max_len = n + 1 if max_len is None else max_len
     found: set = set()
     frontier: list[Term] = [VarRef(v) for v, _ in _E1]
@@ -220,12 +219,6 @@ def equiv_truncation(n: int, bound: int = DEFAULT_BOUND) -> Truncation:
 # ---------------------------------------------------------------------------
 # The cone from the walking equivalence
 # ---------------------------------------------------------------------------
-
-
-def _canonical_susp_rename() -> Substitution:
-    """Renaming of the suspended walking equivalence onto the canonical
-    two-dimensional one."""
-    return rename_to(suspend_context(_E1), walking_equiv(2))
 
 
 @lru_cache(maxsize=None)

@@ -38,6 +38,7 @@ from .syntax import (
     Var,
     VarRef,
     alpha_eq_term,
+    alpha_key_term,
     apply_sub_term,
     apply_sub_type,
     dim_context,
@@ -146,8 +147,6 @@ _STEP_CACHE: dict[tuple, list[_Step]] = {}
 def coh_cancellator_steps(subject: Coh, side: str, witnesses: dict[str, Term]) -> list[_Step]:
     """The stages of the cancellation cell: from ``comp(inverse, cell)``
     (left) or ``comp(cell, inverse)`` (right) down to the identity."""
-    from .syntax import alpha_key_term
-
     cache_key = (
         alpha_key_term(subject),
         side,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .builtins import comp_of, destructor_result_type, id_of
+from .builtins import component_type, destructor_result_type
 from .errors import (
     BadCanSubject,
     BadSubstitution,
@@ -27,6 +27,8 @@ from .errors import (
 )
 from .meta import equiv_ind_context, walking_equiv
 from .syntax import (
+    DESTRUCTORS,
+    WITNESS_DESTRUCTORS,
     Arr,
     Can,
     Coh,
@@ -40,7 +42,6 @@ from .syntax import (
     Substitution,
     Term,
     Type,
-    Var,
     VarRef,
     alpha_eq_context,
     alpha_eq_term,
@@ -51,6 +52,7 @@ from .syntax import (
     apply_sub_type,
     dim_context,
     dim_type,
+    identity_sub,
     variables_used_term,
     variables_used_type,
 )
@@ -92,9 +94,6 @@ class PsContext:
         out = {v.name for v, ty in self.ctx if dim_type(ty) + 1 < m}
         out.update(self.target_vars(m))
         return out
-
-    def top_vars(self) -> tuple[Var, ...]:
-        return tuple(v for v, ty in self.ctx if dim_type(ty) + 1 == self.dim)
 
 
 _PS_CACHE: dict[tuple, PsContext] = {}
@@ -290,18 +289,15 @@ def _infer_coind(ctx: Context, t: Coind) -> Type:
     ty = infer_term(ctx, t.t)
     if not isinstance(ty, Arr):
         raise TypeMismatch("coinductive tuple needs a positive-dimensional subject")
-    flipped = Arr(ty.base, ty.tgt, ty.src)
-    check_term(ctx, t.tl, flipped)
-    check_term(ctx, t.tr, flipped)
-    left, _ = comp_of([(t.tl, flipped), (t.t, ty)])
-    right, _ = comp_of([(t.t, ty), (t.tr, flipped)])
-    lu_ty = Arr(Arr(ty.base, ty.tgt, ty.tgt), left, id_of(ty.tgt, ty.base))
-    ru_ty = Arr(Arr(ty.base, ty.src, ty.src), right, id_of(ty.src, ty.base))
-    check_term(ctx, t.tlu, lu_ty)
-    check_term(ctx, t.tru, ru_ty)
-    check_term(ctx, t.tilu, Inv(lu_ty, t.tlu))
-    check_term(ctx, t.tiru, Inv(ru_ty, t.tru))
+    _check_components(ctx, ctx, ty, t.components())
     return Inv(ty, t.t)
+
+
+def _check_components(ctx: Context, wit_ctx: Context, ty: Arr, comps: tuple[Term, ...]) -> None:
+    """Check the last six components of an invertibility structure on
+    ``comps[0] : ty``; the two witnesses live over ``wit_ctx``."""
+    for kind, c in zip(DESTRUCTORS, comps[1:]):
+        check_term(wit_ctx if kind in WITNESS_DESTRUCTORS else ctx, c, component_type(kind, ty, comps))
 
 
 def _infer_can(ctx: Context, t: Can) -> Type:
@@ -336,18 +332,8 @@ def _infer_rec(ctx: Context, t: Rec) -> Type:
     t_ty = infer_term(seed, t.t)
     if not isinstance(t_ty, Arr):
         raise TypeMismatch("recursive definitions need a positive-dimensional subject")
-    flipped = Arr(t_ty.base, t_ty.tgt, t_ty.src)
-    check_term(seed, t.tl, flipped)
-    check_term(seed, t.tr, flipped)
-    left, _ = comp_of([(t.tl, flipped), (t.t, t_ty)])
-    right, _ = comp_of([(t.t, t_ty), (t.tr, flipped)])
-    lu_ty = Arr(Arr(t_ty.base, t_ty.tgt, t_ty.tgt), left, id_of(t_ty.tgt, t_ty.base))
-    ru_ty = Arr(Arr(t_ty.base, t_ty.src, t_ty.src), right, id_of(t_ty.src, t_ty.base))
-    check_term(seed, t.tlu, lu_ty)
-    check_term(seed, t.tru, ru_ty)
     ind_ctx, _, _ = equiv_ind_context(seed, t.t, t_ty)
-    check_term(ind_ctx, t.tilu, Inv(lu_ty, t.tlu))
-    check_term(ind_ctx, t.tiru, Inv(ru_ty, t.tru))
+    _check_components(seed, ind_ctx, t_ty, t.components())
     check_sub(ctx, t.sub, seed)
     return Inv(apply_sub_type(t_ty, t.sub), apply_sub_term(t.t, t.sub))
 
@@ -484,8 +470,6 @@ def check_decl(env: Environment, decl: Decl) -> Environment:
             check_term(ctx, term, ty)
         case RecDecl(_, seed, comps):
             check_ctx(seed)
-            from .syntax import identity_sub
-
             probe = Rec(*comps, identity_sub(seed))
             infer_term(seed, probe)
         case _:
@@ -500,8 +484,3 @@ def categorical(ty: Type) -> bool:
 
 def term_dimension(ctx: Context, t: Term) -> int:
     return dim_type(infer_term(ctx, t)) + 1
-
-
-def clear_caches() -> None:
-    _PS_CACHE.clear()
-    _INFER_CACHE.clear()

@@ -30,9 +30,11 @@ from .syntax import (
     VarRef,
     apply_sub_term,
     apply_sub_type,
+    compose_sub,
     dim_type,
     fresh_name,
     identity_sub,
+    map_children,
 )
 
 # ---------------------------------------------------------------------------
@@ -62,27 +64,13 @@ def suspend_term(t: Term, base: tuple[Term, Term]) -> Term:
             return t
         case Coh(ps, ty, sub):
             sps = suspend_context(ps)
-            (vneg, _), (vpos, _) = sps.entries[0], sps.entries[1]
-            inner_base = (VarRef(vneg), VarRef(vpos))
-            sty = suspend_type(ty, inner_base)
-            pairs = ((vneg, base[0]), (vpos, base[1]))
-            pairs += tuple((x, suspend_term(s, base)) for x, s in sub.pairs)
-            return Coh(sps, sty, Substitution(pairs, sps))
-        case Coind():
-            return Coind(*(suspend_term(c, base) for c in t.components()))
+            return Coh(sps, suspend_type(ty, suspension_base(sps)), _suspend_onto(sub, sps, base))
         case Rec():
-            seed = t.sub.codomain
-            sseed = suspend_context(seed)
-            (vneg, _), (vpos, _) = sseed.entries[0], sseed.entries[1]
-            inner_base = (VarRef(vneg), VarRef(vpos))
-            comps = tuple(suspend_term(c, inner_base) for c in t.components())
-            pairs = ((vneg, base[0]), (vpos, base[1]))
-            pairs += tuple((x, suspend_term(s, base)) for x, s in t.sub.pairs)
-            return Rec(*comps, Substitution(pairs, sseed))
-        case Can(subject, wit):
-            return Can(suspend_term(subject, base), tuple((x, suspend_term(w, base)) for x, w in wit))
-        case Destr(kind, arg):
-            return Destr(kind, suspend_term(arg, base))
+            sseed = suspend_context(t.sub.codomain)
+            comps = tuple(suspend_term(c, suspension_base(sseed)) for c in t.components())
+            return Rec(*comps, _suspend_onto(t.sub, sseed, base))
+        case Coind() | Can() | Destr():
+            return map_children(t, lambda c: suspend_term(c, base))
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -96,21 +84,27 @@ def suspend_context(ctx: Context) -> Context:
     return Context(entries)
 
 
+def suspension_base(sctx: Context) -> tuple[Term, Term]:
+    """The two objects a suspended context starts with, as terms."""
+    return VarRef(sctx.entries[0][0]), VarRef(sctx.entries[1][0])
+
+
 def suspend_sub(sub: Substitution, base: tuple[Term, Term]) -> Substitution:
     """Suspend a substitution; ``base`` gives the images of the two new
     codomain objects (the new domain objects, at a top-level use)."""
-    scod = suspend_context(sub.codomain)
+    return _suspend_onto(sub, suspend_context(sub.codomain), base)
+
+
+def _suspend_onto(sub: Substitution, scod: Context, base: tuple[Term, Term]) -> Substitution:
     (vneg, _), (vpos, _) = scod.entries[0], scod.entries[1]
     pairs = ((vneg, base[0]), (vpos, base[1]))
-    pairs += tuple((x, suspend_term(t, base)) for x, t in sub.pairs)
-    return Substitution(pairs, scod)
+    return Substitution(pairs + tuple((x, suspend_term(t, base)) for x, t in sub.pairs), scod)
 
 
 def suspend_judgment(ctx: Context, t: Term, ty: Type) -> tuple[Context, Term, Type]:
     """Suspend a typed term together with its context."""
     sctx = suspend_context(ctx)
-    (vneg, _), (vpos, _) = sctx.entries[0], sctx.entries[1]
-    base = (VarRef(vneg), VarRef(vpos))
+    base = suspension_base(sctx)
     return sctx, suspend_term(t, base), suspend_type(ty, base)
 
 
@@ -376,8 +370,6 @@ def wit_classifier(seed: Context, kind: str) -> Substitution:
     wit_ty = destructor_result_type(kind, canon_e, e_ty_canon)
     chi = classify_term(wit, wit_ty)  # E^n -> E^{n+1}
     back = rename_to(walking_equiv(dim_type(e_ty)), seed)
-    from .syntax import compose_sub
-
     return compose_sub(chi, back)
 
 

@@ -16,6 +16,7 @@ from .errors import BoundExceeded, NotCategorical
 from .inverse import canonical_component
 from .meta import instantiation
 from .syntax import (
+    DESTRUCTORS,
     Arr,
     Can,
     Coh,
@@ -32,6 +33,8 @@ from .syntax import (
     compose_sub,
     dim_type,
     identity_sub,
+    map_children,
+    subterms,
 )
 
 _COIND_COMPONENT = {"linv": 1, "rinv": 2, "lunit": 3, "runit": 4, "lwit": 5, "rwit": 6}
@@ -80,7 +83,7 @@ def beta_reduce(t: Term, fuel: int = _BETA_FUEL) -> Term:
         hit = _BETA_CACHE.get(id(term))
         if hit is not None and hit[0] is term:
             return hit[1]
-        mapped = _map_subterms(term, go)
+        mapped = map_children(term, go)
         step = beta_step(mapped)
         if step is None:
             result = mapped
@@ -98,35 +101,10 @@ def beta_reduce(t: Term, fuel: int = _BETA_FUEL) -> Term:
     return go(t)
 
 
-def _map_subterms(t: Term, f) -> Term:
-    match t:
-        case Coh(ps, ty, sub):
-            return Coh(ps, ty, Substitution(tuple((x, f(s)) for x, s in sub.pairs), sub.codomain))
-        case Coind():
-            return Coind(*(f(c) for c in t.components()))
-        case Rec():
-            new_sub = Substitution(tuple((x, f(s)) for x, s in t.sub.pairs), t.sub.codomain)
-            return Rec(t.t, t.tl, t.tr, t.tlu, t.tru, t.tilu, t.tiru, new_sub)
-        case Can(subject, wit):
-            return Can(f(subject), tuple((x, f(w)) for x, w in wit))
-        case Destr(kind, arg):
-            return Destr(kind, f(arg))
-        case _:
-            return t
-
-
 def eta_expand_once(e: Term, subject: Term) -> Coind:
     """The coinductive tuple of destructor images of an invertibility
     structure on ``subject``."""
-    return Coind(
-        subject,
-        Destr("linv", e),
-        Destr("rinv", e),
-        Destr("lunit", e),
-        Destr("runit", e),
-        Destr("lwit", e),
-        Destr("rwit", e),
-    )
+    return Coind(subject, *(Destr(kind, e) for kind in DESTRUCTORS))
 
 
 def _eta_pass(t: Term, guard: int) -> Term:
@@ -145,9 +123,6 @@ def _eta_pass(t: Term, guard: int) -> Term:
 
     def go(term: Term) -> Term:
         match term:
-            case Destr(kind, arg):
-                # no eta-expansion under a destructor
-                return Destr(kind, go(arg))
             case Coind():
                 comps = term.components()
                 out = [go(c) for c in comps[:5]]
@@ -177,7 +152,7 @@ def _eta_pass(t: Term, guard: int) -> Term:
                         new_pairs.append((x, go(s)))
                 return Rec(*term.components(), Substitution(tuple(new_pairs), term.sub.codomain))
             case _:
-                return _map_subterms(term, go)
+                return map_children(term, go)
 
     return go(t)
 
@@ -221,27 +196,21 @@ def nf(ctx: Context, entity, n: int):
     return _eta_pass(reduced, n)
 
 
-def _mentions_inv_term(t: Term) -> bool:
-    match t:
-        case Destr() | Coind() | Can() | Rec():
+def _mentions_inv(roots) -> bool:
+    for t in subterms(roots):
+        if isinstance(t, (Destr, Coind, Can, Rec)):
             return True
-        case Coh(ps, ty, sub):
-            if any(isinstance(vty, Inv) for _, vty in ps) or _mentions_inv_type(ty):
-                return True
-            return any(_mentions_inv_term(s) for s in sub.terms())
-        case _:
-            return False
+        if isinstance(t, Coh) and (any(isinstance(vty, Inv) for _, vty in t.ps) or _mentions_inv_type(t.ty)):
+            return True
+    return False
 
 
 def _mentions_inv_type(ty: Type) -> bool:
-    match ty:
-        case Obj():
-            return False
-        case Arr(base, src, tgt):
-            return _mentions_inv_type(base) or _mentions_inv_term(src) or _mentions_inv_term(tgt)
-        case Inv():
+    while isinstance(ty, Arr):
+        if _mentions_inv((ty.src, ty.tgt)):
             return True
-    return False
+        ty = ty.base
+    return isinstance(ty, Inv)
 
 
 def erase_check(ctx: Context, entity, n: int) -> bool:
@@ -252,4 +221,4 @@ def erase_check(ctx: Context, entity, n: int) -> bool:
     normal = nf(ctx, entity, n)
     if isinstance(normal, (Obj, Arr, Inv)):
         return not _mentions_inv_type(normal)
-    return not _mentions_inv_term(normal)
+    return not _mentions_inv((normal,))

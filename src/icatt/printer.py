@@ -24,8 +24,7 @@ from .syntax import (
     Rec,
     Term,
     Type,
-    alpha_key_context,
-    alpha_key_type,
+    coh_head_key,
     dim_type,
 )
 
@@ -100,19 +99,13 @@ def print_surface_file(decls) -> str:
 def _schema_kind(coh: Coh) -> tuple[str, int] | None:
     """Recognise the built-in composite/identity schemas."""
     n = dim_type(coh.ty) + 1
-    key = (alpha_key_context(coh.ps), alpha_key_type(coh.ty, _index(coh.ps)))
+    key = coh_head_key(coh.ps, coh.ty)
     for k in range(1, max(2, (len(coh.ps) + 1) // 2) + 1):
-        ctx, full = comp_schema(k, n)
-        if key == (alpha_key_context(ctx), alpha_key_type(full, _index(ctx))):
+        if key == coh_head_key(*comp_schema(k, n)):
             return ("comp", k)
-    ctx, full = id_schema(n - 1)
-    if key == (alpha_key_context(ctx), alpha_key_type(full, _index(ctx))):
+    if key == coh_head_key(*id_schema(n - 1)):
         return ("id", 1)
     return None
-
-
-def _index(ctx: Context) -> dict[str, int]:
-    return {v.name: i for i, (v, _) in enumerate(ctx)}
 
 
 def print_term(t: Term) -> str:

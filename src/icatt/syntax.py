@@ -10,12 +10,28 @@ same syntax up to renaming of bound contexts.
 The six destructors are identified by the strings in :data:`DESTRUCTORS`
 ("lwit"/"rwit" are the invertibility witnesses of the left/right
 cancellation cells, written ``ilunit``/``irunit`` in source files).
+
+Traversal.  Substitution, renaming, free variables and metavariable
+instantiation are one structural recursion over the *free positions* of
+a term: the images of a ``Coh``'s or ``Rec``'s substitution, the seven
+components of a ``Coind``, the subject and witnesses of a ``Can``, and
+the argument of a ``Destr``.  :func:`children` lists them and
+:func:`map_children` rebuilds a node from their images; ``VarRef`` and
+``MetaRef`` have none.  Bound contexts are never entered: the pasting
+context and type of a ``Coh``, and the seed context and components of a
+``Rec``, are closed and pass through unchanged.  :class:`MemoMap` lifts
+a map on leaves to whole terms, memoised on node identity so a shared
+DAG costs its number of distinct nodes.  The memo lives for one
+top-level call (shared across every pair of a substitution and every
+part of a type) and is dropped after it, so a cold run and a warm run
+cannot differ.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Union
+from operator import is_
+from typing import Callable, Iterable, Iterator, Union
 
 from .errors import DuplicateVariable, UnboundVariable
 
@@ -202,15 +218,117 @@ class Substitution:
         raise UnboundVariable(f"substitution does not assign {var.name}")
 
     def terms(self) -> tuple[Term, ...]:
-        return tuple(t for _, t in self.pairs)
+        return tuple([t for _, t in self.pairs])
 
 
 def identity_sub(ctx: Context) -> Substitution:
     return Substitution(tuple((v, VarRef(v)) for v, _ in ctx), ctx)
 
 
-def empty_sub() -> Substitution:
-    return Substitution((), Context())
+# ---------------------------------------------------------------------------
+# The traversal of free positions
+# ---------------------------------------------------------------------------
+
+
+def children(t: Term) -> tuple[Term, ...]:
+    """The terms at the free positions of ``t``, in order."""
+    match t:
+        case Coh() | Rec():
+            return t.sub.terms()
+        case Coind():
+            return t.components()
+        case Can():
+            return (t.subject, *[w for _, w in t.witnesses])
+        case Destr():
+            return (t.arg,)
+        case VarRef() | MetaRef():
+            return ()
+    raise TypeError(f"not a term: {t!r}")
+
+
+def _with_images(sub: Substitution, images: Iterable[Term]) -> Substitution:
+    return Substitution(tuple([(x, s) for (x, _), s in zip(sub.pairs, images)]), sub.codomain)
+
+
+def map_children(t: Term, f: Callable[[Term], Term]) -> Term:
+    """``t`` rebuilt with ``f`` applied at each free position; ``t``
+    itself when every image is the child it replaces."""
+    old = children(t)
+    new = tuple(map(f, old))
+    if all(map(is_, old, new)):
+        return t
+    match t:
+        case Coh(ps, ty, sub):
+            return Coh(ps, ty, _with_images(sub, new))
+        case Rec():
+            return Rec(*t.components(), _with_images(t.sub, new))
+        case Coind():
+            return Coind(*new)
+        case Can(_, wit):
+            return Can(new[0], tuple((x, w) for (x, _), w in zip(wit, new[1:])))
+    return Destr(t.kind, new[0])  # the only other kind with a child
+
+
+def map_type(ty: Type, f: Callable[[Term], Term]) -> Type:
+    """``ty`` rebuilt with ``f`` applied to each of its terms, base first."""
+    match ty:
+        case Obj():
+            return ty
+        case Arr(base, src, tgt):
+            return Arr(map_type(base, f), f(src), f(tgt))
+        case Inv(base, subject):
+            return Inv(map_type(base, f), f(subject))
+    raise TypeError(f"not a type: {ty!r}")
+
+
+def _type_terms(ty: Type) -> tuple[Term, ...]:
+    """The terms of ``ty`` in the order :func:`map_type` visits them."""
+    match ty:
+        case Obj():
+            return ()
+        case Arr(base, src, tgt):
+            return _type_terms(base) + (src, tgt)
+        case Inv(base, subject):
+            return _type_terms(base) + (subject,)
+    raise TypeError(f"not a type: {ty!r}")
+
+
+class MemoMap:
+    """The map sending each ``VarRef`` or ``MetaRef`` ``x`` to
+    ``leaf(x, self)`` and rebuilding every other node from the images of
+    its children, memoised on node identity.  The memo lives as long as
+    the map: make one per top-level call, whose roots keep every keyed
+    node alive.  (A class rather than a
+    closure: a closure that calls itself is a reference cycle, and every
+    memo would wait for the garbage collector.)"""
+
+    __slots__ = ("leaf", "memo")
+
+    def __init__(self, leaf: Callable[[Term, MemoMap], Term]):
+        self.leaf = leaf
+        self.memo: dict[int, Term] = {}
+
+    def __call__(self, t: Term) -> Term:
+        if isinstance(t, (VarRef, MetaRef)):
+            return self.leaf(t, self)
+        out = self.memo.get(id(t))
+        if out is None:
+            out = self.memo[id(t)] = map_children(t, self)
+        return out
+
+
+def subterms(roots: Iterable[Term]) -> Iterator[Term]:
+    """Each distinct node reachable from ``roots`` through free
+    positions, once, depth first in pre-order (so in order of first
+    occurrence)."""
+    seen: set[int] = set()
+    stack = list(roots)[::-1]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            yield t
+            stack.extend(children(t)[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -218,39 +336,23 @@ def empty_sub() -> Substitution:
 # ---------------------------------------------------------------------------
 
 
+def _sub_leaf(sub: Substitution) -> Callable[[Term, MemoMap], Term]:
+    return lambda x, _: sub.lookup(x.var) if isinstance(x, VarRef) else x
+
+
 def apply_sub_type(ty: Type, sub: Substitution) -> Type:
-    match ty:
-        case Obj():
-            return ty
-        case Arr(base, src, tgt):
-            return Arr(apply_sub_type(base, sub), apply_sub_term(src, sub), apply_sub_term(tgt, sub))
-        case Inv(base, subject):
-            return Inv(apply_sub_type(base, sub), apply_sub_term(subject, sub))
-    raise TypeError(f"not a type: {ty!r}")
+    return map_type(ty, MemoMap(_sub_leaf(sub)))
 
 
 def apply_sub_term(t: Term, sub: Substitution) -> Term:
-    match t:
-        case VarRef(v):
-            return sub.lookup(v)
-        case MetaRef():
-            return t
-        case Coh(ps, ty, inner):
-            return Coh(ps, ty, compose_sub(inner, sub))
-        case Coind():
-            return Coind(*(apply_sub_term(c, sub) for c in t.components()))
-        case Rec():
-            return Rec(t.t, t.tl, t.tr, t.tlu, t.tru, t.tilu, t.tiru, compose_sub(t.sub, sub))
-        case Can(subject, wit):
-            return Can(apply_sub_term(subject, sub), tuple((x, apply_sub_term(w, sub)) for x, w in wit))
-        case Destr(kind, arg):
-            return Destr(kind, apply_sub_term(arg, sub))
-    raise TypeError(f"not a term: {t!r}")
+    if isinstance(t, VarRef):  # a leaf root needs no memo
+        return sub.lookup(t.var)
+    return MemoMap(_sub_leaf(sub))(t)
 
 
 def compose_sub(first: Substitution, second: Substitution) -> Substitution:
     """Pointwise composition: apply ``second`` to the terms of ``first``."""
-    return Substitution(tuple((v, apply_sub_term(t, second)) for v, t in first.pairs), first.codomain)
+    return _with_images(first, map(MemoMap(_sub_leaf(second)), first.terms()))
 
 
 # ---------------------------------------------------------------------------
@@ -288,46 +390,18 @@ def variables_used_term(t: Term, acc: dict[str, Var] | None = None) -> dict[str,
     what does occur free are the terms assigned by the attached
     substitution, witness images and so on.
     """
-    out: dict[str, Var] = {} if acc is None else acc
-    match t:
-        case VarRef(v):
-            out.setdefault(v.name, v)
-        case Coh(_, _, sub):
-            for _, s in sub.pairs:
-                variables_used_term(s, out)
-        case Coind():
-            for c in t.components():
-                variables_used_term(c, out)
-        case Rec():
-            for _, s in t.sub.pairs:
-                variables_used_term(s, out)
-        case Can(subject, wit):
-            variables_used_term(subject, out)
-            for _, w in wit:
-                variables_used_term(w, out)
-        case Destr(_, arg):
-            variables_used_term(arg, out)
-        case MetaRef():
-            pass
-        case _:
-            raise TypeError(f"not a term: {t!r}")
-    return out
+    return _variables_used((t,), acc)
 
 
 def variables_used_type(ty: Type, acc: dict[str, Var] | None = None) -> dict[str, Var]:
+    return _variables_used(_type_terms(ty), acc)
+
+
+def _variables_used(roots: Iterable[Term], acc: dict[str, Var] | None) -> dict[str, Var]:
     out: dict[str, Var] = {} if acc is None else acc
-    match ty:
-        case Obj():
-            pass
-        case Arr(base, src, tgt):
-            variables_used_type(base, out)
-            variables_used_term(src, out)
-            variables_used_term(tgt, out)
-        case Inv(base, subject):
-            variables_used_type(base, out)
-            variables_used_term(subject, out)
-        case _:
-            raise TypeError(f"not a type: {ty!r}")
+    for t in subterms(roots):
+        if isinstance(t, VarRef):
+            out.setdefault(t.var.name, t.var)
     return out
 
 
@@ -392,8 +466,7 @@ def _alpha_key_term_raw(t: Term, b: dict[str, int]):
                 return ("bv", b[v.name])
             return ("fv", v.name)
         case Coh(ps, ty, sub):
-            pk, pb = _alpha_key_ctx(ps)
-            return ("coh", pk, alpha_key_type(ty, pb), tuple(alpha_key_term(s, b) for s in sub.terms()))
+            return ("coh", *coh_head_key(ps, ty), tuple(alpha_key_term(s, b) for s in sub.terms()))
         case Coind():
             return ("coind",) + tuple(alpha_key_term(c, b) for c in t.components())
         case Rec():
@@ -414,6 +487,13 @@ def _alpha_key_term_raw(t: Term, b: dict[str, int]):
         case MetaRef(uid, _):
             return ("meta", uid)
     raise TypeError(f"not a term: {t!r}")
+
+
+def coh_head_key(ps: Context, ty: Type) -> tuple:
+    """Alpha-invariant key of a coherence head: its pasting context and
+    its type over that context."""
+    pk, pb = _alpha_key_ctx(ps)
+    return pk, alpha_key_type(ty, pb)
 
 
 def _rec_hyp_names(t: Rec) -> tuple[str, str]:
@@ -459,45 +539,13 @@ def alpha_eq_context(a: Context, b: Context) -> bool:
 
 
 def rename_vars_type(ty: Type, mapping: dict[str, str]) -> Type:
-    sub = _renaming_sub(mapping)
-    return _rename_type(ty, sub)
+    return map_type(ty, MemoMap(_rename_leaf(mapping)))
 
 
 def rename_vars_term(t: Term, mapping: dict[str, str]) -> Term:
-    sub = _renaming_sub(mapping)
-    return _rename_term(t, sub)
+    return MemoMap(_rename_leaf(mapping))(t)
 
 
-def _renaming_sub(mapping: dict[str, str]) -> dict[str, Term]:
-    return {old: VarRef(Var(new)) for old, new in mapping.items()}
-
-
-def _rename_term(t: Term, m: dict[str, Term]) -> Term:
-    match t:
-        case VarRef(v):
-            return m.get(v.name, t)
-        case Coh(ps, ty, sub):
-            return Coh(ps, ty, Substitution(tuple((x, _rename_term(s, m)) for x, s in sub.pairs), sub.codomain))
-        case Coind():
-            return Coind(*(_rename_term(c, m) for c in t.components()))
-        case Rec():
-            new_sub = Substitution(tuple((x, _rename_term(s, m)) for x, s in t.sub.pairs), t.sub.codomain)
-            return Rec(t.t, t.tl, t.tr, t.tlu, t.tru, t.tilu, t.tiru, new_sub)
-        case Can(subject, wit):
-            return Can(_rename_term(subject, m), tuple((x, _rename_term(w, m)) for x, w in wit))
-        case Destr(kind, arg):
-            return Destr(kind, _rename_term(arg, m))
-        case MetaRef():
-            return t
-    raise TypeError(f"not a term: {t!r}")
-
-
-def _rename_type(ty: Type, m: dict[str, Term]) -> Type:
-    match ty:
-        case Obj():
-            return ty
-        case Arr(base, src, tgt):
-            return Arr(_rename_type(base, m), _rename_term(src, m), _rename_term(tgt, m))
-        case Inv(base, subject):
-            return Inv(_rename_type(base, m), _rename_term(subject, m))
-    raise TypeError(f"not a type: {ty!r}")
+def _rename_leaf(mapping: dict[str, str]) -> Callable[[Term, MemoMap], Term]:
+    m = {old: VarRef(Var(new)) for old, new in mapping.items()}
+    return lambda x, _: m.get(x.var.name, x) if isinstance(x, VarRef) else x

@@ -8,6 +8,7 @@ from icatt.errors import UnboundVariable
 from icatt.meta import walking_equiv
 from icatt.syntax import (
     Arr,
+    Coh,
     Context,
     Destr,
     Inv,
@@ -23,6 +24,7 @@ from icatt.syntax import (
     dim_context,
     dim_type,
     identity_sub,
+    rename_vars_term,
     variables_used_term,
     variables_used_type,
 )
@@ -214,3 +216,50 @@ def test_dimension_substitution_invariant(t):
     if isinstance(ty, Inv):
         return
     assert dim_type(apply_sub_type(ty, identity_sub(_E1))) == dim_type(ty)
+
+
+def _doubling_chain(x, f, depth=12):
+    """``t_0 = f`` and ``t_{i+1} = comp t_i t_i`` over ``x : *``: a DAG
+    of ``depth`` coherence nodes whose tree has 2^depth leaves."""
+    ty = Arr(Obj(), x, x)
+    t = f
+    for _ in range(depth):
+        t, _ = comp_of([(t, ty), (t, ty)])
+    return t
+
+
+def _distinct_nodes(t):
+    """Distinct term nodes (by identity) reachable through the
+    substitutions of coherence cells."""
+    seen = {}
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if id(u) not in seen:
+            seen[id(u)] = u
+            if isinstance(u, Coh):
+                stack.extend(u.sub.terms())
+    return len(seen)
+
+
+def test_traversals_keep_sharing():
+    from icatt.elaborate import Elaborator
+    from icatt.kernel import Environment
+
+    x, f = VarRef(Var("x")), VarRef(Var("f"))
+    ctx = Context(((Var("x"), Obj()), (Var("f"), Arr(Obj(), x, x))))
+    expected = _doubling_chain(VarRef(Var("y")), VarRef(Var("g")))
+    over_vars = _doubling_chain(x, f)
+    el = Elaborator(Environment())
+    mx, mf = el.metas.fresh("x"), el.metas.fresh("f")
+    el.metas.solutions.update({mx.uid: VarRef(Var("y")), mf.uid: VarRef(Var("g"))})
+    over_metas = _doubling_chain(mx, mf)
+    cases = {
+        "apply_sub_term": (over_vars, lambda t: apply_sub_term(t, sub_to(ctx, x=VarRef(Var("y")), f=VarRef(Var("g"))))),
+        "rename_vars_term": (over_vars, lambda t: rename_vars_term(t, {"x": "y", "f": "g"})),
+        "zonk_term": (over_metas, el.zonk_term),
+    }
+    for name, (source, rename) in cases.items():
+        out = rename(source)
+        assert out == expected, name
+        assert _distinct_nodes(out) <= _distinct_nodes(source), (name, _distinct_nodes(out))
