@@ -157,6 +157,20 @@ class _Metas:
     types: dict[int, Type] = field(default_factory=dict)
     hints: dict[int, str] = field(default_factory=dict)
     next_uid: int = 0
+    # the uids of ``solutions`` in the order they were solved, so that
+    # a failed attempt can be undone back to a mark
+    trail: list[int] = field(default_factory=list)
+
+    def solve(self, uid: int, t: Term) -> None:
+        if uid not in self.solutions:
+            self.solutions[uid] = t
+            self.trail.append(uid)
+
+    def undo(self, mark: int) -> None:
+        """Forget every solution found since ``len(trail)`` was ``mark``."""
+        for uid in self.trail[mark:]:
+            del self.solutions[uid]
+        del self.trail[mark:]
 
     def fresh(self, hint: str, ty: Type | None = None) -> MetaRef:
         uid = self.next_uid
@@ -237,7 +251,7 @@ class Elaborator:
     def _bind(self, m: MetaRef, t: Term) -> None:
         if self._occurs(m.uid, t):
             raise UnificationFailure("circular implicit argument")
-        self.metas.solutions[m.uid] = t
+        self.metas.solve(m.uid, t)
 
     def _occurs(self, uid: int, t: Term) -> bool:
         return any(isinstance(x, MetaRef) and x.uid == uid for x in subterms((self._resolve_deep(t),)))
@@ -371,11 +385,11 @@ class Elaborator:
         for i, a in enumerate(args):
             if isinstance(a, SWild):
                 continue
-            snapshot = dict(self.metas.solutions)
+            mark = len(self.metas.trail)
             try:
                 pre[i] = self.elab_infer(a)
             except IcattError:
-                self.metas.solutions = snapshot
+                self.metas.undo(mark)
                 continue
             if first is None and pre[i][1] is not None:
                 first = (i, pre[i][1])
@@ -439,7 +453,7 @@ class Elaborator:
             placeholder = assign[v.name]
             assign[v.name] = term
             if isinstance(placeholder, MetaRef):
-                self.metas.solutions.setdefault(placeholder.uid, term)
+                self.metas.solve(placeholder.uid, term)
             if ty is not None:
                 slot_ty = apply_sub_type(v_ty, slot_sub())
                 try:

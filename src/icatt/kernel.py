@@ -46,13 +46,13 @@ from .syntax import (
     alpha_eq_context,
     alpha_eq_term,
     alpha_eq_type,
-    alpha_key_context,
     alpha_key_term,
     apply_sub_term,
     apply_sub_type,
     dim_context,
     dim_type,
     identity_sub,
+    named_context_key,
     variables_used_term,
     variables_used_type,
 )
@@ -96,15 +96,15 @@ class PsContext:
         return out
 
 
-_PS_CACHE: dict[tuple, PsContext] = {}
+_PS_CACHE: dict[int, PsContext] = {}
 
 
 def check_ps(ctx: Context) -> PsContext:
     """Recognise a pasting diagram by a single left-to-right pass
     simulating the dangling-variable stack of the pasting rules."""
-    key = alpha_key_context(ctx)
+    key = named_context_key(ctx)
     hit = _PS_CACHE.get(key)
-    if hit is not None and [v.name for v, _ in ctx] == [v.name for v, _ in hit.ctx]:
+    if hit is not None:
         return hit
     entries = ctx.entries
     if not entries:
@@ -237,11 +237,11 @@ def check_type(ctx: Context, ty: Type) -> Type:
     raise IllFormedType(f"not a type: {ty!r}")
 
 
-_INFER_CACHE: dict[tuple, Type] = {}
+_INFER_CACHE: dict[tuple[int, int], Type] = {}
 
 
 def infer_term(ctx: Context, t: Term) -> Type:
-    key = (alpha_key_context(ctx), tuple(v.name for v, _ in ctx), alpha_key_term(t))
+    key = (named_context_key(ctx), alpha_key_term(t))
     hit = _INFER_CACHE.get(key)
     if hit is not None:
         return hit

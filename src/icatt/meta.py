@@ -47,41 +47,15 @@ def susp_base_names(avoid: set[str]) -> tuple[str, str]:
 
 
 def suspend_type(ty: Type, base: tuple[Term, Term]) -> Type:
-    neg, pos = base
-    match ty:
-        case Obj():
-            return Arr(Obj(), neg, pos)
-        case Arr(b, src, tgt):
-            return Arr(suspend_type(b, base), suspend_term(src, base), suspend_term(tgt, base))
-        case Inv(b, subject):
-            return Inv(suspend_type(b, base), suspend_term(subject, base))
-    raise TypeError(f"not a type: {ty!r}")
+    return _Suspension(base).type(ty)
 
 
 def suspend_term(t: Term, base: tuple[Term, Term]) -> Term:
-    match t:
-        case VarRef():
-            return t
-        case Coh(ps, ty, sub):
-            sps = suspend_context(ps)
-            return Coh(sps, suspend_type(ty, suspension_base(sps)), _suspend_onto(sub, sps, base))
-        case Rec():
-            sseed = suspend_context(t.sub.codomain)
-            comps = tuple(suspend_term(c, suspension_base(sseed)) for c in t.components())
-            return Rec(*comps, _suspend_onto(t.sub, sseed, base))
-        case Coind() | Can() | Destr():
-            return map_children(t, lambda c: suspend_term(c, base))
-    raise TypeError(f"not a term: {t!r}")
+    return _Suspension(base).term(t)
 
 
 def suspend_context(ctx: Context) -> Context:
-    neg_name, pos_name = susp_base_names(ctx.names())
-    vneg, vpos = Var(neg_name), Var(pos_name)
-    base = (VarRef(vneg), VarRef(vpos))
-    entries: tuple[tuple[Var, Type], ...] = ((vneg, Obj()), (vpos, Obj()))
-    for v, ty in ctx:
-        entries += ((v, suspend_type(ty, base)),)
-    return Context(entries)
+    return _Suspension(_base_avoiding(ctx)).entries(ctx)
 
 
 def suspension_base(sctx: Context) -> tuple[Term, Term]:
@@ -92,20 +66,96 @@ def suspension_base(sctx: Context) -> tuple[Term, Term]:
 def suspend_sub(sub: Substitution, base: tuple[Term, Term]) -> Substitution:
     """Suspend a substitution; ``base`` gives the images of the two new
     codomain objects (the new domain objects, at a top-level use)."""
-    return _suspend_onto(sub, suspend_context(sub.codomain), base)
-
-
-def _suspend_onto(sub: Substitution, scod: Context, base: tuple[Term, Term]) -> Substitution:
-    (vneg, _), (vpos, _) = scod.entries[0], scod.entries[1]
-    pairs = ((vneg, base[0]), (vpos, base[1]))
-    return Substitution(pairs + tuple((x, suspend_term(t, base)) for x, t in sub.pairs), scod)
+    s = _Suspension(base)
+    return s.onto(sub, s.context(sub.codomain))
 
 
 def suspend_judgment(ctx: Context, t: Term, ty: Type) -> tuple[Context, Term, Type]:
     """Suspend a typed term together with its context."""
-    sctx = suspend_context(ctx)
-    base = suspension_base(sctx)
-    return sctx, suspend_term(t, base), suspend_type(ty, base)
+    s = _Suspension(_base_avoiding(ctx))
+    return s.entries(ctx), s.term(t), s.type(ty)
+
+
+def _base_avoiding(ctx: Context) -> tuple[Term, Term]:
+    """The base objects of the suspension of ``ctx``."""
+    neg, pos = susp_base_names(ctx.names())
+    return VarRef(Var(neg)), VarRef(Var(pos))
+
+
+class _Suspension:
+    """Suspension onto ``base`` within one top-level call.  Terms are
+    memoised on node identity, so a shared DAG is suspended once per
+    distinct node, and ``heads`` holds one suspended copy of each
+    distinct coherence head (pasting context and type) and recursor head
+    (seed and components), shared by all their occurrences.  Suspensions
+    onto the heads' own bases share the call's ``heads`` and its memos,
+    one per base (``memos``)."""
+
+    __slots__ = ("base", "memo", "heads", "memos")
+
+    def __init__(self, base: tuple[Term, Term], heads: dict | None = None, memos: dict | None = None):
+        self.base = base
+        self.heads: dict[tuple[int, ...], object] = {} if heads is None else heads
+        self.memos: dict[tuple[str, str], dict[int, Term]] = {} if memos is None else memos
+        self.memo = self.memos.setdefault((base[0].var.name, base[1].var.name), {})
+
+    def at(self, base: tuple[Term, Term]) -> _Suspension:
+        return _Suspension(base, self.heads, self.memos)
+
+    def entries(self, ctx: Context) -> Context:
+        """``ctx`` suspended onto this base, whose names it avoids."""
+        neg, pos = self.base
+        return Context(((neg.var, Obj()), (pos.var, Obj())) + tuple((v, self.type(ty)) for v, ty in ctx))
+
+    def context(self, ctx: Context) -> Context:
+        """The suspension of ``ctx``, sharing this call's memos."""
+        return self.at(_base_avoiding(ctx)).entries(ctx)
+
+    def type(self, ty: Type) -> Type:
+        match ty:
+            case Obj():
+                return Arr(Obj(), *self.base)
+            case Arr(b, src, tgt):
+                return Arr(self.type(b), self.term(src), self.term(tgt))
+            case Inv(b, subject):
+                return Inv(self.type(b), self.term(subject))
+        raise TypeError(f"not a type: {ty!r}")
+
+    def term(self, t: Term) -> Term:
+        if isinstance(t, VarRef):
+            return t
+        out = self.memo.get(id(t))
+        if out is None:
+            out = self.memo[id(t)] = self._term(t)
+        return out
+
+    def _term(self, t: Term) -> Term:
+        match t:
+            case Coh(ps, ty, sub):
+                key = (id(ps), id(ty))
+                head = self.heads.get(key)
+                if head is None:
+                    sps = self.context(ps)
+                    head = self.heads[key] = (sps, self.at(suspension_base(sps)).type(ty))
+                return Coh(*head, self.onto(sub, head[0]))
+            case Rec():
+                comps = t.components()
+                key = (id(t.sub.codomain), *map(id, comps))
+                head = self.heads.get(key)
+                if head is None:
+                    sseed = self.context(t.sub.codomain)
+                    inner = self.at(suspension_base(sseed))
+                    head = self.heads[key] = (sseed, tuple(map(inner.term, comps)))
+                return Rec(*head[1], self.onto(t.sub, head[0]))
+            case Coind() | Can() | Destr():
+                return map_children(t, self.term)
+        raise TypeError(f"not a term: {t!r}")
+
+    def onto(self, sub: Substitution, scod: Context) -> Substitution:
+        """``sub`` suspended onto ``scod``, the suspension of its codomain."""
+        (vneg, _), (vpos, _) = scod.entries[0], scod.entries[1]
+        pairs = ((vneg, self.base[0]), (vpos, self.base[1]))
+        return Substitution(pairs + tuple((x, self.term(t)) for x, t in sub.pairs), scod)
 
 
 # ---------------------------------------------------------------------------

@@ -41,10 +41,6 @@ _COIND_COMPONENT = {"linv": 1, "rinv": 2, "lunit": 3, "runit": 4, "lwit": 5, "rw
 
 _BETA_FUEL = 1_000_000
 
-# beta-normal forms memoised per (immutable, shared) object; holding the
-# object keeps its id valid
-_BETA_CACHE: dict[int, tuple[Term, Term]] = {}
-
 
 def beta_step(t: Term) -> Term | None:
     """One beta-contraction at the root, if the root is a redex."""
@@ -76,29 +72,38 @@ def beta_step(t: Term) -> Term | None:
 
 def beta_reduce(t: Term, fuel: int = _BETA_FUEL) -> Term:
     """Exhaustive beta-normalisation (innermost first, with sharing)."""
-    remaining = fuel
+    return _Beta(fuel)(t)
 
-    def go(term: Term) -> Term:
-        nonlocal remaining
-        hit = _BETA_CACHE.get(id(term))
-        if hit is not None and hit[0] is term:
-            return hit[1]
-        mapped = map_children(term, go)
+
+class _Beta:
+    """Beta-normalisation with ``fuel`` contractions left.  A node's
+    normal form is a fact about the node and is cached on it: ``_beta``
+    holds the normal form, or ``True`` when the node is its own (which
+    keeps a normal node from referring to itself)."""
+
+    __slots__ = ("fuel",)
+
+    def __init__(self, fuel: int):
+        self.fuel = fuel
+
+    def __call__(self, term: Term) -> Term:
+        hit = term._beta
+        if hit is not None:
+            return term if hit is True else hit
+        mapped = map_children(term, self)
         step = beta_step(mapped)
         if step is None:
             result = mapped
         else:
-            remaining -= 1
-            if remaining <= 0:
+            self.fuel -= 1
+            if self.fuel <= 0:
                 raise BoundExceeded("beta-reduction fuel exhausted")
-            result = go(step)
-        _BETA_CACHE[id(term)] = (term, result)
-        if mapped is not term:
-            _BETA_CACHE[id(mapped)] = (mapped, result)
-        _BETA_CACHE[id(result)] = (result, result)
+            result = self(step)
+        for node in (term, mapped):
+            if node is not result:
+                object.__setattr__(node, "_beta", result)
+        object.__setattr__(result, "_beta", True)
         return result
-
-    return go(t)
 
 
 def eta_expand_once(e: Term, subject: Term) -> Coind:
@@ -114,24 +119,34 @@ def _eta_pass(t: Term, guard: int) -> Term:
     In a beta-normal categorical term such positions only occur inside
     surviving constructor tuples, so this is usually the identity.
     """
+    return _Eta(guard)(t)
 
-    def expand_at(e: Term, subject: Term, subject_dim: int) -> Term:
-        if subject_dim > guard or isinstance(e, Coind):
-            return go(e)
-        expanded = eta_expand_once(go(e), go(subject))
-        return go(beta_reduce(expanded))
 
-    def go(term: Term) -> Term:
+class _Eta:
+    """The eta pass of :func:`_eta_pass` at one dimension guard."""
+
+    __slots__ = ("guard",)
+
+    def __init__(self, guard: int):
+        self.guard = guard
+
+    def expand_at(self, e: Term, subject: Term, subject_dim: int) -> Term:
+        if subject_dim > self.guard or isinstance(e, Coind):
+            return self(e)
+        expanded = eta_expand_once(self(e), self(subject))
+        return self(beta_reduce(expanded))
+
+    def __call__(self, term: Term) -> Term:
         match term:
             case Coind():
                 comps = term.components()
-                out = [go(c) for c in comps[:5]]
+                out = [self(c) for c in comps[:5]]
                 # the witness components are structures on the
                 # cancellation cells, whose dimension is read off the
                 # syntax (a bare-variable subject counts as expandable)
                 dim_up = _term_dim_bound(comps[3])
-                out.append(expand_at(comps[5], comps[3], dim_up))
-                out.append(expand_at(comps[6], comps[4], dim_up))
+                out.append(self.expand_at(comps[5], comps[3], dim_up))
+                out.append(self.expand_at(comps[6], comps[4], dim_up))
                 return Coind(*out)
             case Can(subject, wit):
                 assert isinstance(subject, Coh)
@@ -139,22 +154,20 @@ def _eta_pass(t: Term, guard: int) -> Term:
                 for x, w in wit:
                     x_img = subject.sub.lookup(x)
                     x_dim = dim_type(subject.ps.lookup(x)) + 1
-                    new_wit.append((x, expand_at(w, x_img, x_dim)))
-                return Can(go(subject), tuple(new_wit))
+                    new_wit.append((x, self.expand_at(w, x_img, x_dim)))
+                return Can(self(subject), tuple(new_wit))
             case Rec():
                 new_pairs = []
                 for x, s in term.sub.pairs:
                     x_ty = term.sub.codomain.lookup(x)
                     if isinstance(x_ty, Inv):
                         subj = apply_sub_term(x_ty.subject, term.sub)
-                        new_pairs.append((x, expand_at(s, subj, dim_type(x_ty.base) + 1)))
+                        new_pairs.append((x, self.expand_at(s, subj, dim_type(x_ty.base) + 1)))
                     else:
-                        new_pairs.append((x, go(s)))
+                        new_pairs.append((x, self(s)))
                 return Rec(*term.components(), Substitution(tuple(new_pairs), term.sub.codomain))
             case _:
-                return map_children(term, go)
-
-    return go(t)
+                return map_children(term, self)
 
 
 def _term_dim_bound(t: Term) -> int:

@@ -2,10 +2,17 @@
 
 Terms and types are immutable trees.  Variables are named; equality of
 entities that contain binders (the pasting context of a coherence, the
-seed context of a recursive definition) is alpha-insensitive, via
-:func:`alpha_key`.  Free variables always compare by name, so two terms
-over the same ambient context are equal exactly when they denote the
-same syntax up to renaming of bound contexts.
+seed context of a recursive definition) is alpha-insensitive, via their
+alpha-keys (:func:`alpha_key_term`, :func:`alpha_key_type`,
+:func:`alpha_key_context`, :func:`alpha_key_sub`).  Free variables
+always compare by name, so two terms over the same ambient context have
+equal keys exactly when they denote the same syntax up to renaming of
+bound contexts.  A key is an int from one intern table, which maps a
+shallow shape (a tag, the keys of the children, and the names that
+matter: free variables, destructor kinds) to a dense int; a bound
+variable's shape is its binding position.  Comparing or hashing a key
+costs O(1), and computing a node's key costs O(arity) once its
+children's keys are known.
 
 The six destructors are identified by the strings in :data:`DESTRUCTORS`
 ("lwit"/"rwit" are the invertibility witnesses of the left/right
@@ -25,6 +32,17 @@ DAG costs its number of distinct nodes.  The memo lives for one
 top-level call (shared across every pair of a substitution and every
 part of a type) and is dropped after it, so a cold run and a warm run
 cannot differ.
+
+Cache policy.  Memory of past work takes one of three forms.  The
+intern table is the only table in this module; it holds shapes, never
+nodes, and grows with the number of distinct alpha-classes seen, so
+re-checking the same input adds nothing.  Facts about a node are stored
+on the node (see :class:`_Node`): the key of a closed node, the key of a
+coherence type over its pasting context, a term's beta-normal form;
+they live exactly as long as the node.  Traversal memos
+(:class:`MemoMap`, the keys under binders, suspension) are keyed on
+node identity and last one top-level call.  Memo tables elsewhere (the
+kernel's inference and pasting tables) are keyed by the interned ints.
 """
 
 from __future__ import annotations
@@ -41,6 +59,19 @@ DESTRUCTORS = ("linv", "rinv", "lunit", "runit", "lwit", "rwit")
 WITNESS_DESTRUCTORS = ("lwit", "rwit")
 
 
+class _Node:
+    """Facts about a node, cached on it in its instance ``__dict__``
+    (written with ``object.__setattr__``, the dataclasses being frozen):
+    the interned alpha-key of a closed node, the key of a coherence
+    type over its pasting context (:func:`coh_head_key`), and the
+    beta-normal form of a term, which :mod:`icatt.normalize` writes.
+    None until computed."""
+
+    _key = None
+    _beta = None
+    _head_key = None
+
+
 @dataclass(frozen=True)
 class Var:
     name: str
@@ -55,12 +86,12 @@ class Var:
 
 
 @dataclass(frozen=True)
-class Obj:
+class Obj(_Node):
     """The base type of objects (0-cells)."""
 
 
 @dataclass(frozen=True)
-class Arr:
+class Arr(_Node):
     """Arrow type between two parallel terms of a common base type."""
 
     base: Type
@@ -69,7 +100,7 @@ class Arr:
 
 
 @dataclass(frozen=True)
-class Inv:
+class Inv(_Node):
     """Type of invertibility structures on ``subject : base``."""
 
     base: Type  # always an Arr in checked syntax
@@ -85,12 +116,12 @@ Type = Union[Obj, Arr, Inv]
 
 
 @dataclass(frozen=True)
-class VarRef:
+class VarRef(_Node):
     var: Var
 
 
 @dataclass(frozen=True)
-class Coh:
+class Coh(_Node):
     """A coherence cell: a pasting context, a full type over it, and the
     substitution instantiating it in the ambient context."""
 
@@ -100,7 +131,7 @@ class Coh:
 
 
 @dataclass(frozen=True)
-class Coind:
+class Coind(_Node):
     """Direct coinductive invertibility tuple."""
 
     t: Term
@@ -116,7 +147,7 @@ class Coind:
 
 
 @dataclass(frozen=True)
-class Rec:
+class Rec(_Node):
     """Recursive invertibility definition.
 
     The first five components live over ``sub.codomain`` (a walking
@@ -138,7 +169,7 @@ class Rec:
 
 
 @dataclass(frozen=True)
-class Can:
+class Can(_Node):
     """Canonical invertibility structure on a coherence cell.
 
     ``witnesses`` maps the top-dimensional variables of the subject's
@@ -151,13 +182,13 @@ class Can:
 
 
 @dataclass(frozen=True)
-class Destr:
+class Destr(_Node):
     kind: str  # one of DESTRUCTORS
     arg: Term
 
 
 @dataclass(frozen=True)
-class MetaRef:
+class MetaRef(_Node):
     """An unsolved elaboration metavariable.  Never reaches the kernel:
     declarations are zonked before checking."""
 
@@ -174,8 +205,11 @@ Term = Union[VarRef, Coh, Coind, Rec, Can, Destr, MetaRef]
 
 
 @dataclass(frozen=True)
-class Context:
+class Context(_Node):
     entries: tuple[tuple[Var, Type], ...] = ()
+    # cached with the alpha-key: see _ctx_key and named_context_key
+    _binders = None
+    _named_key = None
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -418,82 +452,90 @@ def fresh_name(base: str, avoid: set[str]) -> str:
 # Alpha-invariant canonical keys
 # ---------------------------------------------------------------------------
 
-# Syntax trees are immutable and heavily shared after substitution, so
-# canonical keys are memoised per object for the closed (no enclosing
-# binder) case, which dominates.  The table holds strong references so
-# object ids stay valid.
-_KEY_CACHE: dict[int, tuple[object, object]] = {}
+# shape (a tag, child keys, names) -> dense int; see the module docstring
+_INTERN: dict[tuple, int] = {}
 
 
-def _cached_key(obj, compute):
-    hit = _KEY_CACHE.get(id(obj))
-    if hit is not None and hit[0] is obj:
-        return hit[1]
-    key = compute()
-    _KEY_CACHE[id(obj)] = (obj, key)
-    return key
+def _intern(shape: tuple) -> int:
+    return _INTERN.setdefault(shape, len(_INTERN))
 
 
-def alpha_key_type(ty: Type, bound: dict[str, int] | None = None):
-    b = bound or {}
-    if not b:
-        return _cached_key(ty, lambda: _alpha_key_type_raw(ty, b))
-    return _alpha_key_type_raw(ty, b)
+class _Keys:
+    """Alpha-keys of terms and types under ``bound`` (bound variable
+    name -> binding position), memoised on node identity for the life of
+    the object.  With nothing bound, the keys cached on the nodes."""
+
+    __slots__ = ("bound", "memo")
+
+    def __init__(self, bound: dict[str, int]):
+        self.bound = bound
+        self.memo: dict[int, int] = {}
+
+    def __call__(self, x: Term | Type) -> int:
+        if not self.bound:
+            return _closed_key(x)
+        k = self.memo.get(id(x))
+        if k is None:
+            k = self.memo[id(x)] = _intern(_shape(x, self))
+        return k
 
 
-def _alpha_key_type_raw(ty: Type, b: dict[str, int]):
-    match ty:
+_CLOSED = _Keys({})
+
+
+def _closed_key(x: Term | Type) -> int:
+    k = x._key
+    if k is None:
+        k = _intern(_shape(x, _CLOSED))
+        object.__setattr__(x, "_key", k)
+    return k
+
+
+def _shape(x: Term | Type, key: _Keys) -> tuple:
+    match x:
+        case VarRef(v):
+            i = key.bound.get(v.name)
+            return ("fv", v.name) if i is None else ("bv", i)
+        case Coh(ps, ty, sub):
+            return ("coh", *coh_head_key(ps, ty), *map(key, sub.terms()))
+        case Destr(kind, arg):
+            return ("destr", kind, key(arg))
+        case Coind():
+            return ("coind", *map(key, x.components()))
+        case Rec():
+            return ("rec", *_rec_body_key(x), *map(key, x.sub.terms()))
+        case Can(subject, wit):
+            return ("can", key(subject), *[key(w) for _, w in wit])
+        case MetaRef(uid, _):
+            return ("meta", uid)
         case Obj():
             return ("obj",)
         case Arr(base, src, tgt):
-            return ("arr", alpha_key_type(base, b), alpha_key_term(src, b), alpha_key_term(tgt, b))
+            return ("arr", key(base), key(src), key(tgt))
         case Inv(base, subject):
-            return ("inv", alpha_key_type(base, b), alpha_key_term(subject, b))
-    raise TypeError(f"not a type: {ty!r}")
+            return ("inv", key(base), key(subject))
+    raise TypeError(f"not a term or type: {x!r}")
 
 
-def alpha_key_term(t: Term, bound: dict[str, int] | None = None):
-    b = bound or {}
-    if not b:
-        return _cached_key(t, lambda: _alpha_key_term_raw(t, b))
-    return _alpha_key_term_raw(t, b)
+def alpha_key_term(t: Term, bound: dict[str, int] | None = None) -> int:
+    return _Keys(bound)(t) if bound else _closed_key(t)
 
 
-def _alpha_key_term_raw(t: Term, b: dict[str, int]):
-    match t:
-        case VarRef(v):
-            if v.name in b:
-                return ("bv", b[v.name])
-            return ("fv", v.name)
-        case Coh(ps, ty, sub):
-            return ("coh", *coh_head_key(ps, ty), tuple(alpha_key_term(s, b) for s in sub.terms()))
-        case Coind():
-            return ("coind",) + tuple(alpha_key_term(c, b) for c in t.components())
-        case Rec():
-            ek, eb = _alpha_key_ctx(t.sub.codomain)
-            # the last two components see the two inductive-hypothesis
-            # variables appended after the seed context
-            comps = t.components()
-            keys = [alpha_key_term(c, eb) for c in comps[:5]]
-            ebh = dict(eb)
-            for i, hv in enumerate(_rec_hyp_names(t)):
-                ebh[hv] = len(eb) + i
-            keys += [alpha_key_term(c, ebh) for c in comps[5:]]
-            return ("rec", ek, tuple(keys), tuple(alpha_key_term(s, b) for s in t.sub.terms()))
-        case Can(subject, wit):
-            return ("can", alpha_key_term(subject, b), tuple(alpha_key_term(w, b) for _, w in wit))
-        case Destr(kind, arg):
-            return ("destr", kind, alpha_key_term(arg, b))
-        case MetaRef(uid, _):
-            return ("meta", uid)
-    raise TypeError(f"not a term: {t!r}")
+def alpha_key_type(ty: Type, bound: dict[str, int] | None = None) -> int:
+    return _Keys(bound)(ty) if bound else _closed_key(ty)
 
 
-def coh_head_key(ps: Context, ty: Type) -> tuple:
+def coh_head_key(ps: Context, ty: Type) -> tuple[int, int]:
     """Alpha-invariant key of a coherence head: its pasting context and
-    its type over that context."""
-    pk, pb = _alpha_key_ctx(ps)
-    return pk, alpha_key_type(ty, pb)
+    its type over that context.  The type's key is cached on the type,
+    with the named key of the context it was keyed over."""
+    pk, pb = _ctx_key(ps)
+    over = named_context_key(ps)
+    hit = ty._head_key
+    if hit is None or hit[0] != over:
+        hit = (over, alpha_key_type(ty, pb))
+        object.__setattr__(ty, "_head_key", hit)
+    return pk, hit[1]
 
 
 def _rec_hyp_names(t: Rec) -> tuple[str, str]:
@@ -506,24 +548,50 @@ def _rec_hyp_names(t: Rec) -> tuple[str, str]:
     return fresh_name("h-", avoid), fresh_name("h+", avoid)
 
 
-def _alpha_key_ctx(ctx: Context):
-    def compute():
+def _rec_body_key(t: Rec) -> tuple[int, ...]:
+    """Keys of a recursor's seed context and of its components: the
+    first five over the seed, the last two over the seed extended by the
+    two inductive-hypothesis variables."""
+    ek, eb = _ctx_key(t.sub.codomain)
+    ebh = dict(eb)
+    for i, hv in enumerate(_rec_hyp_names(t)):
+        ebh[hv] = len(eb) + i
+    comps = t.components()
+    return (ek, *map(_Keys(eb), comps[:5]), *map(_Keys(ebh), comps[5:]))
+
+
+def _ctx_key(ctx: Context) -> tuple[int, dict[str, int]]:
+    """The key of ``ctx`` and its binder map (variable name -> position),
+    cached on ``ctx``; each entry's type is keyed over the entries before
+    it."""
+    if ctx._key is None:
         b: dict[str, int] = {}
         keys = []
         for v, ty in ctx:
             keys.append(alpha_key_type(ty, b))
             b[v.name] = len(b)
-        return tuple(keys), b
-
-    return _cached_key(ctx, compute)
-
-
-def alpha_key_context(ctx: Context):
-    return _alpha_key_ctx(ctx)[0]
+        object.__setattr__(ctx, "_binders", b)
+        object.__setattr__(ctx, "_key", _intern(("ctx", *keys)))
+    return ctx._key, ctx._binders
 
 
-def alpha_key_sub(sub: Substitution, bound: dict[str, int] | None = None):
-    return (alpha_key_context(sub.codomain), tuple(alpha_key_term(t, bound) for t in sub.terms()))
+def alpha_key_context(ctx: Context) -> int:
+    return _ctx_key(ctx)[0]
+
+
+def named_context_key(ctx: Context) -> int:
+    """A key of ``ctx`` that also tells its variable names apart: equal
+    exactly for alpha-equivalent contexts with the same names in the same
+    order, the contexts over which terms have the same meaning."""
+    k = ctx._named_key
+    if k is None:
+        k = _intern(("named", alpha_key_context(ctx), *[v.name for v, _ in ctx]))
+        object.__setattr__(ctx, "_named_key", k)
+    return k
+
+
+def alpha_key_sub(sub: Substitution, bound: dict[str, int] | None = None) -> int:
+    return _intern(("sub", alpha_key_context(sub.codomain), *map(_Keys(bound or {}), sub.terms())))
 
 
 def alpha_eq_term(a: Term, b: Term) -> bool:

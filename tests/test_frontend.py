@@ -279,3 +279,55 @@ def test_fuzzed_scripts_never_crash_internally():
         except Exception as exc:  # pragma: no cover - the failure itself
             crashes.append((text, repr(exc)))
     assert not crashes, crashes[:3]
+
+
+def _module_table_sizes():
+    """Entries in every module-level dict, set and lru_cache of icatt."""
+    sizes = {}
+    for name, mod in list(sys.modules.items()):
+        if name != "icatt" and not name.startswith("icatt."):
+            continue
+        for attr, value in vars(mod).items():
+            if callable(getattr(value, "cache_info", None)):
+                sizes[f"{name}.{attr}"] = value.cache_info().currsize
+            elif isinstance(value, (dict, set)):
+                sizes[f"{name}.{attr}"] = len(value)
+    return sizes
+
+
+def _check_corpus_once():
+    """Elaborate and check the corpus from scratch; each declaration as
+    its alpha-keys, its types and its printed form."""
+    from icatt.elaborate import elaborate_decl
+    from icatt.kernel import CohDecl, Environment, TermDecl, check_decl
+    from icatt.printer import print_context, print_term, print_type
+    from icatt.syntax import alpha_key_context, alpha_key_term, alpha_key_type
+
+    env = Environment()
+    out = []
+    for sdecl in parse(CORPUS.read_text(encoding="utf-8")):
+        decl = elaborate_decl(env, sdecl)
+        check_decl(env, decl)
+        if isinstance(decl, CohDecl):
+            ctx, terms, types = decl.ps, (), (decl.ty,)
+        elif isinstance(decl, TermDecl):
+            ctx, terms, types = decl.ctx, (decl.term,), (decl.ty,)
+        else:
+            ctx, terms, types = decl.seed, decl.components, ()
+        keys = (alpha_key_context(ctx), [alpha_key_term(t) for t in terms], [alpha_key_type(ty) for ty in types])
+        printed = [print_context(ctx), *map(print_term, terms), *map(print_type, types)]
+        out.append((decl.name, keys, types, printed))
+    return out
+
+
+def test_recheck_is_stable_and_grows_no_table():
+    """Checking the corpus three times in one process gives the same
+    declarations, and after the second run no module-level table grows."""
+    first = _check_corpus_once()
+    second = _check_corpus_once()
+    after_second = _module_table_sizes()
+    third = _check_corpus_once()
+    after_third = _module_table_sizes()
+    assert first == second == third
+    grown = {name: (after_second[name], n) for name, n in after_third.items() if n > after_second.get(name, 0)}
+    assert not grown

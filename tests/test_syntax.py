@@ -1,30 +1,42 @@
 """Raw syntax: substitution calculus, dimensions, variable usage."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from icatt.builtins import comp_of, id_of
 from icatt.errors import UnboundVariable
-from icatt.meta import walking_equiv
+from icatt.meta import suspend_judgment, walking_equiv
 from icatt.syntax import (
     Arr,
+    Can,
     Coh,
+    Coind,
     Context,
     Destr,
     Inv,
+    MetaRef,
     Obj,
+    Rec,
     Substitution,
     Var,
     VarRef,
     alpha_eq_context,
     alpha_eq_term,
+    alpha_key_context,
+    alpha_key_term,
+    alpha_key_type,
     apply_sub_term,
     apply_sub_type,
     compose_sub,
     dim_context,
     dim_type,
+    fresh_name,
     identity_sub,
     rename_vars_term,
+    rename_vars_type,
+    subterms,
     variables_used_term,
     variables_used_type,
 )
@@ -263,3 +275,163 @@ def test_traversals_keep_sharing():
         out = rename(source)
         assert out == expected, name
         assert _distinct_nodes(out) <= _distinct_nodes(source), (name, _distinct_nodes(out))
+
+
+# -- alpha-keys against a reference ------------------------------------------
+
+
+class _ReferenceKeys:
+    """The nested-tuple alpha-keys that interned keys replaced, kept as a
+    reference: two entities are alpha-equivalent exactly when their
+    reference keys are equal.  Closed keys are memoised per object for
+    the life of the instance."""
+
+    def __init__(self):
+        self.cache = {}
+
+    def _cached(self, obj, compute):
+        hit = self.cache.get(id(obj))
+        if hit is not None and hit[0] is obj:
+            return hit[1]
+        key = compute()
+        self.cache[id(obj)] = (obj, key)
+        return key
+
+    def type(self, ty, bound=None):
+        b = bound or {}
+        if not b:
+            return self._cached(ty, lambda: self._type_raw(ty, b))
+        return self._type_raw(ty, b)
+
+    def _type_raw(self, ty, b):
+        match ty:
+            case Obj():
+                return ("obj",)
+            case Arr(base, src, tgt):
+                return ("arr", self.type(base, b), self.term(src, b), self.term(tgt, b))
+            case Inv(base, subject):
+                return ("inv", self.type(base, b), self.term(subject, b))
+        raise TypeError(ty)
+
+    def term(self, t, bound=None):
+        b = bound or {}
+        if not b:
+            return self._cached(t, lambda: self._term_raw(t, b))
+        return self._term_raw(t, b)
+
+    def _term_raw(self, t, b):
+        match t:
+            case VarRef(v):
+                if v.name in b:
+                    return ("bv", b[v.name])
+                return ("fv", v.name)
+            case Coh(ps, ty, sub):
+                pk, pb = self._ctx(ps)
+                return ("coh", pk, self.type(ty, pb), tuple(self.term(s, b) for s in sub.terms()))
+            case Coind():
+                return ("coind",) + tuple(self.term(c, b) for c in t.components())
+            case Rec():
+                ek, eb = self._ctx(t.sub.codomain)
+                comps = t.components()
+                keys = [self.term(c, eb) for c in comps[:5]]
+                avoid = t.sub.codomain.names()
+                ebh = dict(eb)
+                for i, hv in enumerate((fresh_name("h-", avoid), fresh_name("h+", avoid))):
+                    ebh[hv] = len(eb) + i
+                keys += [self.term(c, ebh) for c in comps[5:]]
+                return ("rec", ek, tuple(keys), tuple(self.term(s, b) for s in t.sub.terms()))
+            case Can(subject, wit):
+                return ("can", self.term(subject, b), tuple(self.term(w, b) for _, w in wit))
+            case Destr(kind, arg):
+                return ("destr", kind, self.term(arg, b))
+            case MetaRef(uid, _):
+                return ("meta", uid)
+        raise TypeError(t)
+
+    def _ctx(self, ctx):
+        def compute():
+            b = {}
+            keys = []
+            for v, ty in ctx:
+                keys.append(self.type(ty, b))
+                b[v.name] = len(b)
+            return tuple(keys), b
+
+        return self._cached(ctx, compute)
+
+    def context(self, ctx):
+        return self._ctx(ctx)[0]
+
+
+def _rename_binders(c, m, ty):
+    """The coherence of type ``ty`` over the pasting context of ``c``
+    with its variables renamed by ``m``, instantiated as ``c`` is."""
+    ps = Context(tuple((Var(m.get(v.name, v.name)), rename_vars_type(t, m)) for v, t in c.ps))
+    sub = Substitution(tuple((Var(m.get(x.name, x.name)), s) for x, s in c.sub.pairs), ps)
+    return Coh(ps, ty, sub)
+
+
+def _swap_bound(x, a, b):
+    """``x``, a coherence or recursor, with its bound variables ``a`` and
+    ``b`` exchanged in its type or components: usually not
+    alpha-equivalent to ``x``, so keys must tell bound positions apart."""
+    swap = {a: b, b: a}
+    if isinstance(x, Coh):
+        return Coh(x.ps, rename_vars_type(x.ty, swap), x.sub)
+    return Rec(*[rename_vars_term(c, swap) for c in x.components()], x.sub)
+
+
+def _assert_same_classes(items, key, ref_key):
+    """``key`` and ``ref_key`` induce the same partition of ``items``:
+    equal keys exactly when equal reference keys."""
+    by_key, by_ref = {}, {}
+    for x in items:
+        k, r = key(x), ref_key(x)
+        assert by_key.setdefault(k, r) == r, x
+        assert by_ref.setdefault(r, k) == k, x
+    return len(by_key)
+
+
+def test_alpha_keys_agree_with_reference(corpus_terms):
+    """Over the corpus terms' subterms, renamings of their free and
+    bound variables, and suspensions, interned keys are equal exactly
+    when the nested-tuple reference keys are."""
+    rng = random.Random(7)
+    terms, types, contexts = [], [], []
+    for _, ctx, term, ty in corpus_terms:
+        names = [v.name for v, _ in ctx]
+        fresh = {n: n + "_" for n in names}
+        collapse = {n: rng.choice(names) for n in names}
+        same = {n: n for n in names}
+        roots = [term] + [rename_vars_term(term, m) for m in (fresh, collapse, same)]
+        sctx, sterm, sty = suspend_judgment(ctx, term, ty)
+        roots.append(sterm)
+        terms.extend(subterms(roots))
+        types.extend([ty, sty, rename_vars_type(ty, fresh), rename_vars_type(ty, same)])
+        renamed_ctx = Context(tuple((Var(fresh[v.name]), rename_vars_type(t, fresh)) for v, t in ctx))
+        contexts.extend([ctx, sctx, renamed_ctx])
+    cohs = [t for t in terms if isinstance(t, Coh)]
+    rec_heads = {id(t.t): t for t in terms if isinstance(t, Rec)}.values()
+    for c in rng.sample(cohs, min(len(cohs), 400)):
+        primes = {v.name: v.name + "'" for v, _ in c.ps}
+        renamed = _rename_binders(c, primes, rename_vars_type(c.ty, primes))
+        terms.append(renamed)
+        types.extend([c.ty, renamed.ty])
+        contexts.extend([c.ps, renamed.ps])
+        if len(c.ps) > 1:
+            a, b = rng.sample([v.name for v, _ in c.ps], 2)
+            swapped = _swap_bound(c, a, b)
+            # the same type object over a renamed context: the swapped cell
+            terms.extend([swapped, _rename_binders(c, {a: b, b: a}, c.ty)])
+            contexts.append(Context(tuple((v, swapped.ty) for v, _ in c.ps)))
+    for r in rec_heads:
+        avoid = r.sub.codomain.names()
+        terms.append(_swap_bound(r, *rng.sample(sorted(avoid), 2)))
+        terms.append(_swap_bound(r, fresh_name("h-", avoid), fresh_name("h+", avoid)))
+
+    ref = _ReferenceKeys()
+    n_terms = _assert_same_classes(terms, alpha_key_term, ref.term)
+    n_types = _assert_same_classes(types, alpha_key_type, ref.type)
+    n_ctxs = _assert_same_classes(contexts, alpha_key_context, ref.context)
+    # the pools hold both alpha-equivalent and inequivalent entities
+    assert 1 < n_terms < len(terms) and 1 < n_types < len(types) and 1 < n_ctxs < len(contexts)
