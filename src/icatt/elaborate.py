@@ -83,8 +83,8 @@ from .syntax import (
     children,
     coh_head_key,
     dim_type,
-    identity_sub,
     map_type,
+    rec_head_key,
     subterms,
     variables_used_type,
 )
@@ -230,7 +230,7 @@ class Elaborator:
         match (a, b):
             case (Coh(), Coh()) if coh_head_key(a.ps, a.ty) != coh_head_key(b.ps, b.ty):
                 raise UnificationFailure("distinct coherence heads")
-            case (Rec(), Rec()) if _rec_head(a) != _rec_head(b):
+            case (Rec(), Rec()) if rec_head_key(a) != rec_head_key(b):
                 raise UnificationFailure("distinct recursive definitions")
             case (Coh(), Coh()) | (Coind(), Coind()) | (Rec(), Rec()):
                 pass
@@ -546,12 +546,6 @@ class Elaborator:
                     raise UnificationFailure("cannot infer the base of this arrow type", span=span)
                 return Arr(base, s_term, t_term)
         raise TypeMismatch(f"not a surface type: {s!r}")
-
-
-def _rec_head(r: Rec):
-    """Alpha-invariant key of a recursive definition without its
-    instantiating substitution."""
-    return alpha_key_term(Rec(*r.components(), identity_sub(r.sub.codomain)))
 
 
 # ---------------------------------------------------------------------------

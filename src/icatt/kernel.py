@@ -5,6 +5,18 @@ All checking is self-contained: coherence cells carry their pasting
 context and type, so no global environment is needed to re-check a
 term.  The environment here only stores accepted top-level declarations
 for the elaborator to draw on.
+
+Whether a coherence is valid depends only on its head, never on the
+substitution that instantiates it; likewise a recursive definition's
+body.  Inference therefore splits in two.  The closed part is checked
+once per alpha-class of the head (:func:`check_coh_head`: the pasting
+context, the type over it and its fullness; :func:`_check_rec_body`:
+the seed is a walking equivalence, the subject has an arrow type and
+the six other components check over the seed and its inductive
+extension), and only its successes are remembered, in
+``_CHECKED_HEADS``, so a failing head raises on every use.  The
+per-instance part runs at every node: the substitution is checked
+against the head's context and the result type is built from it.
 """
 
 from __future__ import annotations
@@ -49,10 +61,13 @@ from .syntax import (
     alpha_key_term,
     apply_sub_term,
     apply_sub_type,
+    coh_head_key,
     dim_context,
     dim_type,
     identity_sub,
     named_context_key,
+    rec_head_key,
+    snoc,
     variables_used_term,
     variables_used_type,
 )
@@ -209,8 +224,28 @@ def check_ctx(ctx: Context) -> Context:
             raise DuplicateVariable(f"duplicate variable {v.name} in context")
         check_type(prefix, ty)
         seen.add(v.name)
-        prefix = Context(prefix.entries + ((v, ty),))
+        prefix = snoc(prefix, v, ty)
     return ctx
+
+
+# interned keys of the coherence heads and recursor bodies whose closed
+# check has passed; a failure is never recorded, so it raises on every use
+_CHECKED_HEADS: set[int] = set()
+
+
+def check_coh_head(ps_ctx: Context, ty: Type, where: str = "") -> None:
+    """Check a coherence head: its pasting context and a full type over
+    it.  Runs once per alpha-class of the head; ``where`` prefixes the
+    fullness diagnostic."""
+    key = coh_head_key(ps_ctx, ty)
+    if key in _CHECKED_HEADS:
+        return
+    check_ctx(ps_ctx)
+    ps = check_ps(ps_ctx)
+    check_type(ps_ctx, ty)
+    if not full_type(ps, ty):
+        raise NotFull(where + fullness_failure(ps, ty))
+    _CHECKED_HEADS.add(key)
 
 
 def check_type(ctx: Context, ty: Type) -> Type:
@@ -257,11 +292,7 @@ def _infer_term(ctx: Context, t: Term) -> Type:
         case MetaRef(_, hint):
             raise UnsolvedMeta(f"unsolved implicit argument {hint}; give it explicitly")
         case Coh(ps_ctx, ty, sub):
-            check_ctx(ps_ctx)
-            ps = check_ps(ps_ctx)
-            check_type(ps_ctx, ty)
-            if not full_type(ps, ty):
-                raise NotFull(fullness_failure(ps, ty))
+            check_coh_head(ps_ctx, ty)
             check_sub(ctx, sub, ps_ctx)
             return apply_sub_type(ty, sub)
         case Destr(kind, arg):
@@ -323,7 +354,20 @@ def _infer_can(ctx: Context, t: Can) -> Type:
 
 
 def _infer_rec(ctx: Context, t: Rec) -> Type:
+    t_ty = _check_rec_body(t)
+    check_sub(ctx, t.sub, t.sub.codomain)
+    return Inv(apply_sub_type(t_ty, t.sub), apply_sub_term(t.t, t.sub))
+
+
+def _check_rec_body(t: Rec) -> Type:
+    """The type of a recursor's subject over its seed, once the seed is
+    known to be a walking equivalence and the six other components to
+    check over it and its inductive extension.  The body is checked once
+    per alpha-class."""
     seed = t.sub.codomain
+    key = rec_head_key(t)
+    if key in _CHECKED_HEADS:
+        return infer_term(seed, t.t)
     if not seed.entries or not isinstance(seed.entries[-1][1], Inv):
         raise NotEquivContext("recursive definitions live over a walking equivalence")
     n = dim_type(seed.entries[-1][1])
@@ -334,8 +378,8 @@ def _infer_rec(ctx: Context, t: Rec) -> Type:
         raise TypeMismatch("recursive definitions need a positive-dimensional subject")
     ind_ctx, _, _ = equiv_ind_context(seed, t.t, t_ty)
     _check_components(seed, ind_ctx, t_ty, t.components())
-    check_sub(ctx, t.sub, seed)
-    return Inv(apply_sub_type(t_ty, t.sub), apply_sub_term(t.t, t.sub))
+    _CHECKED_HEADS.add(key)
+    return t_ty
 
 
 def check_sub(ctx: Context, sub: Substitution, cod: Context) -> Substitution:
@@ -459,11 +503,7 @@ def check_decl(env: Environment, decl: Decl) -> Environment:
         raise ShadowedName(f"name {decl.name} is already declared")
     match decl:
         case CohDecl(_, ps_ctx, ty):
-            check_ctx(ps_ctx)
-            ps = check_ps(ps_ctx)
-            check_type(ps_ctx, ty)
-            if not full_type(ps, ty):
-                raise NotFull(f"coherence {decl.name}: {fullness_failure(ps, ty)}")
+            check_coh_head(ps_ctx, ty, f"coherence {decl.name}: ")
         case TermDecl(_, ctx, term, ty):
             check_ctx(ctx)
             check_type(ctx, ty)

@@ -14,6 +14,18 @@ variable's shape is its binding position.  Comparing or hashing a key
 costs O(1), and computing a node's key costs O(arity) once its
 children's keys are known.
 
+Context keys.  Each entry of a context binds its name to its position,
+and its type is keyed over the entries before it.  An entry that
+repeats an earlier name is marked with the position it shadows, so a
+context that repeats a name never shares its key with one that does
+not; the two inductive hypotheses of a recursor are bound at the
+positions after its seed.  A context's key is a chain, the key of its
+prefix extended by the key of its last entry, so :func:`snoc` derives
+an extended context's keys from its prefix's with one type keying.
+The key of a coherence head (:func:`coh_head_key`) and of a
+recursor's body (:func:`rec_head_key`) leave out the instantiating
+substitution.
+
 The six destructors are identified by the strings in :data:`DESTRUCTORS`
 ("lwit"/"rwit" are the invertibility witnesses of the left/right
 cancellation cells, written ``ilunit``/``irunit`` in source files).
@@ -37,12 +49,15 @@ Cache policy.  Memory of past work takes one of three forms.  The
 intern table is the only table in this module; it holds shapes, never
 nodes, and grows with the number of distinct alpha-classes seen, so
 re-checking the same input adds nothing.  Facts about a node are stored
-on the node (see :class:`_Node`): the key of a closed node, the key of a
-coherence type over its pasting context, a term's beta-normal form;
-they live exactly as long as the node.  Traversal memos
-(:class:`MemoMap`, the keys under binders, suspension) are keyed on
-node identity and last one top-level call.  Memo tables elsewhere (the
-kernel's inference and pasting tables) are keyed by the interned ints.
+on the node (see :class:`_Node`): the key of a closed node, the head key
+of a coherence type over its pasting context or of a recursor's body, a
+term's beta-normal form; they live exactly as long as the node.
+Traversal memos (:class:`MemoMap`, the keys under binders, suspension)
+are keyed on node identity and last one top-level call.  Memo tables
+elsewhere are keyed by the interned ints: the kernel's inference and
+pasting tables, and its set of checked heads, which holds only ints
+and grows with the number of distinct coherence heads and recursor
+bodies.
 """
 
 from __future__ import annotations
@@ -62,10 +77,11 @@ WITNESS_DESTRUCTORS = ("lwit", "rwit")
 class _Node:
     """Facts about a node, cached on it in its instance ``__dict__``
     (written with ``object.__setattr__``, the dataclasses being frozen):
-    the interned alpha-key of a closed node, the key of a coherence
-    type over its pasting context (:func:`coh_head_key`), and the
-    beta-normal form of a term, which :mod:`icatt.normalize` writes.
-    None until computed."""
+    the interned alpha-key of a closed node, the head key of a
+    coherence type over its pasting context (:func:`coh_head_key`) or
+    of a recursor's body (:func:`rec_head_key`), and the beta-normal
+    form of a term, which :mod:`icatt.normalize` writes.  None until
+    computed."""
 
     _key = None
     _beta = None
@@ -207,7 +223,7 @@ Term = Union[VarRef, Coh, Coind, Rec, Can, Destr, MetaRef]
 @dataclass(frozen=True)
 class Context(_Node):
     entries: tuple[tuple[Var, Type], ...] = ()
-    # cached with the alpha-key: see _ctx_key and named_context_key
+    # cached with the alpha-key: see _ctx_key and snoc
     _binders = None
     _named_key = None
 
@@ -497,13 +513,13 @@ def _shape(x: Term | Type, key: _Keys) -> tuple:
             i = key.bound.get(v.name)
             return ("fv", v.name) if i is None else ("bv", i)
         case Coh(ps, ty, sub):
-            return ("coh", *coh_head_key(ps, ty), *map(key, sub.terms()))
+            return ("coh", coh_head_key(ps, ty), *map(key, sub.terms()))
         case Destr(kind, arg):
             return ("destr", kind, key(arg))
         case Coind():
             return ("coind", *map(key, x.components()))
         case Rec():
-            return ("rec", *_rec_body_key(x), *map(key, x.sub.terms()))
+            return ("rec", rec_head_key(x), *map(key, x.sub.terms()))
         case Can(subject, wit):
             return ("can", key(subject), *[key(w) for _, w in wit])
         case MetaRef(uid, _):
@@ -525,17 +541,17 @@ def alpha_key_type(ty: Type, bound: dict[str, int] | None = None) -> int:
     return _Keys(bound)(ty) if bound else _closed_key(ty)
 
 
-def coh_head_key(ps: Context, ty: Type) -> tuple[int, int]:
+def coh_head_key(ps: Context, ty: Type) -> int:
     """Alpha-invariant key of a coherence head: its pasting context and
-    its type over that context.  The type's key is cached on the type,
-    with the named key of the context it was keyed over."""
+    its type over that context.  Cached on the type, with the named key
+    of the context it was keyed over."""
     pk, pb = _ctx_key(ps)
-    over = named_context_key(ps)
+    over = ps._named_key
     hit = ty._head_key
     if hit is None or hit[0] != over:
-        hit = (over, alpha_key_type(ty, pb))
+        hit = (over, _intern(("head", pk, alpha_key_type(ty, pb))))
         object.__setattr__(ty, "_head_key", hit)
-    return pk, hit[1]
+    return hit[1]
 
 
 def _rec_hyp_names(t: Rec) -> tuple[str, str]:
@@ -548,31 +564,62 @@ def _rec_hyp_names(t: Rec) -> tuple[str, str]:
     return fresh_name("h-", avoid), fresh_name("h+", avoid)
 
 
-def _rec_body_key(t: Rec) -> tuple[int, ...]:
-    """Keys of a recursor's seed context and of its components: the
-    first five over the seed, the last two over the seed extended by the
-    two inductive-hypothesis variables."""
-    ek, eb = _ctx_key(t.sub.codomain)
-    ebh = dict(eb)
-    for i, hv in enumerate(_rec_hyp_names(t)):
-        ebh[hv] = len(eb) + i
-    comps = t.components()
-    return (ek, *map(_Keys(eb), comps[:5]), *map(_Keys(ebh), comps[5:]))
+def rec_head_key(t: Rec) -> int:
+    """Alpha-invariant key of a recursor's body, its seed context and
+    its components without the instantiating substitution: the first
+    five components over the seed, the last two over the seed extended
+    by the two inductive-hypothesis variables.  Cached on ``t``."""
+    k = t._head_key
+    if k is None:
+        seed = t.sub.codomain
+        ek, eb = _ctx_key(seed)
+        ebh = dict(eb)
+        for i, hv in enumerate(_rec_hyp_names(t)):
+            ebh[hv] = len(seed) + i
+        comps = t.components()
+        k = _intern(("rec-head", ek, *map(_Keys(eb), comps[:5]), *map(_Keys(ebh), comps[5:])))
+        object.__setattr__(t, "_head_key", k)
+    return k
 
 
 def _ctx_key(ctx: Context) -> tuple[int, dict[str, int]]:
-    """The key of ``ctx`` and its binder map (variable name -> position),
-    cached on ``ctx``; each entry's type is keyed over the entries before
-    it."""
+    """The key of ``ctx`` and its binder map (variable name -> position
+    of its last entry), cached on ``ctx`` with its named key."""
     if ctx._key is None:
-        b: dict[str, int] = {}
-        keys = []
-        for v, ty in ctx:
-            keys.append(alpha_key_type(ty, b))
-            b[v.name] = len(b)
-        object.__setattr__(ctx, "_binders", b)
-        object.__setattr__(ctx, "_key", _intern(("ctx", *keys)))
+        k, nk, b = _intern(("ctx",)), _intern(("named",)), {}
+        for i, (v, ty) in enumerate(ctx):
+            k, nk = _snoc_keys(k, nk, b, v, ty)
+            b[v.name] = i
+        _set_ctx_keys(ctx, k, nk, b)
     return ctx._key, ctx._binders
+
+
+def _snoc_keys(k: int, nk: int, b: dict[str, int], v: Var, ty: Type) -> tuple[int, int]:
+    """The key and the named key of the context with key ``k``, named key
+    ``nk`` and binder map ``b``, extended by ``v : ty``.  The entry's
+    type is keyed over ``b``; an entry that repeats a name is marked with
+    the position it shadows, so it never keys like a fresh name."""
+    ek = alpha_key_type(ty, b)
+    shadowed = b.get(v.name)
+    if shadowed is not None:
+        ek = _intern(("shadows", shadowed, ek))
+    return _intern(("ctx", k, ek)), _intern(("named", nk, ek, v.name))
+
+
+def _set_ctx_keys(ctx: Context, k: int, nk: int, b: dict[str, int]) -> None:
+    object.__setattr__(ctx, "_key", k)
+    object.__setattr__(ctx, "_named_key", nk)
+    object.__setattr__(ctx, "_binders", b)
+
+
+def snoc(ctx: Context, v: Var, ty: Type) -> Context:
+    """``ctx`` extended by ``v : ty``, with its keys and binder map
+    derived from those of ``ctx``: one type keying, where keying the
+    result from scratch would key every entry again."""
+    k, b = _ctx_key(ctx)
+    out = Context(ctx.entries + ((v, ty),))
+    _set_ctx_keys(out, *_snoc_keys(k, ctx._named_key, b, v, ty), {**b, v.name: len(ctx)})
+    return out
 
 
 def alpha_key_context(ctx: Context) -> int:
@@ -583,11 +630,8 @@ def named_context_key(ctx: Context) -> int:
     """A key of ``ctx`` that also tells its variable names apart: equal
     exactly for alpha-equivalent contexts with the same names in the same
     order, the contexts over which terms have the same meaning."""
-    k = ctx._named_key
-    if k is None:
-        k = _intern(("named", alpha_key_context(ctx), *[v.name for v, _ in ctx]))
-        object.__setattr__(ctx, "_named_key", k)
-    return k
+    _ctx_key(ctx)
+    return ctx._named_key
 
 
 def alpha_key_sub(sub: Substitution, bound: dict[str, int] | None = None) -> int:

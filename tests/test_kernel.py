@@ -4,11 +4,15 @@ recognition and fullness, conversion, environment."""
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from icatt.builtins import comp_of, id_of
+from icatt import elaborate, kernel, syntax
+from icatt.builtins import comp_of, comp_schema, id_of
+from icatt.elaborate import elaborate_decl
 from icatt.errors import (
     BadSubstitution,
     DuplicateVariable,
+    IcattError,
     IllFormedType,
     NotFull,
     NotPasting,
@@ -19,6 +23,7 @@ from icatt.errors import (
 from icatt.kernel import (
     CohDecl,
     Environment,
+    RecDecl,
     TermDecl,
     check_ctx,
     check_decl,
@@ -32,6 +37,7 @@ from icatt.kernel import (
 )
 from icatt.meta import disk, walking_equiv
 from icatt.normalize import eta_expand_once
+from icatt.parser import parse
 from icatt.syntax import (
     Arr,
     alpha_eq_term,
@@ -42,11 +48,15 @@ from icatt.syntax import (
     Destr,
     Inv,
     Obj,
+    Rec,
     Substitution,
     Var,
     VarRef,
     alpha_key_context,
+    coh_head_key,
     identity_sub,
+    rename_vars_term,
+    subterms,
 )
 
 
@@ -345,3 +355,175 @@ def test_check_term_converts_across_beta():
     inferred = infer_term(e1, term)
     assert not alpha_eq_term(inferred.src, declared.src)
     check_term(e1, term, declared)
+
+
+# -- checking once per head ----------------------------------------------------
+
+
+def _clear_kernel_tables():
+    kernel._INFER_CACHE.clear()
+    kernel._PS_CACHE.clear()
+    kernel._CHECKED_HEADS.clear()
+
+
+def _verdict(ctx, t):
+    """The type of ``t`` over ``ctx``, or the category of its rejection."""
+    try:
+        return infer_term(ctx, t)
+    except IcattError as exc:
+        return exc.category
+
+
+def _chain_ctx(names):
+    x, y, f, z, g = names
+    return Context((
+        (Var(x), Obj()), (Var(y), Obj()), (Var(f), arr0(x, y)),
+        (Var(z), Obj()), (Var(g), arr0(y, z)),
+    ))
+
+
+def test_repeated_name_in_head_rejected_cold_and_warm():
+    """A pasting context that repeats a name is rejected whether or not
+    the same head with a fresh name was inferred first."""
+    ambient = _chain_ctx("abpcq")
+
+    def cell(ps):
+        pairs = tuple((x, v(a)) for (x, _), a in zip(ps, "abpcq"))
+        return Coh(ps, arr0("x", "z"), Substitution(pairs, ps))
+
+    _clear_kernel_tables()
+    cold = _verdict(ambient, cell(_chain_ctx("xyfzf")))
+    assert _verdict(ambient, cell(_chain_ctx("xyfzg"))) == arr0("a", "c")
+    warm = _verdict(ambient, cell(_chain_ctx("xyfzf")))
+    assert cold == warm == "duplicate-variable"
+
+
+def test_repeated_name_in_seed_rejected_cold_and_warm(corpus_env):
+    """A recursor over a seed that repeats a name is rejected whether or
+    not the recursor over the fresh seed was inferred first, and its
+    declaration is rejected for the repeated name."""
+    env, _ = corpus_env
+    decl = env.lookup("linv-inv")
+    seed = decl.seed
+    e, inv_ty = seed.entries[-1]
+    f = seed.entries[-2][0]
+    bad_seed = Context(seed.entries[:-1] + ((f, inv_ty),))
+    bad_comps = tuple(rename_vars_term(c, {e.name: f.name}) for c in decl.components)
+    pairs = tuple((x, VarRef(y)) for (x, _), (y, _) in zip(bad_seed, seed))
+    bad = Rec(*bad_comps, Substitution(pairs, bad_seed))
+
+    _clear_kernel_tables()
+    cold = _verdict(seed, bad)
+    assert isinstance(_verdict(seed, Rec(*decl.components, identity_sub(seed))), Inv)
+    warm = _verdict(seed, bad)
+    assert cold == warm == "not-equiv-context"
+    with pytest.raises(DuplicateVariable):
+        check_decl(Environment(), RecDecl("bad", bad_seed, bad_comps))
+
+
+_ABC = ("a", "b", "c")
+
+
+@st.composite
+def _small_ctx(draw, max_len):
+    """A context of names from ``a``, ``b``, ``c``, repeats allowed, whose
+    types are ``*`` or arrows between earlier objects."""
+    entries = []
+    for _ in range(draw(st.integers(1, max_len))):
+        objs = [x.name for x, ty in entries if isinstance(ty, Obj)]
+        ty = Obj()
+        if objs and draw(st.booleans()):
+            ty = arr0(draw(st.sampled_from(objs)), draw(st.sampled_from(objs)))
+        entries.append((Var(draw(st.sampled_from(_ABC))), ty))
+    return Context(tuple(entries))
+
+
+@st.composite
+def _small_cell(draw):
+    """A coherence over a small context, of an arrow type of dimension
+    0 or 1, whose substitution sends each entry to a named variable."""
+    ps = draw(_small_ctx(3))
+    name = st.sampled_from(_ABC)
+    ty = arr0(draw(name), draw(name))
+    if draw(st.booleans()):
+        ty = Arr(ty, v(draw(name)), v(draw(name)))
+    pairs = tuple((x, v(draw(name))) for x, _ in ps)
+    return Coh(ps, ty, Substitution(pairs, ps))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_ctx(3), st.lists(_small_cell(), min_size=1, max_size=6), st.randoms(use_true_random=False))
+def test_cold_and_warm_runs_agree(ambient, cells, rng):
+    """Inferring cells in a random order, then in the reverse order from
+    cleared kernel tables, gives every cell the same type or the same
+    error category."""
+    order = list(range(len(cells)))
+    rng.shuffle(order)
+    first = {i: _verdict(ambient, cells[i]) for i in order}
+    _clear_kernel_tables()
+    second = {i: _verdict(ambient, cells[i]) for i in reversed(order)}
+    assert first == second
+
+
+def _comp_id_chain(depth):
+    t = "f"
+    for i in range(depth):
+        t = f"(comp {t} (id _))" if i % 2 else f"(comp (id _) {t})"
+    return f"let d (x : *) (f : x -> x) = {t}\n"
+
+
+def test_context_checks_once_per_head(monkeypatch):
+    """Elaborating and checking a depth-200 comp/id chain checks each
+    distinct coherence head's context once, and the telescope twice
+    (once by the elaborator, once by the kernel)."""
+    calls = []
+    check_ctx_once = kernel.check_ctx
+
+    def counting(ctx):
+        calls.append(ctx)
+        return check_ctx_once(ctx)
+
+    monkeypatch.setattr(kernel, "check_ctx", counting)
+    monkeypatch.setattr(elaborate, "check_ctx", counting)
+    _clear_kernel_tables()
+    env = Environment()
+    decl = elaborate_decl(env, parse(_comp_id_chain(200))[0])
+    check_decl(env, decl)
+    heads = {coh_head_key(c.ps, c.ty) for c in subterms([decl.term]) if isinstance(c, Coh)}
+    assert len(heads) == 2
+    assert len(calls) <= len(heads) + 2
+
+
+def test_context_check_keys_linearly(monkeypatch):
+    """Checking a pasting context derives each prefix's key from the one
+    before: doubling the arity of a composite about doubles the shapes
+    keyed, where keying every prefix afresh would quadruple them."""
+    interned = []
+    intern = syntax._intern
+
+    def counting(shape):
+        interned.append(shape)
+        return intern(shape)
+
+    monkeypatch.setattr(syntax, "_intern", counting)
+    counts = []
+    for k in (64, 128):
+        _clear_kernel_tables()
+        interned.clear()
+        check_ctx(comp_schema(k, 1)[0])
+        counts.append(len(interned))
+    assert counts[1] <= 2.5 * counts[0]
+
+
+def test_non_full_head_fails_on_every_use():
+    """A failing head is never remembered: each use raises again, and a
+    declared coherence keeps its name in the diagnostic."""
+    env = Environment()
+    script = "coh bad1 (x(f)y(g)z) : x -> y\ncoh bad2 (x(f)y(g)z) : x -> y\n"
+    for sdecl in parse(script):
+        with pytest.raises(NotFull, match=f"^coherence {sdecl.name}: "):
+            check_decl(env, elaborate_decl(env, sdecl))
+    bad = Coh(TWO_CHAIN, arr0("x", "y"), identity_sub(TWO_CHAIN))
+    for _ in range(2):
+        with pytest.raises(NotFull):
+            infer_term(TWO_CHAIN, bad)

@@ -435,3 +435,33 @@ def test_alpha_keys_agree_with_reference(corpus_terms):
     n_ctxs = _assert_same_classes(contexts, alpha_key_context, ref.context)
     # the pools hold both alpha-equivalent and inequivalent entities
     assert 1 < n_terms < len(terms) and 1 < n_types < len(types) and 1 < n_ctxs < len(contexts)
+
+
+def _small_contexts(n):
+    """Every context of ``n`` entries named from ``a``, ``b``, ``c`` whose
+    types are ``*`` or an arrow between earlier objects."""
+    if n == 0:
+        yield ()
+        return
+    for pre in _small_contexts(n - 1):
+        objs = [v.name for v, ty in pre if isinstance(ty, Obj)]
+        tys = [Obj()] + [arr0(p, q) for p in objs for q in objs]
+        for name in "abc":
+            for ty in tys:
+                yield pre + ((Var(name), ty),)
+
+
+def test_repeated_names_never_key_like_fresh_ones():
+    """A context that repeats a name is alpha-equivalent to no context
+    without repeats, so their keys differ."""
+    fresh, repeating = {}, []
+    for n in range(5):
+        for entries in _small_contexts(n):
+            names = [v.name for v, _ in entries]
+            if len(set(names)) == len(names):
+                fresh[alpha_key_context(Context(entries))] = entries
+            else:
+                repeating.append(entries)
+    collisions = [e for e in repeating if alpha_key_context(Context(e)) in fresh]
+    assert not collisions, collisions[:3]
+    assert len(fresh) > 1 and len(repeating) > 1000
