@@ -7,16 +7,17 @@ term.  The environment here only stores accepted top-level declarations
 for the elaborator to draw on.
 
 Whether a coherence is valid depends only on its head, never on the
-substitution that instantiates it; likewise a recursive definition's
-body.  Inference therefore splits in two.  The closed part is checked
-once per alpha-class of the head (:func:`check_coh_head`: the pasting
-context, the type over it and its fullness; :func:`_check_rec_body`:
-the seed is a walking equivalence, the subject has an arrow type and
-the six other components check over the seed and its inductive
-extension), and only its successes are remembered, in
+substitution that instantiates it.  Inference therefore splits in two.
+The closed part, the pasting context, the type over it and its
+fullness, is checked once per alpha-class of the head
+(:func:`check_coh_head`), and only its successes are remembered, in
 ``_CHECKED_HEADS``, so a failing head raises on every use.  The
 per-instance part runs at every node: the substitution is checked
-against the head's context and the result type is built from it.
+against the head's context and the result type is built from it.  A
+recursive definition's body is checked at every inference of a distinct
+``Rec`` node: such inferences are few (at most nine in one run of the
+corpus or of any benchmark workload), so a memo of bodies would not pay
+for itself.
 """
 
 from __future__ import annotations
@@ -66,8 +67,7 @@ from .syntax import (
     dim_type,
     identity_sub,
     named_context_key,
-    rec_head_key,
-    snoc,
+    telescope,
     variables_used_term,
     variables_used_type,
 )
@@ -218,18 +218,16 @@ def fullness_failure(ps: PsContext, ty: Type) -> str:
 
 def check_ctx(ctx: Context) -> Context:
     seen: set[str] = set()
-    prefix = Context()
-    for v, ty in ctx:
+    for prefix, v, ty in telescope(ctx):
         if v.name in seen:
             raise DuplicateVariable(f"duplicate variable {v.name} in context")
         check_type(prefix, ty)
         seen.add(v.name)
-        prefix = snoc(prefix, v, ty)
     return ctx
 
 
-# interned keys of the coherence heads and recursor bodies whose closed
-# check has passed; a failure is never recorded, so it raises on every use
+# interned keys of the coherence heads whose closed check has passed; a
+# failure is never recorded, so it raises on every use
 _CHECKED_HEADS: set[int] = set()
 
 
@@ -354,20 +352,7 @@ def _infer_can(ctx: Context, t: Can) -> Type:
 
 
 def _infer_rec(ctx: Context, t: Rec) -> Type:
-    t_ty = _check_rec_body(t)
-    check_sub(ctx, t.sub, t.sub.codomain)
-    return Inv(apply_sub_type(t_ty, t.sub), apply_sub_term(t.t, t.sub))
-
-
-def _check_rec_body(t: Rec) -> Type:
-    """The type of a recursor's subject over its seed, once the seed is
-    known to be a walking equivalence and the six other components to
-    check over it and its inductive extension.  The body is checked once
-    per alpha-class."""
     seed = t.sub.codomain
-    key = rec_head_key(t)
-    if key in _CHECKED_HEADS:
-        return infer_term(seed, t.t)
     if not seed.entries or not isinstance(seed.entries[-1][1], Inv):
         raise NotEquivContext("recursive definitions live over a walking equivalence")
     n = dim_type(seed.entries[-1][1])
@@ -378,8 +363,8 @@ def _check_rec_body(t: Rec) -> Type:
         raise TypeMismatch("recursive definitions need a positive-dimensional subject")
     ind_ctx, _, _ = equiv_ind_context(seed, t.t, t_ty)
     _check_components(seed, ind_ctx, t_ty, t.components())
-    _CHECKED_HEADS.add(key)
-    return t_ty
+    check_sub(ctx, t.sub, seed)
+    return Inv(apply_sub_type(t_ty, t.sub), apply_sub_term(t.t, t.sub))
 
 
 def check_sub(ctx: Context, sub: Substitution, cod: Context) -> Substitution:

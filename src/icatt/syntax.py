@@ -20,9 +20,9 @@ repeats an earlier name is marked with the position it shadows, so a
 context that repeats a name never shares its key with one that does
 not; the two inductive hypotheses of a recursor are bound at the
 positions after its seed.  A context's key is a chain, the key of its
-prefix extended by the key of its last entry, so :func:`snoc` derives
-an extended context's keys from its prefix's with one type keying.
-The key of a coherence head (:func:`coh_head_key`) and of a
+prefix extended by the key of its last entry, so :func:`telescope`
+derives each prefix's keys from the previous prefix's with one type
+keying.  The key of a coherence head (:func:`coh_head_key`) and of a
 recursor's body (:func:`rec_head_key`) leave out the instantiating
 substitution.
 
@@ -55,9 +55,8 @@ term's beta-normal form; they live exactly as long as the node.
 Traversal memos (:class:`MemoMap`, the keys under binders, suspension)
 are keyed on node identity and last one top-level call.  Memo tables
 elsewhere are keyed by the interned ints: the kernel's inference and
-pasting tables, and its set of checked heads, which holds only ints
-and grows with the number of distinct coherence heads and recursor
-bodies.
+pasting tables, and its set of checked coherence heads, which holds
+only ints and grows with the number of distinct heads.
 """
 
 from __future__ import annotations
@@ -223,7 +222,7 @@ Term = Union[VarRef, Coh, Coind, Rec, Can, Destr, MetaRef]
 @dataclass(frozen=True)
 class Context(_Node):
     entries: tuple[tuple[Var, Type], ...] = ()
-    # cached with the alpha-key: see _ctx_key and snoc
+    # cached with the alpha-key: see _ctx_key and telescope
     _binders = None
     _named_key = None
 
@@ -584,13 +583,16 @@ def rec_head_key(t: Rec) -> int:
 
 def _ctx_key(ctx: Context) -> tuple[int, dict[str, int]]:
     """The key of ``ctx`` and its binder map (variable name -> position
-    of its last entry), cached on ``ctx`` with its named key."""
+    of its last entry), cached on ``ctx`` with its named key.  A prefix
+    made by :func:`telescope` gets its binder map on first demand."""
     if ctx._key is None:
         k, nk, b = _intern(("ctx",)), _intern(("named",)), {}
         for i, (v, ty) in enumerate(ctx):
             k, nk = _snoc_keys(k, nk, b, v, ty)
             b[v.name] = i
         _set_ctx_keys(ctx, k, nk, b)
+    elif ctx._binders is None:
+        _set_ctx_keys(ctx, ctx._key, ctx._named_key, {v.name: i for i, (v, _) in enumerate(ctx)})
     return ctx._key, ctx._binders
 
 
@@ -606,31 +608,44 @@ def _snoc_keys(k: int, nk: int, b: dict[str, int], v: Var, ty: Type) -> tuple[in
     return _intern(("ctx", k, ek)), _intern(("named", nk, ek, v.name))
 
 
-def _set_ctx_keys(ctx: Context, k: int, nk: int, b: dict[str, int]) -> None:
+def _set_ctx_keys(ctx: Context, k: int, nk: int, b: dict[str, int] | None) -> None:
     object.__setattr__(ctx, "_key", k)
     object.__setattr__(ctx, "_named_key", nk)
     object.__setattr__(ctx, "_binders", b)
 
 
-def snoc(ctx: Context, v: Var, ty: Type) -> Context:
-    """``ctx`` extended by ``v : ty``, with its keys and binder map
-    derived from those of ``ctx``: one type keying, where keying the
-    result from scratch would key every entry again."""
-    k, b = _ctx_key(ctx)
-    out = Context(ctx.entries + ((v, ty),))
-    _set_ctx_keys(out, *_snoc_keys(k, ctx._named_key, b, v, ty), {**b, v.name: len(ctx)})
-    return out
+def telescope(ctx: Context) -> Iterator[tuple[Context, Var, Type]]:
+    """Each entry ``v : ty`` of ``ctx`` with the context before it.  Each
+    prefix's keys are derived from the previous prefix's with one type
+    keying, after the consumer has handled the previous entry; keying
+    every prefix from scratch would cost O(L^2) keyings.  A prefix's
+    binder map is built only on demand.  The entry tuples of the
+    prefixes are still copied, O(L^2) element copies in all.  Once every
+    entry is handled, the last keying gives ``ctx`` its own keys."""
+    entries = ctx.entries
+    k, nk, b = _intern(("ctx",)), _intern(("named",)), {}
+    for i, (v, ty) in enumerate(entries):
+        prefix = Context(entries[:i])
+        _set_ctx_keys(prefix, k, nk, None)
+        yield prefix, v, ty
+        k, nk = _snoc_keys(k, nk, b, v, ty)
+        b[v.name] = i
+    if ctx._key is None:
+        _set_ctx_keys(ctx, k, nk, b)
 
 
 def alpha_key_context(ctx: Context) -> int:
-    return _ctx_key(ctx)[0]
+    if ctx._key is None:
+        _ctx_key(ctx)
+    return ctx._key
 
 
 def named_context_key(ctx: Context) -> int:
     """A key of ``ctx`` that also tells its variable names apart: equal
     exactly for alpha-equivalent contexts with the same names in the same
     order, the contexts over which terms have the same meaning."""
-    _ctx_key(ctx)
+    if ctx._key is None:
+        _ctx_key(ctx)
     return ctx._named_key
 
 

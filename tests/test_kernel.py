@@ -497,21 +497,31 @@ def test_context_checks_once_per_head(monkeypatch):
 def test_context_check_keys_linearly(monkeypatch):
     """Checking a pasting context derives each prefix's key from the one
     before: doubling the arity of a composite about doubles the shapes
-    keyed, where keying every prefix afresh would quadruple them."""
+    keyed, where keying every prefix afresh would quadruple them.  No
+    prefix gets a binder map unless something asks for one."""
     interned = []
-    intern = syntax._intern
+    binder_entries = [0]
+    intern, set_keys = syntax._intern, syntax._set_ctx_keys
 
     def counting(shape):
         interned.append(shape)
         return intern(shape)
 
+    def counting_binders(ctx, k, nk, b):
+        binder_entries[0] += len(b or ())
+        set_keys(ctx, k, nk, b)
+
     monkeypatch.setattr(syntax, "_intern", counting)
+    monkeypatch.setattr(syntax, "_set_ctx_keys", counting_binders)
     counts = []
     for k in (64, 128):
         _clear_kernel_tables()
         interned.clear()
-        check_ctx(comp_schema(k, 1)[0])
+        binder_entries[0] = 0
+        ctx = comp_schema(k, 1)[0]
+        check_ctx(ctx)
         counts.append(len(interned))
+        assert binder_entries[0] <= 2 * len(ctx)
     assert counts[1] <= 2.5 * counts[0]
 
 

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from icatt import syntax
 from icatt.builtins import comp_of, id_of
 from icatt.errors import UnboundVariable
 from icatt.meta import suspend_judgment, walking_equiv
@@ -37,6 +38,7 @@ from icatt.syntax import (
     rename_vars_term,
     rename_vars_type,
     subterms,
+    telescope,
     variables_used_term,
     variables_used_type,
 )
@@ -465,3 +467,18 @@ def test_repeated_names_never_key_like_fresh_ones():
     collisions = [e for e in repeating if alpha_key_context(Context(e)) in fresh]
     assert not collisions, collisions[:3]
     assert len(fresh) > 1 and len(repeating) > 1000
+
+
+def test_telescope_keys_prefixes_like_fresh_contexts():
+    """Each prefix that ``telescope`` derives from the one before has the
+    keys and binder map that keying it from scratch gives, and so does
+    the context once every entry is handled."""
+    for entries in _small_contexts(4):
+        ctx = Context(entries)
+        for i, (prefix, v, ty) in enumerate(telescope(ctx)):
+            assert prefix.entries == entries[:i] and (v, ty) == entries[i]
+            scratch = Context(entries[:i])
+            assert syntax._ctx_key(prefix) == syntax._ctx_key(scratch)
+            assert syntax.named_context_key(prefix) == syntax.named_context_key(scratch)
+        assert syntax._ctx_key(ctx) == syntax._ctx_key(Context(entries))
+        assert syntax.named_context_key(ctx) == syntax.named_context_key(Context(entries))
