@@ -11,20 +11,30 @@ The analysis flags delegate to the walking-equivalence machinery:
 ``--neutral-count N`` prints the number of neutral categorical terms in
 dimension N, ``--equiv-trunc N`` prints the N-truncation context, and
 ``--check-gamma N`` verifies the variable-to-neutral correspondence.
+
+The driver runs in one worker thread whose stack is large enough for the
+recursion limit, so deep input cannot overflow the C stack; input that
+nests past the recursion limit fails with a ``bound-exceeded`` error,
+reported like any other checker error.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import threading
 
 from .elaborate import elaborate_decl
-from .errors import IcattError
+from .errors import BoundExceeded, IcattError
 from .kernel import Environment, RecDecl, TermDecl, check_decl
 from .normalize import beta_reduce, nf
 from .parser import parse
 from .printer import print_context, print_term, print_type
 from .syntax import Inv, dim_type
+
+# the recursion limit of a check, and a worker stack that holds it
+_RECURSION_LIMIT = 200_000
+_STACK_BYTES = 512 << 20
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -57,14 +67,14 @@ def _run_check(args) -> int:
             print(f"icatt: cannot read {path}: {exc}", file=sys.stderr)
             return 2
         try:
-            decls = parse(text)
+            decls = _bounded(parse, text)
         except IcattError as exc:
-            print(f"{path}:{exc}", file=sys.stderr)
+            print(f"{path}:{exc}" if exc.span else f"{path}: {exc}", file=sys.stderr)
             return 1
         for sdecl in decls:
             try:
-                kdecl = elaborate_decl(env, sdecl)
-                check_decl(env, kdecl)
+                kdecl = _bounded(elaborate_decl, env, sdecl)
+                _bounded(check_decl, env, kdecl)
             except IcattError as exc:
                 print(f"{path}: {sdecl.kind} {sdecl.name}: {exc}", file=sys.stderr)
                 status = 1
@@ -82,6 +92,17 @@ def _run_check(args) -> int:
             return 2
         print(_dump_nf(decl))
     return status
+
+
+def _bounded(fn, *args):
+    """``fn(*args)``, with running out of recursion depth reported as a
+    :class:`BoundExceeded` error."""
+    try:
+        return fn(*args)
+    except RecursionError:
+        raise BoundExceeded(
+            f"input nests more deeply than the recursion limit ({sys.getrecursionlimit()})"
+        ) from None
 
 
 def _describe(decl) -> str:
@@ -105,7 +126,32 @@ def _dump_nf(decl) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    sys.setrecursionlimit(200000)
+    """Run the driver on ``argv`` in a worker thread with a stack of
+    ``_STACK_BYTES``, and return its exit status; an exception it raises
+    (``SystemExit`` on a usage error) is raised again here."""
+    sys.setrecursionlimit(_RECURSION_LIMIT)
+    outcome: list[int | BaseException] = []
+
+    def work() -> None:
+        try:
+            outcome.append(_main(argv))
+        except BaseException as exc:  # raised again below
+            outcome.append(exc)
+
+    old = threading.stack_size(_STACK_BYTES)
+    try:
+        # a daemon, so an interrupt of the main thread ends the process
+        worker = threading.Thread(target=work, name="icatt", daemon=True)
+        worker.start()
+    finally:
+        threading.stack_size(old)
+    worker.join()
+    if isinstance(outcome[0], BaseException):
+        raise outcome[0]
+    return outcome[0]
+
+
+def _main(argv: list[str] | None) -> int:
     ap = _build_parser()
     args = ap.parse_args(argv)
     ran_analysis = False

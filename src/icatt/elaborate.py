@@ -14,7 +14,11 @@ schema of the right arity and dimension; ``id`` is the identity schema;
 ``IHleft``/``IHright`` resolve to the inductive-hypothesis variables
 inside the last two components of a recursive definition.  Let-bodies
 are inlined at use sites, so the kernel re-checks declarations with no
-elaborator state left behind.
+elaborator state left behind.  The strict zonk that every ``let`` body
+and ``inv``/``rec`` component passes through merges equal nodes
+(:class:`~icatt.syntax.SharingMap`), so a definition inlined several
+times at the same arguments is stored once, and later traversals of the
+declaration cost its number of distinct nodes.
 """
 
 from __future__ import annotations
@@ -71,6 +75,7 @@ from .syntax import (
     MetaRef,
     Obj,
     Rec,
+    SharingMap,
     Substitution,
     Term,
     Type,
@@ -196,8 +201,9 @@ class Elaborator:
         return t
 
     def _zonker(self, strict: bool) -> MemoMap:
-        """The map instantiating solved metavariables; an unsolved one
-        raises when ``strict`` and is kept otherwise."""
+        """The map instantiating solved metavariables.  When ``strict``, an
+        unsolved one raises and equal nodes of the output are merged
+        (:class:`SharingMap`); otherwise an unsolved one is kept."""
 
         def leaf(x: Term, go: MemoMap) -> Term:
             if isinstance(x, MetaRef):
@@ -207,7 +213,7 @@ class Elaborator:
                     raise UnsolvedMeta(f"unsolved implicit argument {x.hint or x.uid}; give it explicitly")
             return x
 
-        return MemoMap(leaf)
+        return (SharingMap if strict else MemoMap)(leaf)
 
     def zonk_term(self, t: Term) -> Term:
         return self._zonker(True)(t)

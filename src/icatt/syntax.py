@@ -40,10 +40,10 @@ the argument of a ``Destr``.  :func:`children` lists them and
 context and type of a ``Coh``, and the seed context and components of a
 ``Rec``, are closed and pass through unchanged.  :class:`MemoMap` lifts
 a map on leaves to whole terms, memoised on node identity so a shared
-DAG costs its number of distinct nodes.  The memo lives for one
-top-level call (shared across every pair of a substitution and every
-part of a type) and is dropped after it, so a cold run and a warm run
-cannot differ.
+DAG costs its number of distinct nodes; :class:`SharingMap` also merges
+equal nodes of its output.  The memo lives for one top-level call
+(shared across every pair of a substitution and every part of a type)
+and is dropped after it, so a cold run and a warm run cannot differ.
 
 Cache policy.  Memory of past work takes one of three forms.  The
 intern table is the only table in this module; it holds shapes, never
@@ -53,7 +53,9 @@ on the node (see :class:`_Node`): the key of a closed node, the head key
 of a coherence type over its pasting context or of a recursor's body, a
 term's beta-normal form; they live exactly as long as the node.
 Traversal memos (:class:`MemoMap`, the keys under binders, suspension)
-are keyed on node identity and last one top-level call.  Memo tables
+are keyed on node identity and last one top-level call, and so does the
+merge table of :class:`SharingMap`, which maps the fields of each node a
+call has built (:func:`share_key`) to that node.  Memo tables
 elsewhere are keyed by the interned ints: the kernel's inference and
 pasting tables, and its set of checked coherence heads, which holds
 only ints and grows with the number of distinct heads.
@@ -363,6 +365,62 @@ class MemoMap:
         out = self.memo.get(id(t))
         if out is None:
             out = self.memo[id(t)] = map_children(t, self)
+        return out
+
+
+def share_key(t: Term) -> tuple:
+    """The fields of ``t`` with every node among them by identity: its
+    class, destructor kind and names (variables, the variables a
+    substitution or a ``Can`` assigns), and the identities of its closed
+    parts (pasting context, coherence type, a substitution's codomain,
+    a recursor's components) and of its children.  Two nodes with equal
+    keys are equal as dataclasses; alpha-equivalent nodes over
+    differently named binders are not, and keep distinct keys.  A key
+    names live objects only while a node with that key is kept."""
+    match t:
+        case VarRef(v):
+            return (VarRef, v.name)
+        case Coh(ps, ty, sub):
+            return (Coh, id(ps), id(ty), *_sub_fields(sub))
+        case Rec():
+            return (Rec, *map(id, t.components()), *_sub_fields(t.sub))
+        case Coind():
+            return (Coind, *map(id, t.components()))
+        case Can(subject, wit):
+            return (Can, id(subject), *[x.name for x, _ in wit], *[id(w) for _, w in wit])
+        case Destr(kind, arg):
+            return (Destr, kind, id(arg))
+        case MetaRef(uid, hint):
+            return (MetaRef, uid, hint)
+    raise TypeError(f"not a term: {t!r}")
+
+
+def _sub_fields(sub: Substitution) -> tuple:
+    return (id(sub.codomain), *[x.name for x, _ in sub.pairs], *[id(s) for _, s in sub.pairs])
+
+
+class SharingMap(MemoMap):
+    """A :class:`MemoMap` that also merges every node it returns with an
+    equal one it returned before (same :func:`share_key`), so its output
+    is a maximally shared DAG: equal subterms built separately, such as
+    two instances of one definition at the same arguments, are stored
+    once.  The merge table lives as long as the map, one top-level call;
+    its nodes keep alive every object their keys name."""
+
+    __slots__ = ("table",)
+
+    def __init__(self, leaf: Callable[[Term, MemoMap], Term]):
+        super().__init__(leaf)
+        self.table: dict[tuple, Term] = {}
+
+    def __call__(self, t: Term) -> Term:
+        if isinstance(t, (VarRef, MetaRef)):
+            out = self.leaf(t, self)
+            return self.table.setdefault(share_key(out), out)
+        out = self.memo.get(id(t))
+        if out is None:
+            out = map_children(t, self)
+            out = self.memo[id(t)] = self.table.setdefault(share_key(out), out)
         return out
 
 

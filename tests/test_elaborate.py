@@ -196,6 +196,21 @@ def test_let_bodies_are_inlined(corpus_env):
     assert isinstance(lri.term, Can)
 
 
+def test_reused_definitions_are_stored_once():
+    """``r_i`` applies ``r_{i-1}`` twice at the same arguments: the
+    elaborated term is a tree of 2^(i+2) nodes, which the strict zonk
+    stores as a DAG with a few nodes per level."""
+    from icatt.syntax import subterms
+
+    levels = 12
+    lines = ["let r0 (x : *) (f : x -> x) = comp f (id _)"]
+    for i in range(1, levels + 1):
+        lines.append(f"let r{i} (x : *) (f : x -> x) = comp (r{i - 1} f) (id _) (r{i - 1} f)")
+    last = _check_all(Environment(), "\n".join(lines))[-1]
+    assert last.name == f"r{levels}"
+    assert sum(1 for _ in subterms((last.term,))) <= 4 * levels
+
+
 def test_can_subject_from_expected(corpus_env):
     env, checked = corpus_env
     decl = next(d for d in checked if getattr(d, "name", "") == "rinv-inv")

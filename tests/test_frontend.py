@@ -240,6 +240,29 @@ def test_use_before_declare(tmp_path):
     assert "unknown-name" in out.stderr
 
 
+def test_cli_checks_deep_chain(tmp_path):
+    """A comp/id chain 20000 deep overflowed the C stack (exit 139) when
+    the driver recursed on the main thread; its worker thread's stack
+    holds the whole recursion limit."""
+    t = "f"
+    for i in range(20000):
+        t = f"(comp {t} (id _))" if i % 2 else f"(comp (id _) {t})"
+    src = tmp_path / "deep.catt"
+    src.write_text(f"let d (x : *) (f : x -> x) = {t}\n")
+    out = _run_cli("check", str(src))
+    assert out.returncode == 0, out.stderr[-2000:]
+    assert out.stdout == "checked let d\n"
+
+
+def test_cli_reports_nesting_past_recursion_limit(tmp_path):
+    src = tmp_path / "parens.catt"
+    src.write_text("let d (x : *) = " + "(" * 300000 + "x" + ")" * 300000 + "\n")
+    out = _run_cli("check", str(src))
+    assert out.returncode == 1
+    assert out.stderr.startswith(f"{src}: ") and "[bound-exceeded]" in out.stderr
+    assert "Traceback" not in out.stderr and "RecursionError" not in out.stderr
+
+
 def test_fuzzed_scripts_never_crash_internally():
     """Random small scripts either check or fail with a reported error,
     never with an internal exception."""

@@ -268,15 +268,54 @@ def test_traversals_keep_sharing():
     mx, mf = el.metas.fresh("x"), el.metas.fresh("f")
     el.metas.solutions.update({mx.uid: VarRef(Var("y")), mf.uid: VarRef(Var("g"))})
     over_metas = _doubling_chain(mx, mf)
+    # the last doubling over two copies built apart, over distinct metas
+    # solved to the same variables: the zonk stores the copies once
+    my, mg = el.metas.fresh("x"), el.metas.fresh("f")
+    el.metas.solutions.update({my.uid: VarRef(Var("y")), mg.uid: VarRef(Var("g"))})
+    half_ty = Arr(Obj(), mx, mx)
+    two_copies, _ = comp_of([(_doubling_chain(mx, mf, 11), half_ty), (_doubling_chain(my, mg, 11), half_ty)])
     cases = {
         "apply_sub_term": (over_vars, lambda t: apply_sub_term(t, sub_to(ctx, x=VarRef(Var("y")), f=VarRef(Var("g"))))),
         "rename_vars_term": (over_vars, lambda t: rename_vars_term(t, {"x": "y", "f": "g"})),
         "zonk_term": (over_metas, el.zonk_term),
+        "zonk_term of two copies": (two_copies, el.zonk_term),
     }
     for name, (source, rename) in cases.items():
         out = rename(source)
         assert out == expected, name
-        assert _distinct_nodes(out) <= _distinct_nodes(source), (name, _distinct_nodes(out))
+        assert _distinct_nodes(out) <= _distinct_nodes(over_vars), (name, _distinct_nodes(out))
+
+
+def test_zonk_merges_only_equal_nodes():
+    """The strict zonk merges a node with an equal one, the same closed
+    parts at the same children, but never with one that is only
+    alpha-equivalent: the two name their bound variables apart, and the
+    printer shows those names."""
+    from icatt.elaborate import Elaborator
+    from icatt.kernel import Environment
+
+    def cell(names):
+        x, y, f = (Var(n) for n in names)
+        ps = Context(((x, Obj()), (y, Obj()), (f, Arr(Obj(), VarRef(x), VarRef(y)))))
+        return ps, Arr(Arr(Obj(), VarRef(x), VarRef(y)), VarRef(f), VarRef(f))
+
+    el = Elaborator(Environment())
+
+    def instance(ps, ty):
+        """A cell over ``ps`` whose images are fresh metas solved to a, b, h."""
+        metas = [el.metas.fresh(v.name) for v in ps.vars()]
+        for m, image in zip(metas, "abh"):
+            el.metas.solve(m.uid, VarRef(Var(image)))
+        return Coh(ps, ty, Substitution(tuple(zip(ps.vars(), metas)), ps))
+
+    head, renamed = cell("xyf"), cell("uvk")
+    same, same_again, alpha = instance(*head), instance(*head), instance(*renamed)
+    a = VarRef(Var("a"))
+    out = el.zonk_term(Coind(same, alpha, same_again, a, a, a, a))
+    assert out.t is out.tr
+    assert alpha_key_term(out.t) == alpha_key_term(out.tl) and out.t != out.tl
+    assert out.t is not out.tl
+    assert [v.name for v in out.tl.ps.vars()] == ["u", "v", "k"]
 
 
 # -- alpha-keys against a reference ------------------------------------------
