@@ -9,13 +9,16 @@ declaration (or after reporting all failures with ``--keep-going``),
 
 The analysis flags delegate to the walking-equivalence machinery:
 ``--neutral-count N`` prints the number of neutral categorical terms in
-dimension N, ``--equiv-trunc N`` prints the N-truncation context, and
-``--check-gamma N`` verifies the variable-to-neutral correspondence.
+dimension N (counted, not enumerated), ``--equiv-trunc N`` prints the
+N-truncation context, and ``--check-gamma N`` verifies the
+variable-to-neutral correspondence.  They exit 0 on success, 1 when the
+correspondence fails to check, and 2, after one ``icatt: ... [category]``
+line, when the stage or dimension is out of bounds.
 
 The driver runs in one worker thread whose stack is large enough for the
 recursion limit, so deep input cannot overflow the C stack; input that
-nests past the recursion limit fails with a ``bound-exceeded`` error,
-reported like any other checker error.
+nests past the recursion limit, or that exhausts memory, fails with a
+``bound-exceeded`` error, reported like any other checker error.
 """
 
 from __future__ import annotations
@@ -95,14 +98,16 @@ def _run_check(args) -> int:
 
 
 def _bounded(fn, *args):
-    """``fn(*args)``, with running out of recursion depth reported as a
-    :class:`BoundExceeded` error."""
+    """``fn(*args)``, with running out of recursion depth or of memory
+    reported as a :class:`BoundExceeded` error."""
     try:
         return fn(*args)
     except RecursionError:
         raise BoundExceeded(
             f"input nests more deeply than the recursion limit ({sys.getrecursionlimit()})"
         ) from None
+    except MemoryError:
+        raise BoundExceeded("out of memory") from None
 
 
 def _describe(decl) -> str:
@@ -155,35 +160,34 @@ def _main(argv: list[str] | None) -> int:
     ap = _build_parser()
     args = ap.parse_args(argv)
     ran_analysis = False
-    if args.neutral_count is not None:
-        from .equiv import enumerate_neutrals
+    try:
+        if args.neutral_count is not None:
+            from .equiv import count_neutrals
 
-        print(len(enumerate_neutrals(args.neutral_count)))
-        ran_analysis = True
-    if args.equiv_trunc is not None:
-        from .equiv import equiv_truncation
+            print(_bounded(count_neutrals, args.neutral_count))
+            ran_analysis = True
+        if args.equiv_trunc is not None:
+            from .equiv import equiv_truncation
 
-        try:
-            trunc = equiv_truncation(args.equiv_trunc)
-        except IcattError as exc:
-            print(f"icatt: {exc}", file=sys.stderr)
-            return 2
-        print(print_context(trunc.ctx))
-        ran_analysis = True
-    if args.check_gamma is not None:
-        from .equiv import check_gamma
+            print(print_context(_bounded(equiv_truncation, args.equiv_trunc).ctx))
+            ran_analysis = True
+        if args.check_gamma is not None:
+            from .equiv import check_gamma
 
-        report = check_gamma(args.check_gamma)
-        print(
-            f"gamma^{report.stage}: checked={report.checked} "
-            f"bijection={report.bijection} equations={report.equations} "
-            f"counts={report.counts}"
-        )
-        for line in report.details:
-            print(f"  {line}")
-        if not report.ok:
-            return 1
-        ran_analysis = True
+            report = _bounded(check_gamma, args.check_gamma)
+            print(
+                f"gamma^{report.stage}: checked={report.checked} "
+                f"bijection={report.bijection} equations={report.equations} "
+                f"counts={report.counts}"
+            )
+            for line in report.details:
+                print(f"  {line}")
+            if not report.ok:
+                return 1
+            ran_analysis = True
+    except IcattError as exc:
+        print(f"icatt: {exc}", file=sys.stderr)
+        return 2
     if args.command == "check":
         return _run_check(args)
     if not ran_analysis:

@@ -19,6 +19,19 @@ and ``inv``/``rec`` component passes through merges equal nodes
 (:class:`~icatt.syntax.SharingMap`), so a definition inlined several
 times at the same arguments is stored once, and later traversals of the
 declaration cost its number of distinct nodes.
+
+Unification costs distinct node pairs, not tree size.  Identical terms
+unify at once, and each top-level call (a :meth:`Elaborator.unify_term`
+or :meth:`Elaborator.unify_type` from outside the unifier) keeps one set
+of the pairs of nodes, by identity, it has unified, visiting each pair
+once; the set is dropped when the call returns.  This is sound because
+no solution is undone during the call: a pair unified once stays
+unified, and a failure raises out of the whole call, after which a
+caller that recovers (``_pre_elaborate``) undoes its solutions by the
+trail.  The set is never kept across calls, where an undo would make it
+stale.  The occurs check walks each node once, following solved metas,
+and builds nothing.  A telescope's explicit positions are computed once
+and cached on its :class:`~icatt.syntax.Context`.
 """
 
 from __future__ import annotations
@@ -90,7 +103,6 @@ from .syntax import (
     dim_type,
     map_type,
     rec_head_key,
-    subterms,
     variables_used_type,
 )
 
@@ -144,11 +156,17 @@ def _cell_dim(ty: Type | None) -> int | None:
     return None if ty is None else dim_type(ty) + 1
 
 
-def explicit_positions(tele: Context) -> list[int]:
-    implicit: set[str] = set()
-    for _, ty in tele:
-        implicit |= set(variables_used_type(ty))
-    return [i for i, (v, _) in enumerate(tele) if v.name not in implicit]
+def explicit_positions(tele: Context) -> tuple[int, ...]:
+    """Positions of the entries of ``tele`` whose variables occur in no
+    entry's type: the arguments given explicitly.  Cached on ``tele``."""
+    out = tele._explicit
+    if out is None:
+        implicit: dict[str, Var] = {}
+        for _, ty in tele:
+            variables_used_type(ty, implicit)
+        out = tuple(i for i, (v, _) in enumerate(tele) if v.name not in implicit)
+        object.__setattr__(tele, "_explicit", out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +196,8 @@ class _Metas:
         del self.trail[mark:]
 
     def fresh(self, hint: str, ty: Type | None = None) -> MetaRef:
+        """A new meta, as the one node that stands for it: the unifier
+        tells metas apart by identity."""
         uid = self.next_uid
         self.next_uid += 1
         self.hints[uid] = hint
@@ -223,10 +243,19 @@ class Elaborator:
 
     # -- unification -------------------------------------------------------
 
-    def unify_term(self, a: Term, b: Term) -> None:
+    def unify_term(self, a: Term, b: Term, seen: set | None = None) -> None:
+        """Unify ``a`` with ``b``, solving metas.  ``seen`` holds the pairs
+        of nodes (by identity) already unified by the same top-level call;
+        a call from outside the unifier leaves it out and gets a fresh one."""
         a, b = self.resolve(a), self.resolve(b)
-        if isinstance(a, MetaRef) and isinstance(b, MetaRef) and a.uid == b.uid:
+        if a is b:
             return
+        if seen is None:
+            seen = set()
+        pair = (id(a), id(b))
+        if pair in seen:
+            return
+        seen.add(pair)
         if isinstance(a, MetaRef):
             self._bind(a, b)
             return
@@ -252,7 +281,7 @@ class Elaborator:
                 return
         # same head: unify position by position
         for c1, c2 in zip(children(a), children(b)):
-            self.unify_term(c1, c2)
+            self.unify_term(c1, c2, seen)
 
     def _bind(self, m: MetaRef, t: Term) -> None:
         if self._occurs(m.uid, t):
@@ -260,22 +289,39 @@ class Elaborator:
         self.metas.solve(m.uid, t)
 
     def _occurs(self, uid: int, t: Term) -> bool:
-        return any(isinstance(x, MetaRef) and x.uid == uid for x in subterms((self._resolve_deep(t),)))
+        """Whether the meta ``uid`` occurs in ``t`` once solved metas are
+        followed: each node reached is visited once, and nothing is built."""
+        visited: set[int] = set()
+        stack = [t]
+        while stack:
+            x = self.resolve(stack.pop())
+            if id(x) in visited:
+                continue
+            visited.add(id(x))
+            if isinstance(x, MetaRef):
+                if x.uid == uid:
+                    return True
+            else:
+                stack.extend(children(x))
+        return False
 
-    def unify_type(self, a: Type | None, b: Type | None) -> None:
+    def unify_type(self, a: Type | None, b: Type | None, seen: set | None = None) -> None:
+        """Unify two types; ``seen`` as for :meth:`unify_term`."""
         if a is None or b is None:
             return
+        if seen is None:
+            seen = set()
         match (a, b):
             case (Obj(), Obj()):
                 return
             case (Arr(b1, s1, t1), Arr(b2, s2, t2)):
-                self.unify_type(b1, b2)
-                self.unify_term(s1, s2)
-                self.unify_term(t1, t2)
+                self.unify_type(b1, b2, seen)
+                self.unify_term(s1, s2, seen)
+                self.unify_term(t1, t2, seen)
                 return
             case (Inv(b1, u1), Inv(b2, u2)):
-                self.unify_type(b1, b2)
-                self.unify_term(u1, u2)
+                self.unify_type(b1, b2, seen)
+                self.unify_term(u1, u2, seen)
                 return
         raise UnificationFailure("types do not unify")
 

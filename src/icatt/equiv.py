@@ -4,9 +4,11 @@ along display maps, and the variable-to-neutral correspondence.
 
 Neutral terms are destructor chains over the variables of the
 one-dimensional walking equivalence; there are 2 of dimension 0, 3 of
-dimension 1, and 3 * 2^(n-1) in each dimension n >= 2.  The truncation
-contexts grow exponentially, so construction is capped by a
-configurable bound.
+dimension 1, and 3 * 2^(n-1) in each dimension n >= 2;
+:func:`count_neutrals` counts them without building them.  The
+truncation contexts grow exponentially, so construction is capped by a
+configurable bound.  A stage or dimension outside its bounds raises
+:class:`~icatt.errors.BoundExceeded`.
 """
 
 from __future__ import annotations
@@ -38,6 +40,9 @@ from .syntax import (
 )
 
 DEFAULT_BOUND = 5
+# the largest dimension whose neutral terms are counted: the count has
+# about 0.3 n decimal digits, and Python prints at most 4,300 by default
+MAX_COUNT_DIM = 10_000
 
 _E1 = walking_equiv(1)
 _E1_VAR = VarRef(Var("e1"))
@@ -81,6 +86,21 @@ def enumerate_neutrals(n: int) -> tuple[Term, ...]:
         out.append(Destr("lunit", e))
         out.append(Destr("runit", e))
     return tuple(out)
+
+
+def count_neutrals(n: int) -> int:
+    """``len(enumerate_neutrals(n))``, by the same grammar over counts
+    alone: O(n) integer work, and no term is built."""
+    if n > MAX_COUNT_DIM:
+        raise BoundExceeded(f"dimension {n} exceeds the bound {MAX_COUNT_DIM} on neutral counts")
+    if n < 0:
+        return 0
+    if n < 2:
+        return (2, 3)[n]
+    inv_prev, inv = 0, 1  # the lengths of inv_neutrals(k - 1) and inv_neutrals(k), from k = 1
+    for _ in range(1, n):
+        inv_prev, inv = inv, 2 * inv
+    return 2 * inv + 2 * inv_prev
 
 
 def brute_force_neutrals(n: int, max_len: int | None = None) -> set:
@@ -163,7 +183,7 @@ def equiv_truncation(n: int, bound: int = DEFAULT_BOUND) -> Truncation:
     """The n-truncation of the walking equivalence, with its display to
     the previous stage and the two comparison substitutions."""
     if n < 0:
-        raise ValueError("truncation stage must be >= 0")
+        raise BoundExceeded(f"truncation stage {n} is negative")
     if n > bound:
         raise BoundExceeded(
             f"truncation stage {n} exceeds the configured bound {bound} "

@@ -353,6 +353,8 @@ def _infer_can(ctx: Context, t: Can) -> Type:
 
 def _infer_rec(ctx: Context, t: Rec) -> Type:
     seed = t.sub.codomain
+    if len(seed.names()) != len(seed):
+        raise DuplicateVariable("seed context of a recursive definition repeats a name")
     if not seed.entries or not isinstance(seed.entries[-1][1], Inv):
         raise NotEquivContext("recursive definitions live over a walking equivalence")
     n = dim_type(seed.entries[-1][1])

@@ -51,7 +51,9 @@ nodes, and grows with the number of distinct alpha-classes seen, so
 re-checking the same input adds nothing.  Facts about a node are stored
 on the node (see :class:`_Node`): the key of a closed node, the head key
 of a coherence type over its pasting context or of a recursor's body, a
-term's beta-normal form; they live exactly as long as the node.
+term's beta-normal form, the positions of a telescope's explicit
+arguments (``Context._explicit``, written by the elaborator); they live
+exactly as long as the node.
 Traversal memos (:class:`MemoMap`, the keys under binders, suspension)
 are keyed on node identity and last one top-level call, and so does the
 merge table of :class:`SharingMap`, which maps the fields of each node a
@@ -80,9 +82,10 @@ class _Node:
     (written with ``object.__setattr__``, the dataclasses being frozen):
     the interned alpha-key of a closed node, the head key of a
     coherence type over its pasting context (:func:`coh_head_key`) or
-    of a recursor's body (:func:`rec_head_key`), and the beta-normal
-    form of a term, which :mod:`icatt.normalize` writes.  None until
-    computed."""
+    of a recursor's body (:func:`rec_head_key`), the beta-normal form
+    of a term, which :mod:`icatt.normalize` writes, and on a
+    :class:`Context` its binder map, named key and explicit positions.
+    None until computed."""
 
     _key = None
     _beta = None
@@ -227,6 +230,8 @@ class Context(_Node):
     # cached with the alpha-key: see _ctx_key and telescope
     _binders = None
     _named_key = None
+    # the positions of its explicit arguments, written by the elaborator
+    _explicit = None
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -3,7 +3,8 @@ wildcards, inductive-hypothesis markers."""
 
 import pytest
 
-from icatt.elaborate import elaborate_decl, explicit_positions
+from icatt.builtins import comp_schema
+from icatt.elaborate import Elaborator, elaborate_decl, explicit_positions
 from icatt.errors import (
     ArityError,
     IHOutsideRec,
@@ -20,6 +21,7 @@ from icatt.syntax import (
     Coh,
     Context,
     Obj,
+    Substitution,
     Var,
     VarRef,
     alpha_eq_term,
@@ -209,6 +211,76 @@ def test_reused_definitions_are_stored_once():
     last = _check_all(Environment(), "\n".join(lines))[-1]
     assert last.name == f"r{levels}"
     assert sum(1 for _ in subterms((last.term,))) <= 4 * levels
+
+
+def _doubling_chain(leaf, depth):
+    """A binary composite of the previous level with itself, ``depth``
+    times over ``leaf : x -> x``: a tree of 2^depth leaves, stored as a
+    DAG with one composite per level."""
+    ps, ty = comp_schema(2, 1)
+    x = VarRef(Var("x"))
+    t = leaf
+    for _ in range(depth):
+        names = [v for v, _ in ps]
+        t = Coh(ps, ty, Substitution(tuple(zip(names, (x, x, t, x, t))), ps))
+    return t
+
+
+def _count_unify_calls(monkeypatch):
+    calls = [0]
+    unify = Elaborator.unify_term
+
+    def counted(self, *args):
+        calls[0] += 1
+        return unify(self, *args)
+
+    monkeypatch.setattr(Elaborator, "unify_term", counted)
+    return calls
+
+
+def test_unification_costs_distinct_pairs(monkeypatch):
+    """Two separately built doubling DAGs unify in a few calls per level,
+    not one per tree node, and a term unifies with itself in one call."""
+    depth = 16
+    el = Elaborator(Environment())
+    m = el.metas.fresh("f")
+    a = _doubling_chain(VarRef(Var("f")), depth)
+    b = _doubling_chain(m, depth)
+    calls = _count_unify_calls(monkeypatch)
+    el.unify_term(a, b)
+    assert el.resolve(m) == VarRef(Var("f"))
+    assert calls[0] <= 8 * depth
+    calls[0] = 0
+    el.unify_term(a, a)
+    assert calls[0] == 1
+
+
+def test_unification_of_reused_definitions_is_linear(monkeypatch):
+    """``h`` unifies three instances of ``r16 f``, each a tree of 2^17
+    leaves sharing no node with the others."""
+    levels = 16
+    lines = ["let r0 (x : *) (f : x -> x) = comp f f"]
+    for i in range(1, levels + 1):
+        lines.append(f"let r{i} (x : *) (f : x -> x) = comp (r{i - 1} f) (r{i - 1} f)")
+    lines.append(f"let h (x : *) (f : x -> x) : r{levels} f -> r{levels} f = id (r{levels} f)")
+    *defs, h = parse("\n".join(lines))
+    env = Environment()
+    for sdecl in defs:
+        check_decl(env, elaborate_decl(env, sdecl))
+    calls = _count_unify_calls(monkeypatch)
+    check_decl(env, elaborate_decl(env, h))
+    assert calls[0] <= 40 * levels
+
+
+def test_occurs_check_follows_shared_and_solved_nodes():
+    el = Elaborator(Environment())
+    m, n = el.metas.fresh("m"), el.metas.fresh("n")
+    with pytest.raises(UnificationFailure, match="circular implicit argument"):
+        el.unify_term(m, _doubling_chain(m, 16))
+    el.metas.solve(n.uid, _doubling_chain(m, 16))
+    with pytest.raises(UnificationFailure, match="circular implicit argument") as info:
+        el.unify_term(_doubling_chain(n, 2), m)
+    assert info.value.category == "unification"
 
 
 def test_can_subject_from_expected(corpus_env):

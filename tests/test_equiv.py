@@ -6,7 +6,9 @@ import pytest
 from icatt.builtins import comp_of, id_of
 from icatt.equiv import (
     brute_force_neutrals,
+    MAX_COUNT_DIM,
     check_gamma,
+    count_neutrals,
     enumerate_neutrals,
     equiv_truncation,
     gamma_sub,
@@ -55,6 +57,14 @@ def test_neutral_counts_exponential():
     for n in range(2, 8):
         assert counts[n] == 3 * 2 ** (n - 1)
         assert len(inv_neutrals(n)) == 2 ** (n - 1)
+
+
+def test_neutral_count_follows_the_enumeration():
+    for n in range(-2, 13):
+        assert count_neutrals(n) == len(enumerate_neutrals(n))
+    assert count_neutrals(40) == 3 * 2**39
+    with pytest.raises(BoundExceeded):
+        count_neutrals(MAX_COUNT_DIM + 1)
 
 
 def test_neutrals_typecheck_and_are_neutral():
@@ -143,6 +153,8 @@ def test_truncation_growth_recurrence():
 def test_truncation_bound():
     with pytest.raises(BoundExceeded):
         equiv_truncation(9, bound=4)
+    with pytest.raises(BoundExceeded):
+        equiv_truncation(-1)
 
 
 def test_gamma_base_case_images():

@@ -154,6 +154,33 @@ def test_cli_neutral_count():
     assert out.stdout.strip() == "12"
 
 
+def test_cli_neutral_count_does_not_enumerate():
+    out = _run_cli("--neutral-count", "40")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "1649267441664"
+
+
+@pytest.mark.parametrize("flag", ["--check-gamma", "--equiv-trunc"])
+@pytest.mark.parametrize("stage", ["6", "-1"])
+def test_cli_analysis_stage_out_of_bounds(flag, stage):
+    out = _run_cli(flag, stage)
+    assert out.returncode == 2
+    assert out.stderr.startswith("icatt: ") and out.stderr.rstrip().endswith("[bound-exceeded]")
+    assert "Traceback" not in out.stderr
+
+
+def test_bounded_reports_memory_exhaustion():
+    from icatt.cli import _bounded
+    from icatt.errors import BoundExceeded
+
+    def exhausts():
+        raise MemoryError
+
+    with pytest.raises(BoundExceeded) as info:
+        _bounded(exhausts)
+    assert info.value.category == "bound-exceeded"
+
+
 def test_cli_equiv_trunc():
     out = _run_cli("--equiv-trunc", "1")
     assert out.returncode == 0

@@ -399,9 +399,9 @@ def test_repeated_name_in_head_rejected_cold_and_warm():
 
 
 def test_repeated_name_in_seed_rejected_cold_and_warm(corpus_env):
-    """A recursor over a seed that repeats a name is rejected whether or
-    not the recursor over the fresh seed was inferred first, and its
-    declaration is rejected for the repeated name."""
+    """A recursor over a seed that repeats a name is rejected for the
+    repeated name, whether or not the recursor over the fresh seed was
+    inferred first, and so is its declaration."""
     env, _ = corpus_env
     decl = env.lookup("linv-inv")
     seed = decl.seed
@@ -416,7 +416,7 @@ def test_repeated_name_in_seed_rejected_cold_and_warm(corpus_env):
     cold = _verdict(seed, bad)
     assert isinstance(_verdict(seed, Rec(*decl.components, identity_sub(seed))), Inv)
     warm = _verdict(seed, bad)
-    assert cold == warm == "not-equiv-context"
+    assert cold == warm == "duplicate-variable"
     with pytest.raises(DuplicateVariable):
         check_decl(Environment(), RecDecl("bad", bad_seed, bad_comps))
 
