@@ -215,8 +215,8 @@ def test_reused_definitions_are_stored_once():
 
 def _doubling_chain(leaf, depth):
     """A binary composite of the previous level with itself, ``depth``
-    times over ``leaf : x -> x``: a tree of 2^depth leaves, stored as a
-    DAG with one composite per level."""
+    times over ``leaf : x -> x``: as a tree it holds 2^depth copies of
+    ``leaf``, as a DAG one composite per level."""
     ps, ty = comp_schema(2, 1)
     x = VarRef(Var("x"))
     t = leaf

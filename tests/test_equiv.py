@@ -5,8 +5,8 @@ import pytest
 
 from icatt.builtins import comp_of, id_of
 from icatt.equiv import (
-    brute_force_neutrals,
     MAX_COUNT_DIM,
+    brute_force_neutrals,
     check_gamma,
     count_neutrals,
     enumerate_neutrals,
