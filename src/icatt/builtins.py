@@ -31,7 +31,6 @@ from .syntax import (
 from .meta import classify_term, disk, disk_var
 
 
-@lru_cache(maxsize=None)
 def chain_context(k: int, dim: int) -> Context:
     """The linear pasting context for a k-ary composite of dim-cells:
     a tower of base pairs b0-,b0+,...,then parallel boundary cells

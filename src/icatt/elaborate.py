@@ -53,7 +53,7 @@ from .errors import (
     UnsolvedMeta,
     WrongWitnessSet,
 )
-from .kernel import CohDecl, Environment, RecDecl, TermDecl, check_ctx, infer_term
+from .kernel import CohDecl, Environment, RecDecl, TermDecl, infer_term
 from .meta import (
     equiv_ind_context,
     suspend_context,
@@ -95,7 +95,6 @@ from .syntax import (
     Var,
     VarRef,
     alpha_eq_context,
-    alpha_key_term,
     apply_sub_term,
     apply_sub_type,
     children,
@@ -276,9 +275,7 @@ class Elaborator:
             case (Can(_, w1), Can(_, w2)) if len(w1) == len(w2):
                 pass
             case _:
-                if alpha_key_term(a) != alpha_key_term(b):
-                    raise UnificationFailure("terms do not unify")
-                return
+                raise UnificationFailure("terms do not unify")
         # same head: unify position by position
         for c1, c2 in zip(children(a), children(b)):
             self.unify_term(c1, c2, seen)
@@ -626,7 +623,6 @@ def elaborate_decl(env: Environment, sdecl: SurfaceDecl):
         ty = el.zonk_type(ty)
         ctx = ctx.extend(Var(name), ty)
     el.ctx = ctx
-    check_ctx(ctx)
 
     if sdecl.kind == "coh":
         ty = el.zonk_type(el.elab_type(sdecl.ty))

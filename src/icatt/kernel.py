@@ -6,6 +6,10 @@ context and type, so no global environment is needed to re-check a
 term.  The environment here only stores accepted top-level declarations
 for the elaborator to draw on.
 
+A context is checked in one pass over itself (:func:`check_ctx`), with
+no prefix context built; weakening is admissible, so an entry's type
+may be checked over the whole context once its variables are in scope.
+
 Whether a coherence is valid depends only on its head, never on the
 substitution that instantiates it.  Inference therefore splits in two.
 The closed part, the pasting context, the type over it and its
@@ -35,6 +39,7 @@ from .errors import (
     NotPasting,
     ShadowedName,
     TypeMismatch,
+    UnboundVariable,
     UnsolvedMeta,
     WrongWitnessSet,
 )
@@ -67,7 +72,6 @@ from .syntax import (
     dim_type,
     identity_sub,
     named_context_key,
-    telescope,
     variables_used_term,
     variables_used_type,
 )
@@ -111,16 +115,9 @@ class PsContext:
         return out
 
 
-_PS_CACHE: dict[int, PsContext] = {}
-
-
 def check_ps(ctx: Context) -> PsContext:
     """Recognise a pasting diagram by a single left-to-right pass
     simulating the dangling-variable stack of the pasting rules."""
-    key = named_context_key(ctx)
-    hit = _PS_CACHE.get(key)
-    if hit is not None:
-        return hit
     entries = ctx.entries
     if not entries:
         raise NotPasting("empty context is not a pasting diagram")
@@ -160,9 +157,7 @@ def check_ps(ctx: Context) -> PsContext:
         at_k = [v.name for v, _ in entries if dims[v.name] == k]
         src_tab.append((k, tuple(n for n in at_k if n not in tgt_of)))
         tgt_tab.append((k, tuple(n for n in at_k if n not in src_of)))
-    ps = PsContext(ctx, dim, tuple(src_tab), tuple(tgt_tab))
-    _PS_CACHE[key] = ps
-    return ps
+    return PsContext(ctx, dim, tuple(src_tab), tuple(tgt_tab))
 
 
 def full_type(ps: PsContext, ty: Type) -> bool:
@@ -217,12 +212,19 @@ def fullness_failure(ps: PsContext, ty: Type) -> str:
 
 
 def check_ctx(ctx: Context) -> Context:
-    seen: set[str] = set()
-    for prefix, v, ty in telescope(ctx):
-        if v.name in seen:
+    """For each entry ``v : ty`` in order: ``v`` is new, every variable
+    of ``ty`` is bound before it, and ``ty`` is well formed over all of
+    ``ctx``, where lookup finds the first entry of each name, so the
+    same entry as over the entries before ``v``."""
+    bound: set[str] = set()
+    for v, ty in ctx:
+        if v.name in bound:
             raise DuplicateVariable(f"duplicate variable {v.name} in context")
-        check_type(prefix, ty)
-        seen.add(v.name)
+        for name in variables_used_type(ty):
+            if name not in bound:
+                raise UnboundVariable(f"variable {name} not in context")
+        check_type(ctx, ty)
+        bound.add(v.name)
     return ctx
 
 

@@ -20,11 +20,10 @@ repeats an earlier name is marked with the position it shadows, so a
 context that repeats a name never shares its key with one that does
 not; the two inductive hypotheses of a recursor are bound at the
 positions after its seed.  A context's key is a chain, the key of its
-prefix extended by the key of its last entry, so :func:`telescope`
-derives each prefix's keys from the previous prefix's with one type
-keying.  The key of a coherence head (:func:`coh_head_key`) and of a
-recursor's body (:func:`rec_head_key`) leave out the instantiating
-substitution.
+prefix extended by the key of its last entry, computed in one pass over
+its entries (:func:`_ctx_key`).  The key of a coherence head
+(:func:`coh_head_key`) and of a recursor's body (:func:`rec_head_key`)
+leave out the instantiating substitution.
 
 The six destructors are identified by the strings in :data:`DESTRUCTORS`
 ("lwit"/"rwit" are the invertibility witnesses of the left/right
@@ -51,16 +50,16 @@ nodes, and grows with the number of distinct alpha-classes seen, so
 re-checking the same input adds nothing.  Facts about a node are stored
 on the node (see :class:`_Node`): the key of a closed node, the head key
 of a coherence type over its pasting context or of a recursor's body, a
-term's beta-normal form, the positions of a telescope's explicit
-arguments (``Context._explicit``, written by the elaborator); they live
-exactly as long as the node.
+term's beta-normal form, a context's keys and binder map, the positions
+of a telescope's explicit arguments (``Context._explicit``, written by
+the elaborator); they live exactly as long as the node.
 Traversal memos (:class:`MemoMap`, the keys under binders, suspension)
 are keyed on node identity and last one top-level call, and so does the
 merge table of :class:`SharingMap`, which maps the fields of each node a
 call has built (:func:`share_key`) to that node.  Memo tables
-elsewhere are keyed by the interned ints: the kernel's inference and
-pasting tables, and its set of checked coherence heads, which holds
-only ints and grows with the number of distinct heads.
+elsewhere are keyed by the interned ints: the kernel's inference table,
+and its set of checked coherence heads, which holds only ints and grows
+with the number of distinct heads.
 """
 
 from __future__ import annotations
@@ -84,8 +83,8 @@ class _Node:
     coherence type over its pasting context (:func:`coh_head_key`) or
     of a recursor's body (:func:`rec_head_key`), the beta-normal form
     of a term, which :mod:`icatt.normalize` writes, and on a
-    :class:`Context` its binder map, named key and explicit positions.
-    None until computed."""
+    :class:`Context` its keys and binder map (:func:`_ctx_key`) and its
+    explicit positions.  None until computed."""
 
     _key = None
     _beta = None
@@ -227,9 +226,8 @@ Term = Union[VarRef, Coh, Coind, Rec, Can, Destr, MetaRef]
 @dataclass(frozen=True)
 class Context(_Node):
     entries: tuple[tuple[Var, Type], ...] = ()
-    # cached with the alpha-key: see _ctx_key and telescope
-    _binders = None
-    _named_key = None
+    # its alpha-key, named key and binder map: see _ctx_key
+    _keys = None
     # the positions of its explicit arguments, written by the elaborator
     _explicit = None
 
@@ -607,8 +605,7 @@ def coh_head_key(ps: Context, ty: Type) -> int:
     """Alpha-invariant key of a coherence head: its pasting context and
     its type over that context.  Cached on the type, with the named key
     of the context it was keyed over."""
-    pk, pb = _ctx_key(ps)
-    over = ps._named_key
+    pk, over, pb = _ctx_key(ps)
     hit = ty._head_key
     if hit is None or hit[0] != over:
         hit = (over, _intern(("head", pk, alpha_key_type(ty, pb))))
@@ -634,7 +631,7 @@ def rec_head_key(t: Rec) -> int:
     k = t._head_key
     if k is None:
         seed = t.sub.codomain
-        ek, eb = _ctx_key(seed)
+        ek, _, eb = _ctx_key(seed)
         ebh = dict(eb)
         for i, hv in enumerate(_rec_hyp_names(t)):
             ebh[hv] = len(seed) + i
@@ -644,72 +641,36 @@ def rec_head_key(t: Rec) -> int:
     return k
 
 
-def _ctx_key(ctx: Context) -> tuple[int, dict[str, int]]:
-    """The key of ``ctx`` and its binder map (variable name -> position
-    of its last entry), cached on ``ctx`` with its named key.  A prefix
-    made by :func:`telescope` gets its binder map on first demand."""
-    if ctx._key is None:
+def _ctx_key(ctx: Context) -> tuple[int, int, dict[str, int]]:
+    """The key of ``ctx``, its named key and its binder map (variable
+    name -> position of its last entry), cached on ``ctx``.  Each
+    entry's type is keyed over the entries before it; an entry that
+    repeats a name is marked with the position it shadows, so it never
+    keys like a fresh name."""
+    keys = ctx._keys
+    if keys is None:
         k, nk, b = _intern(("ctx",)), _intern(("named",)), {}
         for i, (v, ty) in enumerate(ctx):
-            k, nk = _snoc_keys(k, nk, b, v, ty)
+            ek = alpha_key_type(ty, b)
+            shadowed = b.get(v.name)
+            if shadowed is not None:
+                ek = _intern(("shadows", shadowed, ek))
+            k, nk = _intern(("ctx", k, ek)), _intern(("named", nk, ek, v.name))
             b[v.name] = i
-        _set_ctx_keys(ctx, k, nk, b)
-    elif ctx._binders is None:
-        _set_ctx_keys(ctx, ctx._key, ctx._named_key, {v.name: i for i, (v, _) in enumerate(ctx)})
-    return ctx._key, ctx._binders
-
-
-def _snoc_keys(k: int, nk: int, b: dict[str, int], v: Var, ty: Type) -> tuple[int, int]:
-    """The key and the named key of the context with key ``k``, named key
-    ``nk`` and binder map ``b``, extended by ``v : ty``.  The entry's
-    type is keyed over ``b``; an entry that repeats a name is marked with
-    the position it shadows, so it never keys like a fresh name."""
-    ek = alpha_key_type(ty, b)
-    shadowed = b.get(v.name)
-    if shadowed is not None:
-        ek = _intern(("shadows", shadowed, ek))
-    return _intern(("ctx", k, ek)), _intern(("named", nk, ek, v.name))
-
-
-def _set_ctx_keys(ctx: Context, k: int, nk: int, b: dict[str, int] | None) -> None:
-    object.__setattr__(ctx, "_key", k)
-    object.__setattr__(ctx, "_named_key", nk)
-    object.__setattr__(ctx, "_binders", b)
-
-
-def telescope(ctx: Context) -> Iterator[tuple[Context, Var, Type]]:
-    """Each entry ``v : ty`` of ``ctx`` with the context before it.  Each
-    prefix's keys are derived from the previous prefix's with one type
-    keying, after the consumer has handled the previous entry; keying
-    every prefix from scratch would cost O(L^2) keyings.  A prefix's
-    binder map is built only on demand.  The entry tuples of the
-    prefixes are still copied, O(L^2) element copies in all.  Once every
-    entry is handled, the last keying gives ``ctx`` its own keys."""
-    entries = ctx.entries
-    k, nk, b = _intern(("ctx",)), _intern(("named",)), {}
-    for i, (v, ty) in enumerate(entries):
-        prefix = Context(entries[:i])
-        _set_ctx_keys(prefix, k, nk, None)
-        yield prefix, v, ty
-        k, nk = _snoc_keys(k, nk, b, v, ty)
-        b[v.name] = i
-    if ctx._key is None:
-        _set_ctx_keys(ctx, k, nk, b)
+        keys = (k, nk, b)
+        object.__setattr__(ctx, "_keys", keys)
+    return keys
 
 
 def alpha_key_context(ctx: Context) -> int:
-    if ctx._key is None:
-        _ctx_key(ctx)
-    return ctx._key
+    return _ctx_key(ctx)[0]
 
 
 def named_context_key(ctx: Context) -> int:
     """A key of ``ctx`` that also tells its variable names apart: equal
     exactly for alpha-equivalent contexts with the same names in the same
     order, the contexts over which terms have the same meaning."""
-    if ctx._key is None:
-        _ctx_key(ctx)
-    return ctx._named_key
+    return _ctx_key(ctx)[1]
 
 
 def alpha_key_sub(sub: Substitution, bound: dict[str, int] | None = None) -> int:

@@ -3,6 +3,7 @@ wildcards, inductive-hypothesis markers."""
 
 import pytest
 
+from icatt import syntax
 from icatt.builtins import comp_schema
 from icatt.elaborate import Elaborator, elaborate_decl, explicit_positions
 from icatt.errors import (
@@ -20,6 +21,7 @@ from icatt.syntax import (
     Arr,
     Coh,
     Context,
+    Destr,
     Obj,
     Substitution,
     Var,
@@ -281,6 +283,19 @@ def test_occurs_check_follows_shared_and_solved_nodes():
     with pytest.raises(UnificationFailure, match="circular implicit argument") as info:
         el.unify_term(_doubling_chain(n, 2), m)
     assert info.value.category == "unification"
+
+
+def test_failed_unification_interns_nothing():
+    """Terms with different heads fail to unify without being keyed, so
+    a failure leaves the intern table as it was."""
+    el = Elaborator(Environment())
+    a = Destr("linv", el.metas.fresh("a"))
+    b = Destr("rinv", VarRef(Var("x-unify-probe")))
+    before = len(syntax._INTERN)
+    with pytest.raises(UnificationFailure) as info:
+        el.unify_term(a, b)
+    assert info.value.category == "unification"
+    assert len(syntax._INTERN) == before
 
 
 def test_can_subject_from_expected(corpus_env):

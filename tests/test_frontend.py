@@ -1,5 +1,7 @@
 """Parser and command-line driver."""
 
+import importlib
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -343,6 +345,55 @@ def _module_table_sizes():
             elif isinstance(value, (dict, set)):
                 sizes[f"{name}.{attr}"] = len(value)
     return sizes
+
+
+# the memo tables: the intern table, the kernel's and inverse's tables and
+# the lru_caches; adding one means adding it here
+MEMO_TABLES = {
+    "icatt.syntax._INTERN",
+    "icatt.kernel._INFER_CACHE",
+    "icatt.kernel._CHECKED_HEADS",
+    "icatt.inverse._STEP_CACHE",
+    "icatt.builtins.comp_schema",
+    "icatt.builtins.id_schema",
+    "icatt.meta.sphere",
+    "icatt.meta.disk",
+    "icatt.meta.walking_equiv",
+    "icatt.equiv.inv_neutrals",
+    "icatt.equiv.enumerate_neutrals",
+    "icatt.equiv.equiv_truncation",
+    "icatt.equiv.gamma_sub",
+}
+
+CONSTANT_TABLES = {
+    "icatt.elaborate._DESTR_SURFACE",
+    "icatt.inverse._INV_OF_SIDE",
+    "icatt.inverse._UNIT_OF_SIDE",
+    "icatt.inverse._WIT_OF_SIDE",
+    "icatt.normalize._COIND_COMPONENT",
+    "icatt.parser._IDENT_CHARS",
+    "icatt.printer._DESTR_TO_SURFACE",
+}
+
+
+def test_module_tables_are_the_listed_ones():
+    """The module-level dicts, sets and lru_caches of every icatt module,
+    each named where it is defined, are exactly the 13 memo tables and
+    the constant lookup tables listed above."""
+    import icatt
+
+    for info in pkgutil.iter_modules(icatt.__path__):
+        importlib.import_module(f"icatt.{info.name}")
+    found = set()
+    for name, mod in list(sys.modules.items()):
+        if name != "icatt" and not name.startswith("icatt."):
+            continue
+        for attr, value in vars(mod).items():
+            if callable(getattr(value, "cache_info", None)):
+                found.add(f"{value.__module__}.{value.__qualname__}")
+            elif isinstance(value, (dict, set)) and not attr.startswith("__"):
+                found.add(f"{name}.{attr}")
+    assert found == MEMO_TABLES | CONSTANT_TABLES
 
 
 def _check_corpus_once():

@@ -2,11 +2,12 @@
 recognition and fullness, conversion, environment."""
 
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from icatt import elaborate, kernel, syntax
+from icatt import kernel, syntax
 from icatt.builtins import comp_of, comp_schema, id_of
 from icatt.elaborate import elaborate_decl
 from icatt.errors import (
@@ -18,6 +19,7 @@ from icatt.errors import (
     NotPasting,
     ShadowedName,
     TypeMismatch,
+    UnboundVariable,
     WrongWitnessSet,
 )
 from icatt.kernel import (
@@ -102,6 +104,26 @@ def test_globular_context_ok():
 def test_duplicate_variable_rejected():
     with pytest.raises(DuplicateVariable):
         check_ctx(Context(((Var("x"), Obj()), (Var("x"), Obj()))))
+
+
+def test_one_pass_context_check_keeps_scoping():
+    """Each entry's type is checked over the whole context, so only the
+    scope check stops an entry from using a later or missing variable,
+    and a repeated name is still rejected before its type is looked at."""
+    forward = Context(((Var("f"), arr0("x", "y")), (Var("x"), Obj()), (Var("y"), Obj())))
+    for ctx in (forward, Context(((Var("x"), Obj()), (Var("f"), arr0("x", "z"))))):
+        with pytest.raises(UnboundVariable) as exc:
+            check_ctx(ctx)
+        assert exc.value.category == "unbound-variable"
+    repeated = Context((
+        (Var("x"), Obj()), (Var("y"), Obj()), (Var("f"), arr0("x", "y")),
+        (Var("x"), arr0("y", "y")),
+    ))
+    with pytest.raises(DuplicateVariable) as exc:
+        check_ctx(repeated)
+    assert exc.value.category == "duplicate-variable"
+    with pytest.raises(UnboundVariable):
+        infer_term(forward, Coh(forward, arr0("x", "y"), identity_sub(forward)))
 
 
 # -- types -------------------------------------------------------------------
@@ -362,7 +384,6 @@ def test_check_term_converts_across_beta():
 
 def _clear_kernel_tables():
     kernel._INFER_CACHE.clear()
-    kernel._PS_CACHE.clear()
     kernel._CHECKED_HEADS.clear()
 
 
@@ -474,8 +495,8 @@ def _comp_id_chain(depth):
 
 def test_context_checks_once_per_head(monkeypatch):
     """Elaborating and checking a depth-200 comp/id chain checks each
-    distinct coherence head's context once, and the telescope twice
-    (once by the elaborator, once by the kernel)."""
+    distinct coherence head's context once, and the telescope once, by
+    the kernel."""
     calls = []
     check_ctx_once = kernel.check_ctx
 
@@ -483,45 +504,37 @@ def test_context_checks_once_per_head(monkeypatch):
         calls.append(ctx)
         return check_ctx_once(ctx)
 
-    monkeypatch.setattr(kernel, "check_ctx", counting)
-    monkeypatch.setattr(elaborate, "check_ctx", counting)
+    # wherever it is imported, so a check by any caller is counted
+    for mod in [m for n, m in sys.modules.items() if n.startswith("icatt.")]:
+        if getattr(mod, "check_ctx", None) is check_ctx_once:
+            monkeypatch.setattr(mod, "check_ctx", counting)
     _clear_kernel_tables()
     env = Environment()
     decl = elaborate_decl(env, parse(_comp_id_chain(200))[0])
     check_decl(env, decl)
     heads = {coh_head_key(c.ps, c.ty) for c in subterms([decl.term]) if isinstance(c, Coh)}
     assert len(heads) == 2
-    assert len(calls) <= len(heads) + 2
+    assert len(calls) <= len(heads) + 1
 
 
 def test_context_check_keys_linearly(monkeypatch):
-    """Checking a pasting context derives each prefix's key from the one
-    before: doubling the arity of a composite about doubles the shapes
-    keyed, where keying every prefix afresh would quadruple them.  No
-    prefix gets a binder map unless something asks for one."""
+    """Checking a pasting context keys it in one pass: doubling the
+    arity of a composite about doubles the shapes keyed, where keying
+    every prefix afresh would quadruple them."""
     interned = []
-    binder_entries = [0]
-    intern, set_keys = syntax._intern, syntax._set_ctx_keys
+    intern = syntax._intern
 
     def counting(shape):
         interned.append(shape)
         return intern(shape)
 
-    def counting_binders(ctx, k, nk, b):
-        binder_entries[0] += len(b or ())
-        set_keys(ctx, k, nk, b)
-
     monkeypatch.setattr(syntax, "_intern", counting)
-    monkeypatch.setattr(syntax, "_set_ctx_keys", counting_binders)
     counts = []
     for k in (64, 128):
         _clear_kernel_tables()
         interned.clear()
-        binder_entries[0] = 0
-        ctx = comp_schema(k, 1)[0]
-        check_ctx(ctx)
+        check_ctx(comp_schema(k, 1)[0])
         counts.append(len(interned))
-        assert binder_entries[0] <= 2 * len(ctx)
     assert counts[1] <= 2.5 * counts[0]
 
 
