@@ -176,8 +176,6 @@ def explicit_positions(tele: Context) -> tuple[int, ...]:
 @dataclass
 class _Metas:
     solutions: dict[int, Term] = field(default_factory=dict)
-    types: dict[int, Type] = field(default_factory=dict)
-    hints: dict[int, str] = field(default_factory=dict)
     next_uid: int = 0
     # the uids of ``solutions`` in the order they were solved, so that
     # a failed attempt can be undone back to a mark
@@ -194,14 +192,11 @@ class _Metas:
             del self.solutions[uid]
         del self.trail[mark:]
 
-    def fresh(self, hint: str, ty: Type | None = None) -> MetaRef:
+    def fresh(self, hint: str) -> MetaRef:
         """A new meta, as the one node that stands for it: the unifier
         tells metas apart by identity."""
         uid = self.next_uid
         self.next_uid += 1
-        self.hints[uid] = hint
-        if ty is not None:
-            self.types[uid] = ty
         return MetaRef(uid, hint)
 
 
@@ -347,7 +342,7 @@ class Elaborator:
     def elab_infer(self, s: SurfaceTerm, expected: Type | None = None) -> tuple[Term, Type | None]:
         match s:
             case SWild(span):
-                m = self.metas.fresh("_", expected)
+                m = self.metas.fresh("_")
                 if expected is None:
                     return m, None
                 return m, expected

@@ -6,8 +6,8 @@ Neutral terms are destructor chains over the variables of the
 one-dimensional walking equivalence; there are 2 of dimension 0, 3 of
 dimension 1, and 3 * 2^(n-1) in each dimension n >= 2;
 :func:`count_neutrals` counts them without building them.  The
-truncation contexts grow exponentially, so construction is capped by a
-configurable bound.  A stage or dimension outside its bounds raises
+truncation contexts grow exponentially, so construction stops at stage
+:data:`MAX_STAGE`.  A stage or dimension outside its bounds raises
 :class:`~icatt.errors.BoundExceeded`.
 """
 
@@ -39,7 +39,7 @@ from .syntax import (
     dim_type,
 )
 
-DEFAULT_BOUND = 5
+MAX_STAGE = 5
 # the largest dimension whose neutral terms are counted: the count has
 # about 0.3 n decimal digits, and Python prints at most 4,300 by default
 MAX_COUNT_DIM = 10_000
@@ -103,18 +103,17 @@ def count_neutrals(n: int) -> int:
     return 2 * inv + 2 * inv_prev
 
 
-def brute_force_neutrals(n: int, max_len: int | None = None) -> set:
-    """Independent oracle: generate every destructor string over the
-    variables of the walking equivalence, keep the ones the kernel
-    accepts, and collect the categorical ones of dimension exactly n."""
-    max_len = n + 1 if max_len is None else max_len
+def brute_force_neutrals(n: int) -> set:
+    """Independent oracle: generate every destructor string of length at
+    most n + 1 over the variables of the walking equivalence, keep those
+    the kernel accepts, and collect the categorical ones of dimension n."""
     found: set = set()
     frontier: list[Term] = [VarRef(v) for v, _ in _E1]
     for t in frontier:
         ty = infer_term(_E1, t)
         if not isinstance(ty, Inv) and dim_type(ty) + 1 == n:
             found.add(alpha_key_term(t))
-    for _ in range(max_len):
+    for _ in range(n + 1):
         new_frontier = []
         for t in frontier:
             for kind in DESTRUCTORS:
@@ -179,21 +178,21 @@ class Truncation:
 
 
 @lru_cache(maxsize=None)
-def equiv_truncation(n: int, bound: int = DEFAULT_BOUND) -> Truncation:
+def equiv_truncation(n: int) -> Truncation:
     """The n-truncation of the walking equivalence, with its display to
     the previous stage and the two comparison substitutions."""
     if n < 0:
         raise BoundExceeded(f"truncation stage {n} is negative")
-    if n > bound:
+    if n > MAX_STAGE:
         raise BoundExceeded(
-            f"truncation stage {n} exceeds the configured bound {bound} "
+            f"truncation stage {n} exceeds the bound {MAX_STAGE} "
             "(the contexts grow exponentially)"
         )
     if n == 0:
         ctx = Context(((Var("x"), Obj()), (Var("y"), Obj())))
         return Truncation(ctx, None, None, None)
     if n == 1:
-        prev = equiv_truncation(0, bound).ctx
+        prev = equiv_truncation(0).ctx
         x, y = VarRef(Var("x")), VarRef(Var("y"))
         arr_xy = Arr(Obj(), x, y)
         arr_yx = Arr(Obj(), y, x)
@@ -215,8 +214,8 @@ def equiv_truncation(n: int, bound: int = DEFAULT_BOUND) -> Truncation:
             sprev,
         )
         return Truncation(ctx, i1, f1, g1)
-    prev = equiv_truncation(n - 1, bound)
-    prev2 = equiv_truncation(n - 2, bound)
+    prev = equiv_truncation(n - 1)
+    prev2 = equiv_truncation(n - 2)
     sprev = suspend_context(prev.ctx)
     sprev2 = suspend_context(prev2.ctx)
     base_refs = (VarRef(sprev.entries[0][0]), VarRef(sprev.entries[1][0]))
@@ -242,25 +241,25 @@ def equiv_truncation(n: int, bound: int = DEFAULT_BOUND) -> Truncation:
 
 
 @lru_cache(maxsize=None)
-def gamma_sub(n: int, bound: int = DEFAULT_BOUND) -> Substitution:
+def gamma_sub(n: int) -> Substitution:
     """The substitution from the walking equivalence to its
     n-truncation, sending variables to neutral terms."""
-    trunc = equiv_truncation(n, bound)
+    trunc = equiv_truncation(n)
     if n == 0:
         pairs = ((Var("x"), VarRef(Var("d0-"))), (Var("y"), VarRef(Var("d0+"))))
         return Substitution(pairs, trunc.ctx)
     if n == 1:
-        prev = gamma_sub(0, bound)
+        prev = gamma_sub(0)
         pairs = prev.pairs + (
             (Var("u"), VarRef(Var("d1"))),
             (Var("v"), Destr("linv", _E1_VAR)),
             (Var("w"), Destr("rinv", _E1_VAR)),
         )
         return Substitution(pairs, trunc.ctx)
-    prev_gamma = gamma_sub(n - 1, bound)
+    prev_gamma = gamma_sub(n - 1)
     chi_l = wit_classifier(_E1, "lwit")
     chi_r = wit_classifier(_E1, "rwit")
-    sprev_names = suspend_context(equiv_truncation(n - 1, bound).ctx)
+    sprev_names = suspend_context(equiv_truncation(n - 1).ctx)
     sgamma = suspend_sub(prev_gamma, (VarRef(Var("v-")), VarRef(Var("v+"))))
     # express the suspension over the canonical E^2, then pull along chi
     ren = rename_to(suspend_context(_E1), walking_equiv(2))
@@ -300,14 +299,14 @@ class GammaReport:
         return self.checked and self.bijection and self.equations
 
 
-def check_gamma(n: int, bound: int = DEFAULT_BOUND) -> GammaReport:
+def check_gamma(n: int) -> GammaReport:
     """Kernel-check the cone substitution at stage n, verify that its
     variable images enumerate the neutral terms bijectively, and check
     the three compatibility equations at every stage up to n."""
     details: list[str] = []
     counts: dict[int, int] = {}
-    gamma = gamma_sub(n, bound)
-    trunc = equiv_truncation(n, bound)
+    gamma = gamma_sub(n)
+    trunc = equiv_truncation(n)
     checked = True
     try:
         check_sub(_E1, gamma, trunc.ctx)
@@ -335,13 +334,13 @@ def check_gamma(n: int, bound: int = DEFAULT_BOUND) -> GammaReport:
     chi_r = wit_classifier(_E1, "rwit")
     ren = rename_to(suspend_context(_E1), walking_equiv(2))
     for k in range(1, n + 1):
-        g_k = gamma_sub(k, bound)
-        t_k = equiv_truncation(k, bound)
+        g_k = gamma_sub(k)
+        t_k = equiv_truncation(k)
         lhs_i = compose_sub(t_k.to_prev, g_k)
-        if alpha_key_sub(lhs_i) != alpha_key_sub(gamma_sub(k - 1, bound)):
+        if alpha_key_sub(lhs_i) != alpha_key_sub(gamma_sub(k - 1)):
             equations = False
             details.append(f"i^{k} . gamma^{k} != gamma^{k-1}")
-        sg = compose_sub(suspend_sub(gamma_sub(k - 1, bound), (VarRef(Var("v-")), VarRef(Var("v+")))), ren)
+        sg = compose_sub(suspend_sub(gamma_sub(k - 1), (VarRef(Var("v-")), VarRef(Var("v+")))), ren)
         lhs_f = compose_sub(t_k.to_susp_left, g_k)
         rhs_f = compose_sub(sg, chi_l)
         if alpha_key_sub(lhs_f) != alpha_key_sub(rhs_f):

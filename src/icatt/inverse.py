@@ -139,24 +139,20 @@ def _img_ty(ty: Type, xi: Substitution) -> Arr:
     return out
 
 
-# the construction is exponential if recomputed naively, so stages are
-# cached per (coherence cell, side, witness family)
-_STEP_CACHE: dict[tuple, list[_Step]] = {}
-
-
 def coh_cancellator_steps(subject: Coh, side: str, witnesses: dict[str, Term]) -> list[_Step]:
     """The stages of the cancellation cell: from ``comp(inverse, cell)``
-    (left) or ``comp(cell, inverse)`` (right) down to the identity."""
-    cache_key = (
-        alpha_key_term(subject),
-        side,
-        tuple(sorted((k, alpha_key_term(v)) for k, v in witnesses.items())),
-    )
-    hit = _STEP_CACHE.get(cache_key)
-    if hit is not None:
-        return hit
-    steps = _coh_cancellator_steps(subject, side, witnesses)
-    _STEP_CACHE[cache_key] = steps
+    (left) or ``comp(cell, inverse)`` (right) down to the identity.
+
+    The construction is exponential if recomputed naively, so the stages
+    are kept on the subject's alpha-class, per side and witness family;
+    they contain the subject, so the cyclic collector frees them."""
+    cls = alpha_key_term(subject)
+    if cls.steps is None:
+        cls.steps = {}
+    key = (side, tuple(sorted((k, alpha_key_term(v)) for k, v in witnesses.items())))
+    steps = cls.steps.get(key)
+    if steps is None:
+        steps = cls.steps[key] = _coh_cancellator_steps(subject, side, witnesses)
     return steps
 
 

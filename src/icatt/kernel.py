@@ -10,18 +10,20 @@ A context is checked in one pass over itself (:func:`check_ctx`), with
 no prefix context built; weakening is admissible, so an entry's type
 may be checked over the whole context once its variables are in scope.
 
+What the kernel learns lives as long as the syntax it is about: the type
+a term infers over a context is kept on the term's alpha-class
+(:class:`~icatt.syntax.AlphaClass`), under the context's named key.
 Whether a coherence is valid depends only on its head, never on the
 substitution that instantiates it.  Inference therefore splits in two.
 The closed part, the pasting context, the type over it and its
 fullness, is checked once per alpha-class of the head
-(:func:`check_coh_head`), and only its successes are remembered, in
-``_CHECKED_HEADS``, so a failing head raises on every use.  The
-per-instance part runs at every node: the substitution is checked
-against the head's context and the result type is built from it.  A
-recursive definition's body is checked at every inference of a distinct
-``Rec`` node: such inferences are few (at most nine in one run of the
-corpus or of any benchmark workload), so a memo of bodies would not pay
-for itself.
+(:func:`check_coh_head`), and only its successes are marked on that
+class, so a failing head raises on every use.  The per-instance
+part runs at every node: the substitution is checked against the head's
+context and the result type is built from it.  A recursive definition's
+body is checked at every inference of a distinct ``Rec`` node: such
+inferences are few (at most nine in one run of the corpus or of any
+benchmark workload), so a memo of bodies would not pay for itself.
 """
 
 from __future__ import annotations
@@ -87,21 +89,16 @@ class PsContext:
 
     ctx: Context
     dim: int
-    src_by_dim: tuple[tuple[int, tuple[str, ...]], ...]
-    tgt_by_dim: tuple[tuple[int, tuple[str, ...]], ...]
-
-    def _by_dim(self, table, k: int) -> tuple[str, ...]:
-        for d, names in table:
-            if d == k:
-                return names
-        return ()
+    # by dimension k from 0 to dim: the dim-k variables that are not the
+    # target (sources), or not the source (targets), of another variable
+    sources: tuple[tuple[str, ...], ...]
+    targets: tuple[tuple[str, ...], ...]
 
     def source_vars(self, k: int) -> tuple[str, ...]:
-        """Dim-k variables that are not the target of another variable."""
-        return self._by_dim(self.src_by_dim, k)
+        return self.sources[k] if 0 <= k <= self.dim else ()
 
     def target_vars(self, k: int) -> tuple[str, ...]:
-        return self._by_dim(self.tgt_by_dim, k)
+        return self.targets[k] if 0 <= k <= self.dim else ()
 
     def boundary_src(self, m: int) -> set[str]:
         """Variables of the m-th source boundary."""
@@ -151,13 +148,10 @@ def check_ps(ctx: Context) -> PsContext:
             src_of.add(ty.src.var.name)
             tgt_of.add(ty.tgt.var.name)
     dim = dim_context(ctx)
-    src_tab = []
-    tgt_tab = []
-    for k in range(dim + 1):
-        at_k = [v.name for v, _ in entries if dims[v.name] == k]
-        src_tab.append((k, tuple(n for n in at_k if n not in tgt_of)))
-        tgt_tab.append((k, tuple(n for n in at_k if n not in src_of)))
-    return PsContext(ctx, dim, tuple(src_tab), tuple(tgt_tab))
+    at = [[v.name for v, _ in entries if dims[v.name] == k] for k in range(dim + 1)]
+    sources = tuple(tuple(n for n in at_k if n not in tgt_of) for at_k in at)
+    targets = tuple(tuple(n for n in at_k if n not in src_of) for at_k in at)
+    return PsContext(ctx, dim, sources, targets)
 
 
 def full_type(ps: PsContext, ty: Type) -> bool:
@@ -228,24 +222,19 @@ def check_ctx(ctx: Context) -> Context:
     return ctx
 
 
-# interned keys of the coherence heads whose closed check has passed; a
-# failure is never recorded, so it raises on every use
-_CHECKED_HEADS: set[int] = set()
-
-
 def check_coh_head(ps_ctx: Context, ty: Type, where: str = "") -> None:
     """Check a coherence head: its pasting context and a full type over
     it.  Runs once per alpha-class of the head; ``where`` prefixes the
     fullness diagnostic."""
-    key = coh_head_key(ps_ctx, ty)
-    if key in _CHECKED_HEADS:
+    head = coh_head_key(ps_ctx, ty)
+    if head.checked:
         return
     check_ctx(ps_ctx)
     ps = check_ps(ps_ctx)
     check_type(ps_ctx, ty)
     if not full_type(ps, ty):
         raise NotFull(where + fullness_failure(ps, ty))
-    _CHECKED_HEADS.add(key)
+    head.checked = True
 
 
 def check_type(ctx: Context, ty: Type) -> Type:
@@ -272,16 +261,21 @@ def check_type(ctx: Context, ty: Type) -> Type:
     raise IllFormedType(f"not a type: {ty!r}")
 
 
-_INFER_CACHE: dict[tuple[int, int], Type] = {}
-
-
 def infer_term(ctx: Context, t: Term) -> Type:
-    key = (named_context_key(ctx), alpha_key_term(t))
-    hit = _INFER_CACHE.get(key)
-    if hit is not None:
-        return hit
+    over = named_context_key(ctx)
+    cls = alpha_key_term(t)
+    known = cls.types
+    if type(known) is tuple:
+        if known[0] is over:
+            return known[1]
+        known = cls.types = dict([known])
+    elif known is not None and over in known:
+        return known[over]
     ty = _infer_term(ctx, t)
-    _INFER_CACHE[key] = ty
+    if known is None:
+        cls.types = (over, ty)
+    else:
+        known[over] = ty
     return ty
 
 
@@ -505,10 +499,6 @@ def check_decl(env: Environment, decl: Decl) -> Environment:
             raise TypeMismatch(f"unknown declaration {decl!r}")
     env.decls[decl.name] = decl
     return env
-
-
-def categorical(ty: Type) -> bool:
-    return isinstance(ty, (Obj, Arr))
 
 
 def term_dimension(ctx: Context, t: Term) -> int:

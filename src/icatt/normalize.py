@@ -70,9 +70,9 @@ def beta_step(t: Term) -> Term | None:
     return None
 
 
-def beta_reduce(t: Term, fuel: int = _BETA_FUEL) -> Term:
+def beta_reduce(t: Term) -> Term:
     """Exhaustive beta-normalisation (innermost first, with sharing)."""
-    return _Beta(fuel)(t)
+    return _Beta(_BETA_FUEL)(t)
 
 
 class _Beta:

@@ -7,12 +7,12 @@ alpha-keys (:func:`alpha_key_term`, :func:`alpha_key_type`,
 :func:`alpha_key_context`, :func:`alpha_key_sub`).  Free variables
 always compare by name, so two terms over the same ambient context have
 equal keys exactly when they denote the same syntax up to renaming of
-bound contexts.  A key is an int from one intern table, which maps a
-shallow shape (a tag, the keys of the children, and the names that
-matter: free variables, destructor kinds) to a dense int; a bound
-variable's shape is its binding position.  Comparing or hashing a key
-costs O(1), and computing a node's key costs O(arity) once its
-children's keys are known.
+bound contexts.  A key is an :class:`AlphaClass`, the one live object
+for a shallow shape (a tag, the keys of the children, and the names
+that matter: free variables, destructor kinds) in one weak intern
+table; a bound variable's shape is its binding position.  Keys compare
+by identity, so comparing or hashing one costs O(1), and computing a
+node's key costs O(arity) once its children's keys are known.
 
 Context keys.  Each entry of a context binds its name to its position,
 and its type is keyed over the entries before it.  An entry that
@@ -44,22 +44,16 @@ equal nodes of its output.  The memo lives for one top-level call
 (shared across every pair of a substitution and every part of a type)
 and is dropped after it, so a cold run and a warm run cannot differ.
 
-Cache policy.  Memory of past work takes one of three forms.  The
-intern table is the only table in this module; it holds shapes, never
-nodes, and grows with the number of distinct alpha-classes seen, so
-re-checking the same input adds nothing.  Facts about a node are stored
-on the node (see :class:`_Node`): the key of a closed node, the head key
-of a coherence type over its pasting context or of a recursor's body, a
-term's beta-normal form, a context's keys and binder map, the positions
-of a telescope's explicit arguments (``Context._explicit``, written by
-the elaborator); they live exactly as long as the node.
-Traversal memos (:class:`MemoMap`, the keys under binders, suspension)
-are keyed on node identity and last one top-level call, and so does the
-merge table of :class:`SharingMap`, which maps the fields of each node a
-call has built (:func:`share_key`) to that node.  Memo tables
-elsewhere are keyed by the interned ints: the kernel's inference table,
-and its set of checked coherence heads, which holds only ints and grows
-with the number of distinct heads.
+Cache policy.  Memory of past work lives as long as the syntax it is
+about.  The intern table, the only module-level table, holds each class
+weakly: a class lives while a node, a context or a larger class's shape
+refers to it.  Facts that carry no names are kept on the class (see
+:class:`AlphaClass`), facts that carry names on the node (see
+:class:`_Node`).  Traversal memos (:class:`MemoMap`, the keys under
+binders, suspension) are keyed on node identity and last one top-level
+call, and so does the merge table of :class:`SharingMap`, which maps
+the fields of each node a call has built (:func:`share_key`) to that
+node.
 """
 
 from __future__ import annotations
@@ -67,6 +61,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import is_
 from typing import Callable, Iterable, Iterator, Union
+from weakref import KeyedRef
 
 from .errors import DuplicateVariable, UnboundVariable
 
@@ -79,16 +74,18 @@ WITNESS_DESTRUCTORS = ("lwit", "rwit")
 class _Node:
     """Facts about a node, cached on it in its instance ``__dict__``
     (written with ``object.__setattr__``, the dataclasses being frozen):
-    the interned alpha-key of a closed node, the head key of a
-    coherence type over its pasting context (:func:`coh_head_key`) or
-    of a recursor's body (:func:`rec_head_key`), the beta-normal form
-    of a term, which :mod:`icatt.normalize` writes, and on a
-    :class:`Context` its keys and binder map (:func:`_ctx_key`) and its
-    explicit positions.  None until computed."""
+    the alpha-class of a closed node, the head key of a coherence type
+    over its pasting context (:func:`coh_head_key`) or of a recursor's
+    body (:func:`rec_head_key`), the beta-normal form of a term, which
+    :mod:`icatt.normalize` writes, and on a :class:`Context` its keys
+    and binder map (:func:`_ctx_key`) and the positions of its explicit
+    arguments, which the elaborator writes.  None until computed."""
 
     _key = None
     _beta = None
     _head_key = None
+    _keys = None
+    _explicit = None
 
 
 @dataclass(frozen=True)
@@ -226,10 +223,6 @@ Term = Union[VarRef, Coh, Coind, Rec, Can, Destr, MetaRef]
 @dataclass(frozen=True)
 class Context(_Node):
     entries: tuple[tuple[Var, Type], ...] = ()
-    # its alpha-key, named key and binder map: see _ctx_key
-    _keys = None
-    # the positions of its explicit arguments, written by the elaborator
-    _explicit = None
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -474,11 +467,8 @@ def dim_type(ty: Type) -> int:
     match ty:
         case Obj():
             return -1
-        case Arr(base, _, _):
-            return dim_type(base) + 1
-        case Inv(base, _):
-            # the dimension of an invertibility structure is the
-            # dimension of its subject
+        case Arr(base, _, _) | Inv(base, _):
+            # an invertibility structure has the dimension of its subject
             return dim_type(base) + 1
     raise TypeError(f"not a type: {ty!r}")
 
@@ -528,12 +518,41 @@ def fresh_name(base: str, avoid: set[str]) -> str:
 # Alpha-invariant canonical keys
 # ---------------------------------------------------------------------------
 
-# shape (a tag, child keys, names) -> dense int; see the module docstring
-_INTERN: dict[tuple, int] = {}
+class AlphaClass:
+    """The one live object for a shape (see :func:`_intern`), so keys
+    are equal exactly when they are the same object, with the facts the
+    kernel learns about the members of the class, made on first use:
+    ``types``, the type a member infers over the named key of a context
+    (a pair for the first context, then a dict; it keeps those keys
+    alive); ``checked``, set once a coherence head passes its check;
+    ``steps``, the stages of a cancellator by side and witness keys."""
+
+    __slots__ = ("types", "checked", "steps", "__weakref__")
+
+    def __init__(self) -> None:
+        self.types = None
+        self.checked = False
+        self.steps = None
 
 
-def _intern(shape: tuple) -> int:
-    return _INTERN.setdefault(shape, len(_INTERN))
+# shape (a tag, child classes, names) -> a weak reference to its class,
+# whose key is the shape; see the module docstring
+_INTERN: dict[tuple, KeyedRef] = {}
+
+
+def _intern(shape: tuple) -> AlphaClass:
+    ref = _INTERN.get(shape)
+    cls = None if ref is None else ref()
+    if cls is None:
+        cls = AlphaClass()
+        _INTERN[shape] = KeyedRef(cls, _forget, shape)
+    return cls
+
+
+def _forget(ref: KeyedRef, table: dict[tuple, KeyedRef] = _INTERN) -> None:
+    # a class died: drop its entry, unless a new class took the shape
+    if table.get(ref.key) is ref:
+        del table[ref.key]
 
 
 class _Keys:
@@ -545,9 +564,9 @@ class _Keys:
 
     def __init__(self, bound: dict[str, int]):
         self.bound = bound
-        self.memo: dict[int, int] = {}
+        self.memo: dict[int, AlphaClass] = {}
 
-    def __call__(self, x: Term | Type) -> int:
+    def __call__(self, x: Term | Type) -> AlphaClass:
         if not self.bound:
             return _closed_key(x)
         k = self.memo.get(id(x))
@@ -559,7 +578,7 @@ class _Keys:
 _CLOSED = _Keys({})
 
 
-def _closed_key(x: Term | Type) -> int:
+def _closed_key(x: Term | Type) -> AlphaClass:
     k = x._key
     if k is None:
         k = _intern(_shape(x, _CLOSED))
@@ -593,22 +612,22 @@ def _shape(x: Term | Type, key: _Keys) -> tuple:
     raise TypeError(f"not a term or type: {x!r}")
 
 
-def alpha_key_term(t: Term, bound: dict[str, int] | None = None) -> int:
-    return _Keys(bound)(t) if bound else _closed_key(t)
+def alpha_key_term(t: Term) -> AlphaClass:
+    return _closed_key(t)
 
 
-def alpha_key_type(ty: Type, bound: dict[str, int] | None = None) -> int:
-    return _Keys(bound)(ty) if bound else _closed_key(ty)
+def alpha_key_type(ty: Type) -> AlphaClass:
+    return _closed_key(ty)
 
 
-def coh_head_key(ps: Context, ty: Type) -> int:
+def coh_head_key(ps: Context, ty: Type) -> AlphaClass:
     """Alpha-invariant key of a coherence head: its pasting context and
     its type over that context.  Cached on the type, with the named key
     of the context it was keyed over."""
     pk, over, pb = _ctx_key(ps)
     hit = ty._head_key
-    if hit is None or hit[0] != over:
-        hit = (over, _intern(("head", pk, alpha_key_type(ty, pb))))
+    if hit is None or hit[0] is not over:
+        hit = (over, _intern(("head", pk, _Keys(pb)(ty))))
         object.__setattr__(ty, "_head_key", hit)
     return hit[1]
 
@@ -623,7 +642,7 @@ def _rec_hyp_names(t: Rec) -> tuple[str, str]:
     return fresh_name("h-", avoid), fresh_name("h+", avoid)
 
 
-def rec_head_key(t: Rec) -> int:
+def rec_head_key(t: Rec) -> AlphaClass:
     """Alpha-invariant key of a recursor's body, its seed context and
     its components without the instantiating substitution: the first
     five components over the seed, the last two over the seed extended
@@ -641,7 +660,7 @@ def rec_head_key(t: Rec) -> int:
     return k
 
 
-def _ctx_key(ctx: Context) -> tuple[int, int, dict[str, int]]:
+def _ctx_key(ctx: Context) -> tuple[AlphaClass, AlphaClass, dict[str, int]]:
     """The key of ``ctx``, its named key and its binder map (variable
     name -> position of its last entry), cached on ``ctx``.  Each
     entry's type is keyed over the entries before it; an entry that
@@ -651,7 +670,7 @@ def _ctx_key(ctx: Context) -> tuple[int, int, dict[str, int]]:
     if keys is None:
         k, nk, b = _intern(("ctx",)), _intern(("named",)), {}
         for i, (v, ty) in enumerate(ctx):
-            ek = alpha_key_type(ty, b)
+            ek = _Keys(b)(ty)
             shadowed = b.get(v.name)
             if shadowed is not None:
                 ek = _intern(("shadows", shadowed, ek))
@@ -662,19 +681,19 @@ def _ctx_key(ctx: Context) -> tuple[int, int, dict[str, int]]:
     return keys
 
 
-def alpha_key_context(ctx: Context) -> int:
+def alpha_key_context(ctx: Context) -> AlphaClass:
     return _ctx_key(ctx)[0]
 
 
-def named_context_key(ctx: Context) -> int:
+def named_context_key(ctx: Context) -> AlphaClass:
     """A key of ``ctx`` that also tells its variable names apart: equal
     exactly for alpha-equivalent contexts with the same names in the same
     order, the contexts over which terms have the same meaning."""
     return _ctx_key(ctx)[1]
 
 
-def alpha_key_sub(sub: Substitution, bound: dict[str, int] | None = None) -> int:
-    return _intern(("sub", alpha_key_context(sub.codomain), *map(_Keys(bound or {}), sub.terms())))
+def alpha_key_sub(sub: Substitution) -> AlphaClass:
+    return _intern(("sub", alpha_key_context(sub.codomain), *map(_closed_key, sub.terms())))
 
 
 def alpha_eq_term(a: Term, b: Term) -> bool:

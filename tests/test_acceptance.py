@@ -6,10 +6,7 @@ the captured output of a failing run).
 """
 
 import random
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 
 from icatt.builtins import comp_of, id_of
@@ -58,8 +55,9 @@ from icatt.syntax import (
     rename_vars_type,
 )
 
-ROOT = Path(__file__).resolve().parent.parent
-CORPUS = ROOT / "proofs" / "invertibility.catt"
+import fresh
+
+CORPUS = fresh.CORPUS
 
 
 def _report(criterion: int, label: str, ok: bool, extra: str = ""):
@@ -74,12 +72,7 @@ def _report(criterion: int, label: str, ok: bool, extra: str = ""):
 
 def test_criterion_1_corpus_check():
     start = time.time()
-    out = subprocess.run(
-        [sys.executable, "-m", "icatt.cli", "check", str(CORPUS)],
-        capture_output=True,
-        text=True,
-        cwd=ROOT,
-    )
+    out = fresh.run("-m", "icatt.cli", "check", str(CORPUS))
     elapsed = time.time() - start
     lines = out.stdout.strip().splitlines()
     ok = out.returncode == 0 and len(lines) == 29 and elapsed < 60.0

@@ -151,8 +151,8 @@ def test_truncation_growth_recurrence():
 
 
 def test_truncation_bound():
-    with pytest.raises(BoundExceeded):
-        equiv_truncation(9, bound=4)
+    with pytest.raises(BoundExceeded, match="exceeds the bound 5 "):
+        equiv_truncation(9)
     with pytest.raises(BoundExceeded):
         equiv_truncation(-1)
 

@@ -1,10 +1,9 @@
 """Parser and command-line driver."""
 
 import importlib
+import json
 import pkgutil
-import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -12,8 +11,9 @@ from icatt.errors import SyntaxErrorIcatt
 from icatt.parser import SApp, SCan, STArrow, STInv, SVar, SWild, parse
 from icatt.printer import print_surface_file
 
-ROOT = Path(__file__).resolve().parent.parent
-CORPUS = ROOT / "proofs" / "invertibility.catt"
+import fresh
+
+CORPUS = fresh.CORPUS
 
 
 def test_empty_file():
@@ -107,12 +107,7 @@ def test_roundtrip_print_parse(corpus_text):
 
 
 def _run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "icatt.cli", *args],
-        capture_output=True,
-        text=True,
-        cwd=ROOT,
-    )
+    return fresh.run("-m", "icatt.cli", *args)
 
 
 def test_cli_checks_corpus():
@@ -347,13 +342,10 @@ def _module_table_sizes():
     return sizes
 
 
-# the memo tables: the intern table, the kernel's and inverse's tables and
-# the lru_caches; adding one means adding it here
+# the memo tables: the weak intern table and the lru_caches; adding one
+# means adding it here
 MEMO_TABLES = {
     "icatt.syntax._INTERN",
-    "icatt.kernel._INFER_CACHE",
-    "icatt.kernel._CHECKED_HEADS",
-    "icatt.inverse._STEP_CACHE",
     "icatt.builtins.comp_schema",
     "icatt.builtins.id_schema",
     "icatt.meta.sphere",
@@ -378,7 +370,7 @@ CONSTANT_TABLES = {
 
 def test_module_tables_are_the_listed_ones():
     """The module-level dicts, sets and lru_caches of every icatt module,
-    each named where it is defined, are exactly the 13 memo tables and
+    each named where it is defined, are exactly the 10 memo tables and
     the constant lookup tables listed above."""
     import icatt
 
@@ -432,3 +424,52 @@ def test_recheck_is_stable_and_grows_no_table():
     assert first == second == third
     grown = {name: (after_second[name], n) for name, n in after_third.items() if n > after_second.get(name, 0)}
     assert not grown
+
+
+# checks the corpus, then the scaling scripts of each seed, in one process
+# and as `icatt check` does; after each input, the live alpha-classes and
+# the peak RSS in KiB
+_LONG_LIVED_CHECKER = """
+import gc, json, resource, sys
+sys.setrecursionlimit(200_000)
+sys.path.insert(0, "bench")
+from generate import ACCEPTED, scaling_scripts
+from icatt import syntax
+from icatt.elaborate import elaborate_decl
+from icatt.errors import IcattError
+from icatt.kernel import Environment, check_decl
+from icatt.parser import parse
+
+def verdicts(text):
+    env, out = Environment(), []
+    for sdecl in parse(text):
+        try:
+            check_decl(env, elaborate_decl(env, sdecl))
+        except IcattError as exc:
+            return out + [(sdecl.name, exc.category)]
+        out.append((sdecl.name, ACCEPTED))
+    return out
+
+with open("proofs/invertibility.catt", encoding="utf-8") as corpus:
+    assert {v for _, v in verdicts(corpus.read())} == {ACCEPTED}
+sizes, peaks = [], []
+for seed in (None, 1, 2, 3, 4):
+    for script in [] if seed is None else scaling_scripts(seed):
+        assert verdicts(script.text) == list(script.expected), script.label
+    gc.collect()
+    sizes.append(len(syntax._INTERN))
+    peaks.append(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+print(json.dumps([sizes, peaks]))
+"""
+
+
+def test_memory_stays_bounded_across_inputs():
+    """A long-lived checker's memory is bounded by the syntax it still
+    holds: after the corpus and the first seed's scaling scripts, each
+    further seed's scripts add at most 8 live alpha-classes and keep
+    peak RSS within 5 %."""
+    out = fresh.run("-c", _LONG_LIVED_CHECKER)
+    assert out.returncode == 0, out.stderr
+    sizes, peaks = json.loads(out.stdout)
+    assert all(b - a <= 8 for a, b in zip(sizes[1:], sizes[2:])), sizes
+    assert max(peaks[2:]) <= 1.05 * peaks[1], peaks

@@ -1,8 +1,10 @@
 """Kernel judgments: contexts, types, terms, substitutions, pasting
 recognition and fullness, conversion, environment."""
 
+import gc
 import itertools
 import sys
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -55,11 +57,14 @@ from icatt.syntax import (
     Var,
     VarRef,
     alpha_key_context,
+    alpha_key_term,
     coh_head_key,
     identity_sub,
     rename_vars_term,
     subterms,
 )
+
+import fresh
 
 
 def arr0(s, t):
@@ -382,9 +387,13 @@ def test_check_term_converts_across_beta():
 # -- checking once per head ----------------------------------------------------
 
 
-def _clear_kernel_tables():
-    kernel._INFER_CACHE.clear()
-    kernel._CHECKED_HEADS.clear()
+def _in_fresh_interpreter(body):
+    """Run ``body``, a function of this module, in a new interpreter with
+    the suite's recursion limit, where no alpha-class, and so no fact
+    the kernel keeps on one, is left from earlier tests."""
+    code = f"import sys; sys.path.insert(0, 'tests'); import conftest, test_kernel; test_kernel.{body.__name__}()"
+    out = fresh.run("-c", code)
+    assert out.returncode == 0, out.stderr
 
 
 def _verdict(ctx, t):
@@ -406,25 +415,38 @@ def _chain_ctx(names):
 def test_repeated_name_in_head_rejected_cold_and_warm():
     """A pasting context that repeats a name is rejected whether or not
     the same head with a fresh name was inferred first."""
+    _in_fresh_interpreter(_repeated_name_in_head)
+
+
+def _repeated_name_in_head():
     ambient = _chain_ctx("abpcq")
 
     def cell(ps):
         pairs = tuple((x, v(a)) for (x, _), a in zip(ps, "abpcq"))
         return Coh(ps, arr0("x", "z"), Substitution(pairs, ps))
 
-    _clear_kernel_tables()
     cold = _verdict(ambient, cell(_chain_ctx("xyfzf")))
-    assert _verdict(ambient, cell(_chain_ctx("xyfzg"))) == arr0("a", "c")
+    good = cell(_chain_ctx("xyfzg"))  # held, and so are the facts on its classes
+    assert _verdict(ambient, good) == arr0("a", "c")
     warm = _verdict(ambient, cell(_chain_ctx("xyfzf")))
     assert cold == warm == "duplicate-variable"
 
 
-def test_repeated_name_in_seed_rejected_cold_and_warm(corpus_env):
+def test_repeated_name_in_seed_rejected_cold_and_warm():
     """A recursor over a seed that repeats a name is rejected for the
     repeated name, whether or not the recursor over the fresh seed was
     inferred first, and so is its declaration."""
-    env, _ = corpus_env
-    decl = env.lookup("linv-inv")
+    _in_fresh_interpreter(_repeated_name_in_seed)
+
+
+def _repeated_name_in_seed():
+    # the corpus recursor linv-inv, elaborated but not yet checked
+    env = Environment()
+    for sdecl in parse(fresh.CORPUS.read_text(encoding="utf-8")):
+        decl = elaborate_decl(env, sdecl)
+        if decl.name == "linv-inv":
+            break
+        check_decl(env, decl)
     seed = decl.seed
     e, inv_ty = seed.entries[-1]
     f = seed.entries[-2][0]
@@ -433,9 +455,9 @@ def test_repeated_name_in_seed_rejected_cold_and_warm(corpus_env):
     pairs = tuple((x, VarRef(y)) for (x, _), (y, _) in zip(bad_seed, seed))
     bad = Rec(*bad_comps, Substitution(pairs, bad_seed))
 
-    _clear_kernel_tables()
     cold = _verdict(seed, bad)
-    assert isinstance(_verdict(seed, Rec(*decl.components, identity_sub(seed))), Inv)
+    good = Rec(*decl.components, identity_sub(seed))  # held, and so are the facts on its classes
+    assert isinstance(_verdict(seed, good), Inv)
     warm = _verdict(seed, bad)
     assert cold == warm == "duplicate-variable"
     with pytest.raises(DuplicateVariable):
@@ -448,41 +470,78 @@ _ABC = ("a", "b", "c")
 @st.composite
 def _small_ctx(draw, max_len):
     """A context of names from ``a``, ``b``, ``c``, repeats allowed, whose
-    types are ``*`` or arrows between earlier objects."""
+    types are ``*`` or arrows between earlier objects, described as
+    ``(name, None)`` or ``(name, (source, target))`` entries."""
     entries = []
     for _ in range(draw(st.integers(1, max_len))):
-        objs = [x.name for x, ty in entries if isinstance(ty, Obj)]
-        ty = Obj()
+        objs = [x for x, ends in entries if ends is None]
+        ends = None
         if objs and draw(st.booleans()):
-            ty = arr0(draw(st.sampled_from(objs)), draw(st.sampled_from(objs)))
-        entries.append((Var(draw(st.sampled_from(_ABC))), ty))
-    return Context(tuple(entries))
+            ends = (draw(st.sampled_from(objs)), draw(st.sampled_from(objs)))
+        entries.append((draw(st.sampled_from(_ABC)), ends))
+    return tuple(entries)
 
 
 @st.composite
 def _small_cell(draw):
     """A coherence over a small context, of an arrow type of dimension
-    0 or 1, whose substitution sends each entry to a named variable."""
+    0 or 1, whose substitution sends each entry to a named variable,
+    described by its context, the endpoints of its type and the names
+    of its images."""
     ps = draw(_small_ctx(3))
     name = st.sampled_from(_ABC)
-    ty = arr0(draw(name), draw(name))
+    ends = [(draw(name), draw(name))]
     if draw(st.booleans()):
-        ty = Arr(ty, v(draw(name)), v(draw(name)))
-    pairs = tuple((x, v(draw(name))) for x, _ in ps)
-    return Coh(ps, ty, Substitution(pairs, ps))
+        ends.append((draw(name), draw(name)))
+    return ps, tuple(ends), tuple(draw(name) for _ in ps)
+
+
+def _ctx_of(desc):
+    return Context(tuple((Var(x), Obj() if ends is None else arr0(*ends)) for x, ends in desc))
+
+
+def _cell_of(desc):
+    ps_desc, ends, images = desc
+    ps = _ctx_of(ps_desc)
+    ty = Obj()
+    for src, tgt in ends:
+        ty = Arr(ty, v(src), v(tgt))
+    return Coh(ps, ty, Substitution(tuple((x, v(a)) for (x, _), a in zip(ps, images)), ps))
+
+
+def _verdicts(ambient, cells, order):
+    """The verdict on each described cell over the described ambient
+    context, inferred in ``order`` from syntax built for this call and
+    kept as text, so no node of the call outlives it; and weak
+    references to the alpha-classes of the cells and of their heads."""
+    ctx = _ctx_of(ambient)
+    built = [_cell_of(c) for c in cells]
+    verdicts = {i: repr(_verdict(ctx, built[i])) for i in order}
+    classes = [alpha_key_term(c) for c in built] + [coh_head_key(c.ps, c.ty) for c in built]
+    return verdicts, list(map(weakref.ref, classes))
 
 
 @settings(max_examples=40, deadline=None)
 @given(_small_ctx(3), st.lists(_small_cell(), min_size=1, max_size=6), st.randoms(use_true_random=False))
 def test_cold_and_warm_runs_agree(ambient, cells, rng):
-    """Inferring cells in a random order, then in the reverse order from
-    cleared kernel tables, gives every cell the same type or the same
-    error category."""
+    """Inferring cells in a random order, and then in the reverse order
+    from syntax built again once every alpha-class the first pass made
+    for a cell or a head is dead, with the facts kept on it, gives every
+    cell the same type or the same error category."""
     order = list(range(len(cells)))
     rng.shuffle(order)
-    first = {i: _verdict(ambient, cells[i]) for i in order}
-    _clear_kernel_tables()
-    second = {i: _verdict(ambient, cells[i]) for i in reversed(order)}
+    # the classes alive before the first pass, held so that they stay so
+    before = [ref() for ref in syntax._INTERN.values()]
+    # the collector then looks only at what the first pass made
+    gc.freeze()
+    try:
+        first, classes = _verdicts(ambient, cells, order)
+        gc.collect()
+    finally:
+        gc.unfreeze()
+    known = set(map(id, before))
+    assert all(ref() is None or id(ref()) in known for ref in classes)
+    second, _ = _verdicts(ambient, cells, order[::-1])
     assert first == second
 
 
@@ -493,10 +552,14 @@ def _comp_id_chain(depth):
     return f"let d (x : *) (f : x -> x) = {t}\n"
 
 
-def test_context_checks_once_per_head(monkeypatch):
+def test_context_checks_once_per_head():
     """Elaborating and checking a depth-200 comp/id chain checks each
     distinct coherence head's context once, and the telescope once, by
     the kernel."""
+    _in_fresh_interpreter(_context_checks_once_per_head)
+
+
+def _context_checks_once_per_head():
     calls = []
     check_ctx_once = kernel.check_ctx
 
@@ -507,8 +570,7 @@ def test_context_checks_once_per_head(monkeypatch):
     # wherever it is imported, so a check by any caller is counted
     for mod in [m for n, m in sys.modules.items() if n.startswith("icatt.")]:
         if getattr(mod, "check_ctx", None) is check_ctx_once:
-            monkeypatch.setattr(mod, "check_ctx", counting)
-    _clear_kernel_tables()
+            mod.check_ctx = counting
     env = Environment()
     decl = elaborate_decl(env, parse(_comp_id_chain(200))[0])
     check_decl(env, decl)
@@ -517,10 +579,14 @@ def test_context_checks_once_per_head(monkeypatch):
     assert len(calls) <= len(heads) + 1
 
 
-def test_context_check_keys_linearly(monkeypatch):
+def test_context_check_keys_linearly():
     """Checking a pasting context keys it in one pass: doubling the
     arity of a composite about doubles the shapes keyed, where keying
     every prefix afresh would quadruple them."""
+    _in_fresh_interpreter(_context_check_keys_linearly)
+
+
+def _context_check_keys_linearly():
     interned = []
     intern = syntax._intern
 
@@ -528,10 +594,9 @@ def test_context_check_keys_linearly(monkeypatch):
         interned.append(shape)
         return intern(shape)
 
-    monkeypatch.setattr(syntax, "_intern", counting)
+    syntax._intern = counting
     counts = []
     for k in (64, 128):
-        _clear_kernel_tables()
         interned.clear()
         check_ctx(comp_schema(k, 1)[0])
         counts.append(len(interned))

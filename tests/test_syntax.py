@@ -1,10 +1,13 @@
 """Raw syntax: substitution calculus, dimensions, variable usage."""
 
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from icatt import syntax
 from icatt.builtins import comp_of, id_of
 from icatt.errors import UnboundVariable
 from icatt.meta import suspend_judgment, walking_equiv
@@ -504,3 +507,26 @@ def test_repeated_names_never_key_like_fresh_ones():
     collisions = [e for e in repeating if alpha_key_context(Context(e)) in fresh]
     assert not collisions, collisions[:3]
     assert len(fresh) > 1 and len(repeating) > 1000
+
+
+def test_a_class_lives_as_long_as_syntax_refers_to_it():
+    """An alpha-class, and its entry in the intern table, live exactly as
+    long as some node refers to it: dropping a term frees them, and
+    building the term again makes one new class, which alpha-equivalent
+    live nodes share."""
+    probe = VarRef(Var("class-lifetime-probe"))
+    leaf = ("fv", probe.var.name)
+    t = Destr("linv", id_of(probe, Obj()))
+    classes = [weakref.ref(alpha_key_term(s)) for s in subterms([t])]
+    assert leaf in syntax._INTERN
+    del t, probe
+    gc.collect()
+    assert [ref() for ref in classes] == [None, None, None]
+    assert leaf not in syntax._INTERN
+
+    # over a pasting context named apart from the one of id_of
+    z = Context(((Var("z"), Obj()),))
+    renamed = Coh(z, arr0("z", "z"), Substitution(((Var("z"), VarRef(Var("class-lifetime-probe"))),), z))
+    again = Destr("linv", id_of(VarRef(Var("class-lifetime-probe")), Obj()))
+    assert alpha_key_term(again) is alpha_key_term(Destr("linv", renamed))
+    assert leaf in syntax._INTERN and classes[0]() is None
