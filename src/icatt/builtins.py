@@ -106,29 +106,18 @@ def comp_of(args: list[tuple[Term, Type]]) -> tuple[Term, Type]:
     dim = dim_type(first_ty) + 1
     ctx, full = comp_schema(k, dim)
     tower = type_tower(first_ty)
-    pairs: list[tuple[Var, Term]] = []
-    for j in range(dim - 1):
-        s, t = tower[j]
-        pairs.append((Var(f"b{j}-"), s))
-        pairs.append((Var(f"b{j}+"), t))
-    boundaries: list[Term] = [tower[-1][0]]
+    # the images of the entries of chain_context, in its order:
+    # b0-, b0+, ..., x0, then x1, f1, x2, f2, ...
+    images: list[Term] = [end for pair in tower[:-1] for end in pair]
+    images.append(tower[-1][0])
     for i, (t, ty) in enumerate(args):
         if not isinstance(ty, Arr) or dim_type(ty) + 1 != dim:
             raise TypeMismatch("composite arguments must share dimension")
-        if i > 0 and alpha_key_term(ty.src) != alpha_key_term(boundaries[-1]):
+        if i > 0 and alpha_key_term(ty.src) != alpha_key_term(images[-2]):
             raise TypeMismatch(f"composite boundary mismatch at argument {i}")
-        boundaries.append(ty.tgt)
-    for i in range(k + 1):
-        pairs.append((Var(f"x{i}"), boundaries[i]))
-        if i > 0:
-            pairs.append((Var(f"f{i}"), args[i - 1][0]))
-    sub = Substitution(_telescope_order(pairs, ctx), ctx)
+        images += (ty.tgt, t)
+    sub = Substitution(tuple(zip(ctx.vars(), images)), ctx)
     return Coh(ctx, full, sub), apply_sub_type(full, sub)
-
-
-def _telescope_order(pairs: list[tuple[Var, Term]], cod: Context) -> tuple[tuple[Var, Term], ...]:
-    by_name = {v.name: t for v, t in pairs}
-    return tuple((v, by_name[v.name]) for v, _ in cod)
 
 
 def component_type(kind: str, ty: Arr, comps: Sequence[Term]) -> Type:

@@ -76,6 +76,7 @@ from .parser import (
     SWild,
 )
 from .syntax import (
+    DESTRUCTOR_SPELLINGS,
     DESTRUCTORS,
     Arr,
     Can,
@@ -105,14 +106,7 @@ from .syntax import (
     variables_used_type,
 )
 
-_DESTR_SURFACE = {
-    "linv": "linv",
-    "rinv": "rinv",
-    "lunit": "lunit",
-    "runit": "runit",
-    "ilunit": "lwit",
-    "irunit": "rwit",
-}
+_DESTRUCTOR_OF_SPELLING = dict(zip(DESTRUCTOR_SPELLINGS, DESTRUCTORS))
 
 
 @dataclass
@@ -372,7 +366,8 @@ class Elaborator:
             if args:
                 raise ArityError(f"{name} cannot be applied to arguments", span=span)
             return (VarRef(hm), hm_ty) if name == "IHleft" else (VarRef(hp), hp_ty)
-        if name in _DESTR_SURFACE:
+        kind = _DESTRUCTOR_OF_SPELLING.get(name)
+        if kind is not None:
             if len(args) != 1:
                 raise ArityError(f"{name} takes exactly one argument", span=span)
             arg, arg_ty = self.elab_infer(args[0])
@@ -381,7 +376,6 @@ class Elaborator:
                 raise TypeMismatch(
                     f"{name} needs an invertibility structure, got {arg_ty}", span=span
                 )
-            kind = _DESTR_SURFACE[name]
             return Destr(kind, arg), destructor_result_type(kind, arg, arg_ty)
         if name == "comp":
             return self._elab_comp(args, expected, span)
@@ -599,7 +593,7 @@ class Elaborator:
 
 RESERVED_NAMES = frozenset(
     ["comp", "id", "can", "Inv", "IHleft", "IHright", "coh", "let", "inv", "rec", "_"]
-    + list(_DESTR_SURFACE)
+    + list(DESTRUCTOR_SPELLINGS)
 )
 
 

@@ -24,9 +24,12 @@ from dataclasses import dataclass
 
 from .builtins import comp_of, id_of
 from .errors import WrongWitnessSet
-from .kernel import check_ps
-from .meta import opposite_context, to_ps_order
+from .meta import check_ps, opposite_context, to_ps_order
 from .syntax import (
+    DESTRUCTORS,
+    INVERSES,
+    SIDES,
+    UNITS,
     Arr,
     Can,
     Coh,
@@ -51,11 +54,6 @@ from .syntax import (
     variables_used_type,
 )
 
-_INV_OF_SIDE = {"left": "linv", "right": "rinv"}
-_UNIT_OF_SIDE = {"left": "lunit", "right": "runit"}
-_WIT_OF_SIDE = {"left": "lwit", "right": "rwit"}
-
-
 def _cell_data(subject: Coh) -> tuple[Context, Arr, Substitution, int, tuple[Var, ...]]:
     ps, ty, sub = subject.ps, subject.ty, subject.sub
     assert isinstance(ty, Arr)
@@ -79,7 +77,7 @@ def gamma_inverse(
         return sub
     _, iso = opposite_context(n, ps)
     flipped = iso.codomain
-    inv_kind = _INV_OF_SIDE[side]
+    inv_kind = INVERSES[SIDES.index(side)]
     pairs = []
     for v, vty in flipped:
         if dim_type(vty) + 1 == n:
@@ -159,7 +157,7 @@ def coh_cancellator_steps(subject: Coh, side: str, witnesses: dict[str, Term]) -
 def _coh_cancellator_steps(subject: Coh, side: str, witnesses: dict[str, Term]) -> list[_Step]:
     ps, ty, sub, n, tops = _cell_data(subject)
     _check_witnesses(tops, witnesses)
-    unit_kind = _UNIT_OF_SIDE[side]
+    unit_kind = UNITS[SIDES.index(side)]
     base_amb = apply_sub_type(ty.base, sub)
     u_amb = apply_sub_term(ty.src, sub)
     v_amb = apply_sub_term(ty.tgt, sub)
@@ -388,43 +386,29 @@ def _compose_steps(subject: Coh, side: str, steps: list[_Step]) -> Term:
     return term
 
 
-def coh_cancellator(subject: Coh, side: str, witnesses: dict[str, Term]) -> Term:
-    """The cancellation cell of the chosen side, with the boundary
-    prescribed by the destructor typing table."""
-    return _compose_steps(subject, side, coh_cancellator_steps(subject, side, witnesses))
-
-
 def canonical_component(can_term: Can, kind: str) -> Term:
     """The beta-reduct of a destructor applied to a canonical
     invertibility structure."""
     subject = can_term.subject
     assert isinstance(subject, Coh)
     witnesses = {v.name: w for v, w in can_term.witnesses}
-    match kind:
-        case "linv":
-            return coh_inverse(subject, "left", witnesses)
-        case "rinv":
-            return coh_inverse(subject, "right", witnesses)
-        case "lunit":
-            return coh_cancellator(subject, "left", witnesses)
-        case "runit":
-            return coh_cancellator(subject, "right", witnesses)
-        case "lwit" | "rwit":
-            side = "left" if kind == "lwit" else "right"
-            steps = coh_cancellator_steps(subject, side, witnesses)
-            cancel = _compose_steps(subject, side, steps)
-            wit_kind = _WIT_OF_SIDE[side]
-            if len(steps) == 1:
-                return Can(cancel, _step_witnesses(steps[0], wit_kind))
-            assert isinstance(cancel, Coh)
-            cell_dim = dim_type(cancel.ty) + 1
-            chain_tops = [v for v, vty in cancel.ps if dim_type(vty) + 1 == cell_dim]
-            fams = tuple(
-                (slot, Can(step.cell, _step_witnesses(step, wit_kind)))
-                for slot, step in zip(chain_tops, steps)
-            )
-            return Can(cancel, fams)
-    raise ValueError(f"unknown destructor {kind}")
+    side = SIDES[DESTRUCTORS.index(kind) % 2]
+    if kind in INVERSES:
+        return coh_inverse(subject, side, witnesses)
+    steps = coh_cancellator_steps(subject, side, witnesses)
+    cancel = _compose_steps(subject, side, steps)
+    if kind in UNITS:
+        return cancel
+    if len(steps) == 1:
+        return Can(cancel, _step_witnesses(steps[0], kind))
+    assert isinstance(cancel, Coh)
+    cell_dim = dim_type(cancel.ty) + 1
+    chain_tops = [v for v, vty in cancel.ps if dim_type(vty) + 1 == cell_dim]
+    fams = tuple(
+        (slot, Can(step.cell, _step_witnesses(step, kind)))
+        for slot, step in zip(chain_tops, steps)
+    )
+    return Can(cancel, fams)
 
 
 def _step_witnesses(step: _Step, wit_kind: str) -> tuple[tuple[Var, Term], ...]:

@@ -1,5 +1,8 @@
 """The judgments of the theory: context, type, term and substitution
-checking, pasting-diagram recognition, fullness, and conversion.
+checking, fullness, and conversion.  Pasting diagrams are recognised in
+:mod:`icatt.meta` (:func:`~icatt.meta.check_ps`), which derives the
+pasting order of a context's entries; the kernel accepts a coherence
+only over a context whose entries come in that order.
 
 All checking is self-contained: coherence cells carry their pasting
 context and type, so no global environment is needed to re-check a
@@ -38,17 +41,16 @@ from .errors import (
     IllFormedType,
     NotEquivContext,
     NotFull,
-    NotPasting,
     ShadowedName,
     TypeMismatch,
     UnboundVariable,
     UnsolvedMeta,
     WrongWitnessSet,
 )
-from .meta import equiv_ind_context, walking_equiv
+from .meta import PsContext, check_ps, equiv_ind_context, walking_equiv
 from .syntax import (
     DESTRUCTORS,
-    WITNESS_DESTRUCTORS,
+    WITNESSES,
     Arr,
     Can,
     Coh,
@@ -70,7 +72,6 @@ from .syntax import (
     apply_sub_term,
     apply_sub_type,
     coh_head_key,
-    dim_context,
     dim_type,
     identity_sub,
     named_context_key,
@@ -79,111 +80,35 @@ from .syntax import (
 )
 
 # ---------------------------------------------------------------------------
-# Pasting diagrams
+# Fullness
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PsContext:
-    """A validated pasting diagram with its boundary variable data."""
-
-    ctx: Context
-    dim: int
-    # by dimension k from 0 to dim: the dim-k variables that are not the
-    # target (sources), or not the source (targets), of another variable
-    sources: tuple[tuple[str, ...], ...]
-    targets: tuple[tuple[str, ...], ...]
-
-    def source_vars(self, k: int) -> tuple[str, ...]:
-        return self.sources[k] if 0 <= k <= self.dim else ()
-
-    def target_vars(self, k: int) -> tuple[str, ...]:
-        return self.targets[k] if 0 <= k <= self.dim else ()
-
-    def boundary_src(self, m: int) -> set[str]:
-        """Variables of the m-th source boundary."""
-        out = {v.name for v, ty in self.ctx if dim_type(ty) + 1 < m}
-        out.update(self.source_vars(m))
-        return out
-
-    def boundary_tgt(self, m: int) -> set[str]:
-        out = {v.name for v, ty in self.ctx if dim_type(ty) + 1 < m}
-        out.update(self.target_vars(m))
-        return out
-
-
-def check_ps(ctx: Context) -> PsContext:
-    """Recognise a pasting diagram by a single left-to-right pass
-    simulating the dangling-variable stack of the pasting rules."""
-    entries = ctx.entries
-    if not entries:
-        raise NotPasting("empty context is not a pasting diagram")
-    v0, t0 = entries[0]
-    if not isinstance(t0, Obj):
-        raise NotPasting(f"pasting diagram must start with an object, got {v0.name}")
-    focus_var, focus_ty = v0, t0
-    i = 1
-    while i < len(entries):
-        if i + 1 >= len(entries):
-            raise NotPasting(f"dangling entry {entries[i][0].name} (pasting entries come in pairs)")
-        (y, b_ty), (f, c_ty) = entries[i], entries[i + 1]
-        d = dim_type(b_ty) + 1
-        while dim_type(focus_ty) + 1 > d:
-            if not isinstance(focus_ty, Arr) or not isinstance(focus_ty.tgt, VarRef):
-                raise NotPasting(f"cannot lower focus before {y.name}")
-            focus_var = focus_ty.tgt.var
-            focus_ty = focus_ty.base
-        if dim_type(focus_ty) + 1 != d or focus_ty != b_ty:
-            raise NotPasting(f"entry {y.name} does not extend the focus {focus_var.name}")
-        if c_ty != Arr(b_ty, VarRef(focus_var), VarRef(y)):
-            raise NotPasting(f"entry {f.name} must be an arrow from {focus_var.name} to {y.name}")
-        focus_var, focus_ty = f, c_ty
-        i += 2
-
-    dims = {v.name: dim_type(ty) + 1 for v, ty in entries}
-    tgt_of: set[str] = set()
-    src_of: set[str] = set()
-    for _, ty in entries:
-        if isinstance(ty, Arr):
-            src_of.add(ty.src.var.name)
-            tgt_of.add(ty.tgt.var.name)
-    dim = dim_context(ctx)
-    at = [[v.name for v, _ in entries if dims[v.name] == k] for k in range(dim + 1)]
-    sources = tuple(tuple(n for n in at_k if n not in tgt_of) for at_k in at)
-    targets = tuple(tuple(n for n in at_k if n not in src_of) for at_k in at)
-    return PsContext(ctx, dim, sources, targets)
-
-
 def full_type(ps: PsContext, ty: Type) -> bool:
-    """The two fullness clauses on an arrow type over a pasting diagram.
+    """Whether an arrow type over a pasting diagram is full."""
+    failure = fullness_failure(ps, ty)
+    if not isinstance(ty, Arr):
+        raise NotFull(failure)
+    return failure is None
 
-    Variable use counts the free variables of the side together with
-    those of the base type; the boundary clause compares against the
-    full variable set of the (n-1)-boundary.
+
+def fullness_failure(ps: PsContext, ty: Type) -> str | None:
+    """None when ``ty`` is full over ``ps``, else a diagnostic naming the
+    variables that break fullness.
+
+    Two clauses make an arrow type full: both sides use every variable,
+    or the type is of the diagram's dimension and each side uses exactly
+    the variables of its (n-1)-boundary.  A side's variables are the
+    free variables of the side together with those of the base type.
     """
     if not isinstance(ty, Arr):
-        raise NotFull("only arrow types can be full")
-    src_fv, tgt_fv = _side_variables(ty)
+        return "only arrow types can be full"
+    base_fv = set(variables_used_type(ty.base))
+    src_fv = base_fv | set(variables_used_term(ty.src))
+    tgt_fv = base_fv | set(variables_used_term(ty.tgt))
     allvars = {v.name for v, _ in ps.ctx}
     if src_fv == allvars and tgt_fv == allvars:
-        return True
-    n = ps.dim
-    if dim_type(ty) == n - 1:
-        return src_fv == ps.boundary_src(n - 1) and tgt_fv == ps.boundary_tgt(n - 1)
-    return False
-
-
-def _side_variables(ty: Arr) -> tuple[set[str], set[str]]:
-    base_fv = set(variables_used_type(ty.base))
-    return base_fv | set(variables_used_term(ty.src)), base_fv | set(variables_used_term(ty.tgt))
-
-
-def fullness_failure(ps: PsContext, ty: Type) -> str:
-    """A diagnostic naming the variables that break fullness."""
-    if not isinstance(ty, Arr):
-        return "only arrow types can be full"
-    src_fv, tgt_fv = _side_variables(ty)
-    allvars = {v.name for v, _ in ps.ctx}
+        return None
     if dim_type(ty) == ps.dim - 1:
         want_src, want_tgt = ps.boundary_src(ps.dim - 1), ps.boundary_tgt(ps.dim - 1)
     else:
@@ -196,8 +121,9 @@ def fullness_failure(ps: PsContext, ty: Type) -> str:
             parts.append(f"{side} side does not use {', '.join(missing)}")
         if stray:
             parts.append(f"{side} side uses non-boundary {', '.join(stray)}")
-    detail = "; ".join(parts) or "no fullness clause applies"
-    return f"type is not full over its pasting context: {detail}"
+    if not parts:
+        return None
+    return f"type is not full over its pasting context: {'; '.join(parts)}"
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +158,9 @@ def check_coh_head(ps_ctx: Context, ty: Type, where: str = "") -> None:
     check_ctx(ps_ctx)
     ps = check_ps(ps_ctx)
     check_type(ps_ctx, ty)
-    if not full_type(ps, ty):
-        raise NotFull(where + fullness_failure(ps, ty))
+    failure = fullness_failure(ps, ty)
+    if failure is not None:
+        raise NotFull(where + failure)
     head.checked = True
 
 
@@ -322,7 +249,7 @@ def _check_components(ctx: Context, wit_ctx: Context, ty: Arr, comps: tuple[Term
     """Check the last six components of an invertibility structure on
     ``comps[0] : ty``; the two witnesses live over ``wit_ctx``."""
     for kind, c in zip(DESTRUCTORS, comps[1:]):
-        check_term(wit_ctx if kind in WITNESS_DESTRUCTORS else ctx, c, component_type(kind, ty, comps))
+        check_term(wit_ctx if kind in WITNESSES else ctx, c, component_type(kind, ty, comps))
 
 
 def _infer_can(ctx: Context, t: Can) -> Type:

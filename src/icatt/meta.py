@@ -1,4 +1,10 @@
-"""Meta-operations and distinguished contexts.
+"""Meta-operations, pasting diagrams and distinguished contexts.
+
+Pasting diagrams have one definition here: :func:`to_ps_order` derives
+the order in which the pasting rules add a set of entries, and
+:func:`check_ps` recognises a pasting context as one whose entries come
+in that order, so the kernel's pasting judgment and the reordering used
+by opposites and the inverse construction cannot disagree.
 
 Suspension and opposites act on raw syntax; disks, spheres and walking
 equivalences are built directly with canonical names (``d0-``, ``d0+``,
@@ -31,6 +37,7 @@ from .syntax import (
     apply_sub_term,
     apply_sub_type,
     compose_sub,
+    dim_context,
     dim_type,
     fresh_name,
     identity_sub,
@@ -159,84 +166,120 @@ class _Suspension:
 
 
 # ---------------------------------------------------------------------------
-# Pasting order (used by opposites and the inverse construction)
+# Pasting diagrams
 # ---------------------------------------------------------------------------
 
 
 def to_ps_order(entries: tuple[tuple[Var, Type], ...]) -> Context:
-    """Reorder a set of globular entries into the (unique) valid pasting
-    telescope order, raising NotPasting if none exists.
+    """The entries in the order in which the pasting rules derive them,
+    raising NotPasting if they derive no pasting diagram.
 
-    Entry types must be arrows between entry variables at every level.
-    Uses a backtracking simulation of the pasting rules; derivations are
-    unique, so the first success is canonical.
+    A pasting diagram has one derivation (Finster & Mimram, LICS 2017),
+    and this follows it.  It starts at the one object that no arrow
+    targets.  From the focus it extends by the unused arrow out of the
+    focus that no unused arrow targets: every other arrow out of the
+    focus must come later, as the target of a higher cell, and one
+    left out now could never be added.  That arrow's target must be
+    unused and typed like the focus, and the arrow typed over the focus.
+    If there is no such arrow, the focus lowers to its target.  The
+    derivation succeeds when it has used every entry.
     """
     if not entries:
         raise NotPasting("empty context is not a pasting diagram")
-    by_name: dict[str, Type] = {}
-    var_of: dict[str, Var] = {}
-    for v, ty in entries:
-        if v.name in by_name:
-            raise NotPasting(f"duplicate variable {v.name}")
-        by_name[v.name] = ty
-        var_of[v.name] = v
-
-    def src_tgt(ty: Type) -> tuple[str, str]:
-        if not isinstance(ty, Arr) or not isinstance(ty.src, VarRef) or not isinstance(ty.tgt, VarRef):
-            raise NotPasting("pasting entries must be variable arrows")
-        return ty.src.var.name, ty.tgt.var.name
-
-    targets: set[str] = set()
-    arrows: list[str] = []
-    for name, ty in by_name.items():
+    # each name's own entry pair, so that check_ps compares by identity
+    entry: dict[str, tuple[Var, Type]] = {}
+    for e in entries:
+        name = e[0].name
+        if name in entry:
+            raise NotPasting(f"duplicate variable {name}")
+        entry[name] = e
+    out_of: dict[str, list[str]] = {}
+    into: dict[str, int] = {}  # the number of unused arrows into each name
+    for name, (_, ty) in entry.items():
         if isinstance(ty, Inv):
             raise NotPasting("invertibility entries cannot occur in a pasting diagram")
         if isinstance(ty, Arr):
-            s, t = src_tgt(ty)
-            if s not in by_name or t not in by_name:
+            if not isinstance(ty.src, VarRef) or not isinstance(ty.tgt, VarRef):
+                raise NotPasting("pasting entries must be variable arrows")
+            s, t = ty.src.var.name, ty.tgt.var.name
+            if s not in entry or t not in entry:
                 raise NotPasting(f"dangling boundary in entry {name}")
-            targets.add(t)
-            arrows.append(name)
-
-    objects = [name for name, ty in by_name.items() if isinstance(ty, Obj)]
-    if not objects:
-        raise NotPasting("pasting diagram needs an initial object")
-    roots = [name for name in objects if name not in targets]
+            out_of.setdefault(s, []).append(name)
+            into[t] = into.get(t, 0) + 1
+    roots = [name for name, (_, ty) in entry.items() if isinstance(ty, Obj) and name not in into]
     if len(roots) != 1:
         raise NotPasting("pasting diagram must have a unique initial object")
-    root = roots[0]
-
-    order: list[str] = [root]
-    used: set[str] = {root}
-    total = len(entries)
-
-    def extensions(focus: str, focus_ty: Type) -> list[tuple[str, str]]:
-        out = []
-        for f in arrows:
-            if f in used:
+    focus = roots[0]
+    order = [entry[focus]]
+    used = {focus}
+    while True:
+        focus_ty = entry[focus][1]
+        arrows = [f for f in out_of.get(focus, ()) if f not in used and not into.get(f)]
+        if len(arrows) == 1:
+            f = arrows[0]
+            f_ty = entry[f][1]
+            y = f_ty.tgt.var.name
+            if y not in used and entry[y][1] == focus_ty == f_ty.base:
+                order += (entry[y], entry[f])
+                used.update((y, f))
+                into[y] -= 1
+                focus = f
                 continue
-            s, t = src_tgt(by_name[f])
-            if s == focus and t not in used and by_name[t] == focus_ty:
-                out.append((t, f))
+        if not isinstance(focus_ty, Arr):
+            break
+        focus = focus_ty.tgt.var.name
+    if len(order) != len(entry):
+        raise NotPasting("context entries do not assemble into a pasting diagram")
+    return Context(tuple(order))
+
+
+@dataclass(frozen=True)
+class PsContext:
+    """A validated pasting diagram with its boundary variable data."""
+
+    ctx: Context
+    dim: int
+    # by dimension k from 0 to dim: the dim-k variables that are not the
+    # target (sources), or not the source (targets), of another variable
+    sources: tuple[tuple[str, ...], ...]
+    targets: tuple[tuple[str, ...], ...]
+
+    def source_vars(self, k: int) -> tuple[str, ...]:
+        return self.sources[k] if 0 <= k <= self.dim else ()
+
+    def target_vars(self, k: int) -> tuple[str, ...]:
+        return self.targets[k] if 0 <= k <= self.dim else ()
+
+    def boundary_src(self, m: int) -> set[str]:
+        """Variables of the m-th source boundary."""
+        out = {v.name for v, ty in self.ctx if dim_type(ty) + 1 < m}
+        out.update(self.source_vars(m))
         return out
 
-    def search(focus: str, focus_ty: Type) -> bool:
-        if len(used) == total:
-            return True
-        for t, f in extensions(focus, focus_ty):
-            used.update((t, f))
-            order.extend((t, f))
-            if search(f, by_name[f]):
-                return True
-            used.difference_update((t, f))
-            del order[-2:]
-        if isinstance(focus_ty, Arr):
-            return search(focus_ty.tgt.var.name, by_name[focus_ty.tgt.var.name])
-        return False
+    def boundary_tgt(self, m: int) -> set[str]:
+        out = {v.name for v, ty in self.ctx if dim_type(ty) + 1 < m}
+        out.update(self.target_vars(m))
+        return out
 
-    if not search(root, by_name[root]):
-        raise NotPasting("context entries do not assemble into a pasting diagram")
-    return Context(tuple((var_of[n], by_name[n]) for n in order))
+
+def check_ps(ctx: Context) -> PsContext:
+    """Recognise a pasting diagram: its entries come in the order the
+    pasting rules derive them (:func:`to_ps_order`)."""
+    entries = ctx.entries
+    if to_ps_order(entries).entries != entries:
+        raise NotPasting("context entries are not in the order of their pasting derivation")
+    dims = {v.name: dim_type(ty) + 1 for v, ty in entries}
+    tgt_of: set[str] = set()
+    src_of: set[str] = set()
+    for _, ty in entries:
+        if isinstance(ty, Arr):
+            src_of.add(ty.src.var.name)
+            tgt_of.add(ty.tgt.var.name)
+    dim = dim_context(ctx)
+    at = [[v.name for v, _ in entries if dims[v.name] == k] for k in range(dim + 1)]
+    sources = tuple(tuple(n for n in at_k if n not in tgt_of) for at_k in at)
+    targets = tuple(tuple(n for n in at_k if n not in src_of) for at_k in at)
+    return PsContext(ctx, dim, sources, targets)
 
 
 # ---------------------------------------------------------------------------

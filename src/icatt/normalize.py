@@ -17,6 +17,8 @@ from .inverse import canonical_component
 from .meta import instantiation
 from .syntax import (
     DESTRUCTORS,
+    INVERSES,
+    WITNESSES,
     Arr,
     Can,
     Coh,
@@ -37,8 +39,6 @@ from .syntax import (
     subterms,
 )
 
-_COIND_COMPONENT = {"linv": 1, "rinv": 2, "lunit": 3, "runit": 4, "lwit": 5, "rwit": 6}
-
 _BETA_FUEL = 1_000_000
 
 
@@ -49,23 +49,22 @@ def beta_step(t: Term) -> Term | None:
     kind, arg = t.kind, t.arg
     match arg:
         case Coind():
-            return arg.components()[_COIND_COMPONENT[kind]]
+            return arg.components()[DESTRUCTORS.index(kind) + 1]
         case Can():
             return canonical_component(arg, kind)
         case Rec():
             gamma = arg.sub
-            seed = gamma.codomain
-            if kind in ("linv", "rinv", "lunit", "runit"):
-                comp = arg.components()[_COIND_COMPONENT[kind]]
+            comp = arg.components()[DESTRUCTORS.index(kind) + 1]
+            if kind not in WITNESSES:
                 return apply_sub_term(comp, gamma)
             # witness rules: instantiate the inductive hypotheses with
             # the recursive call over the seed context, then substitute
             from .kernel import infer_term
 
+            seed = gamma.codomain
             t_ty = infer_term(seed, arg.t)
             rec_over_seed = Rec(*arg.components(), identity_sub(seed))
             inst = instantiation(seed, rec_over_seed, arg.t, t_ty)
-            comp = arg.tilu if kind == "lwit" else arg.tiru
             return apply_sub_term(comp, compose_sub(inst, gamma))
     return None
 
@@ -178,7 +177,7 @@ def _term_dim_bound(t: Term) -> int:
             return dim_type(ty) + 1
         case Destr(kind, arg):
             inner = _term_dim_bound(arg)
-            if kind in ("lunit", "runit", "lwit", "rwit"):
+            if kind not in INVERSES:
                 return inner + 1
             return inner
         case Coind() | Can():

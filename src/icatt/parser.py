@@ -20,9 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import SyntaxErrorIcatt
+from .syntax import DESTRUCTOR_SPELLINGS
 
 KEYWORDS = ("coh", "let", "inv", "rec")
-UNARY_HEADS = ("linv", "rinv", "lunit", "runit", "ilunit", "irunit", "id")
+UNARY_HEADS = DESTRUCTOR_SPELLINGS + ("id",)
 
 _IDENT_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_'-")
 
@@ -271,19 +272,12 @@ class _Parser:
         atoms = [self.parse_atom()]
         while True:
             tok = self.peek()
+            # a declaration keyword at term level ends the term
             if tok is None or tok.kind in ("rpar", "rbrace", "comma", "arrow", "lbrace",
-                                           "colon", "eq") or (
-                tok.kind == "ident" and tok.text in KEYWORDS and self._at_decl_boundary()
-            ):
+                                           "colon", "eq") or (tok.kind == "ident" and tok.text in KEYWORDS):
                 break
             atoms.append(self.parse_atom())
         return _fold_atoms(atoms)
-
-    def _at_decl_boundary(self) -> bool:
-        """A declaration keyword followed by `name (` or `name :`/`=`
-        starts a new declaration; identifiers named like keywords do not
-        occur in practice, so any keyword at term level ends the term."""
-        return True
 
     def parse_atom(self) -> SurfaceTerm:
         tok = self.peek()

@@ -12,6 +12,8 @@ from __future__ import annotations
 from .builtins import comp_schema, id_schema
 from .parser import SApp, SCan, STArrow, STInv, STStar, SurfaceDecl, SVar, SWild
 from .syntax import (
+    DESTRUCTOR_SPELLINGS,
+    DESTRUCTORS,
     Arr,
     Can,
     Coh,
@@ -27,16 +29,6 @@ from .syntax import (
     coh_head_key,
     dim_type,
 )
-
-_DESTR_TO_SURFACE = {
-    "linv": "linv",
-    "rinv": "rinv",
-    "lunit": "lunit",
-    "runit": "runit",
-    "lwit": "ilunit",
-    "rwit": "irunit",
-}
-
 
 # ---------------------------------------------------------------------------
 # Surface printer (round-trip stable)
@@ -97,12 +89,14 @@ def print_surface_file(decls) -> str:
 
 
 def _schema_kind(coh: Coh) -> tuple[str, int] | None:
-    """Recognise the built-in composite/identity schemas."""
+    """Recognise the built-in composite/identity schemas.  A chain of k
+    cells of dimension n has 2n - 1 + 2k entries, so the length of the
+    pasting context leaves one composite to compare with."""
     n = dim_type(coh.ty) + 1
     key = coh_head_key(coh.ps, coh.ty)
-    for k in range(1, max(2, (len(coh.ps) + 1) // 2) + 1):
-        if key == coh_head_key(*comp_schema(k, n)):
-            return ("comp", k)
+    k = (len(coh.ps) - 2 * n + 1) // 2
+    if k >= 1 and key == coh_head_key(*comp_schema(k, n)):
+        return ("comp", k)
     if key == coh_head_key(*id_schema(n - 1)):
         return ("id", 1)
     return None
@@ -126,7 +120,7 @@ def print_term(t: Term) -> str:
             args = " , ".join(print_term(s) for s in coh.sub.terms())
             return f"coh[{print_context(coh.ps)} : {print_type(coh.ty)}][{args}]"
         case Destr(kind, arg):
-            return f"{_DESTR_TO_SURFACE[kind]} ({print_term(arg)})"
+            return f"{DESTRUCTOR_SPELLINGS[DESTRUCTORS.index(kind)]} ({print_term(arg)})"
         case Coind():
             inner = " , ".join(print_term(c) for c in t.components())
             return f"coind {{ {inner} }}"

@@ -27,7 +27,9 @@ leave out the instantiating substitution.
 
 The six destructors are identified by the strings in :data:`DESTRUCTORS`
 ("lwit"/"rwit" are the invertibility witnesses of the left/right
-cancellation cells, written ``ilunit``/``irunit`` in source files).
+cancellation cells, written ``ilunit``/``irunit`` in source files);
+that table decides their spellings, the components they project and
+their sides, for every module.
 
 Traversal.  Substitution, renaming, free variables and metavariable
 instantiation are one structural recursion over the *free positions* of
@@ -65,10 +67,15 @@ from weakref import KeyedRef
 
 from .errors import DuplicateVariable, UnboundVariable
 
+# The six destructors.  Destructor i projects component i + 1 of an
+# invertibility structure; they come in (left, right) pairs: the
+# inverses, the cancellation cells, and the witnesses of the
+# cancellation cells, whose argument and result are both invertibility
+# data.  Their spellings in source files come in the same order.
 DESTRUCTORS = ("linv", "rinv", "lunit", "runit", "lwit", "rwit")
-
-# destructors whose argument and result are both invertibility data
-WITNESS_DESTRUCTORS = ("lwit", "rwit")
+DESTRUCTOR_SPELLINGS = ("linv", "rinv", "lunit", "runit", "ilunit", "irunit")
+INVERSES, UNITS, WITNESSES = DESTRUCTORS[0:2], DESTRUCTORS[2:4], DESTRUCTORS[4:6]
+SIDES = ("left", "right")
 
 
 class _Node:

@@ -246,6 +246,22 @@ def test_print_term_generic_coherence():
     assert s == "id x" or s.startswith("coh[")
 
 
+def test_printing_a_coherence_builds_at_most_one_composite_schema():
+    """The printer compares a coherence with the one composite schema
+    that the length of its pasting context allows, so printing a
+    coherence that is no schema, over a chain of 300 arrows, builds at
+    most one composite schema."""
+    from icatt.builtins import chain_context, comp_schema
+    from icatt.printer import print_term
+    from icatt.syntax import Arr, Coh, Obj, Var, VarRef, identity_sub
+
+    ps = chain_context(300, 1)
+    cell = Coh(ps, Arr(Obj(), VarRef(Var("x300")), VarRef(Var("x0"))), identity_sub(ps))
+    before = comp_schema.cache_info().currsize
+    assert print_term(cell).startswith("coh[")
+    assert comp_schema.cache_info().currsize - before <= 1
+
+
 def test_cli_dump_nf_invertibility_declaration(tmp_path):
     src = tmp_path / "i.catt"
     src.write_text(
@@ -358,13 +374,8 @@ MEMO_TABLES = {
 }
 
 CONSTANT_TABLES = {
-    "icatt.elaborate._DESTR_SURFACE",
-    "icatt.inverse._INV_OF_SIDE",
-    "icatt.inverse._UNIT_OF_SIDE",
-    "icatt.inverse._WIT_OF_SIDE",
-    "icatt.normalize._COIND_COMPONENT",
+    "icatt.elaborate._DESTRUCTOR_OF_SPELLING",
     "icatt.parser._IDENT_CHARS",
-    "icatt.printer._DESTR_TO_SURFACE",
 }
 
 
@@ -386,6 +397,28 @@ def test_module_tables_are_the_listed_ones():
             elif isinstance(value, (dict, set)) and not attr.startswith("__"):
                 found.add(f"{name}.{attr}")
     assert found == MEMO_TABLES | CONSTANT_TABLES
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """Every name that an icatt module imports, at top level or inside a
+    function, is used somewhere in that module."""
+    import ast
+    from pathlib import Path
+
+    import icatt
+
+    unused = []
+    for path in sorted(Path(icatt.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name.partition(".")[0], node.lineno) for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update((a.asname or a.name, node.lineno) for a in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert not unused
 
 
 def _check_corpus_once():

@@ -262,17 +262,25 @@ def test_opposite_substitution_pointwise():
 
 
 def test_to_ps_order_recovers_shuffled_telescopes():
+    """Every pasting context that the rules derive with at most 13
+    entries, and three longer chains, come back exactly (names and
+    order) from 5 shuffles of their entries; without any one of their
+    entries they are no pasting diagram."""
     import random
 
     from icatt.builtins import chain_context
-    from icatt.kernel import check_ps
-    from icatt.syntax import alpha_key_context
+    from icatt.errors import NotPasting
+    from test_kernel import _ps_oracle_contexts
 
-    for k, dim in [(3, 3), (5, 2), (4, 1)]:
-        ctx = chain_context(k, dim)
-        for seed in range(4):
+    oracle = list(_ps_oracle_contexts(13).values())
+    assert len(oracle) == 197  # the Catalan numbers C_0 + ... + C_6
+    chains = [chain_context(k, dim) for k, dim in [(3, 3), (5, 2), (4, 1)]]
+    rng = random.Random(0)
+    for ctx in oracle + chains:
+        for _ in range(5):
             entries = list(ctx.entries)
-            random.Random(seed).shuffle(entries)
-            out = to_ps_order(tuple(entries))
-            check_ps(out)
-            assert alpha_key_context(out) == alpha_key_context(ctx)
+            rng.shuffle(entries)
+            assert to_ps_order(tuple(entries)).entries == ctx.entries
+        for i in range(len(ctx)):
+            with pytest.raises(NotPasting):
+                to_ps_order(ctx.entries[:i] + ctx.entries[i + 1 :])
