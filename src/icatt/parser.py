@@ -274,7 +274,9 @@ class _Parser:
             tok = self.peek()
             # a declaration keyword at term level ends the term
             if tok is None or tok.kind in ("rpar", "rbrace", "comma", "arrow", "lbrace",
-                                           "colon", "eq") or (tok.kind == "ident" and tok.text in KEYWORDS):
+                                           "colon", "eq") or (
+                tok.kind == "ident" and tok.text in KEYWORDS
+            ):
                 break
             atoms.append(self.parse_atom())
         return _fold_atoms(atoms)
