@@ -30,10 +30,9 @@ import threading
 from .elaborate import elaborate_decl
 from .errors import BoundExceeded, IcattError
 from .kernel import Environment, RecDecl, TermDecl, check_decl
-from .normalize import beta_reduce, nf
+from .normalize import nf
 from .parser import parse
 from .printer import print_context, print_term, print_type
-from .syntax import Inv, dim_type
 
 # the recursion limit of a check, and a worker stack that holds it
 _RECURSION_LIMIT = 200_000
@@ -120,11 +119,7 @@ def _describe(decl) -> str:
 
 def _dump_nf(decl) -> str:
     if isinstance(decl, TermDecl):
-        if isinstance(decl.ty, Inv):
-            normal = beta_reduce(decl.term)
-        else:
-            normal = nf(decl.ctx, decl.term, dim_type(decl.ty) + 1)
-        return f"nf {decl.name} = {print_term(normal)}"
+        return f"nf {decl.name} = {print_term(nf(decl.term))}"
     if isinstance(decl, RecDecl):
         return f"nf {decl.name} = rec schema over {print_context(decl.seed)}"
     return f"nf {decl.name} = coherence schema : {print_type(decl.ty)}"

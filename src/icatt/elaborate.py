@@ -103,6 +103,7 @@ from .syntax import (
     dim_type,
     map_type,
     rec_head_key,
+    top_variables,
     variables_used_type,
 )
 
@@ -534,8 +535,7 @@ class Elaborator:
             raise BadCanSubject(
                 "can needs a coherence cell subject (after inlining definitions)", span=s.span
             )
-        cell_dim = dim_type(subject.ty) + 1
-        tops = tuple(v for v, vty in subject.ps if dim_type(vty) + 1 == cell_dim)
+        tops = top_variables(subject)
         if len(s.witnesses) != len(tops):
             raise WrongWitnessSet(
                 f"can needs {len(tops)} witness(es) for {[v.name for v in tops]}, "

@@ -50,6 +50,7 @@ from .syntax import (
     identity_sub,
     rename_vars_term,
     rename_vars_type,
+    top_variables,
     variables_used_term,
     variables_used_type,
 )
@@ -57,9 +58,7 @@ from .syntax import (
 def _cell_data(subject: Coh) -> tuple[Context, Arr, Substitution, int, tuple[Var, ...]]:
     ps, ty, sub = subject.ps, subject.ty, subject.sub
     assert isinstance(ty, Arr)
-    n = dim_type(ty) + 1
-    tops = tuple(v for v, vty in ps if dim_type(vty) + 1 == n)
-    return ps, ty, sub, n, tops
+    return ps, ty, sub, dim_type(ty) + 1, top_variables(subject)
 
 
 def _check_witnesses(tops: tuple[Var, ...], witnesses: dict[str, Term]) -> None:
@@ -69,14 +68,14 @@ def _check_witnesses(tops: tuple[Var, ...], witnesses: dict[str, Term]) -> None:
 
 
 def gamma_inverse(
-    n: int, ps: Context, sub: Substitution, side: str, witnesses: dict[str, Term]
+    n: int, flipped: Context, sub: Substitution, side: str, witnesses: dict[str, Term]
 ) -> Substitution:
-    """The substitution through the opposite pasting context that keeps
-    cells below dimension n and inverts the dimension-n images."""
-    if dim_context(ps) < n:
+    """The substitution through ``flipped``, the opposite at dimension n
+    of ``sub``'s pasting context (:func:`~icatt.meta.opposite_context`),
+    that keeps cells below dimension n and inverts the dimension-n
+    images."""
+    if dim_context(flipped) < n:
         return sub
-    _, iso = opposite_context(n, ps)
-    flipped = iso.codomain
     inv_kind = INVERSES[SIDES.index(side)]
     pairs = []
     for v, vty in flipped:
@@ -88,15 +87,16 @@ def gamma_inverse(
     return Substitution(tuple(pairs), flipped)
 
 
-def coh_inverse(subject: Coh, side: str, witnesses: dict[str, Term]) -> Term:
-    """The chosen-side inverse of a coherence cell."""
+def coh_inverse(subject: Coh, side: str, witnesses: dict[str, Term]) -> Coh:
+    """The chosen-side inverse of a coherence cell: with top-dimensional
+    variables, a coherence over the opposite of its pasting context."""
     ps, ty, sub, n, tops = _cell_data(subject)
     flipped_ty = Arr(ty.base, ty.tgt, ty.src)
     if not tops:
         return Coh(ps, flipped_ty, sub)
     _check_witnesses(tops, witnesses)
-    gamma = gamma_inverse(n, ps, sub, side, witnesses)
-    return Coh(gamma.codomain, flipped_ty, gamma)
+    flipped = opposite_context(n, ps)
+    return Coh(flipped, flipped_ty, gamma_inverse(n, flipped, sub, side, witnesses))
 
 
 # ---------------------------------------------------------------------------
@@ -186,10 +186,10 @@ def _coh_cancellator_steps(subject: Coh, side: str, witnesses: dict[str, Term]) 
 
     # --- glue the two copies of the pasting context along the shared
     # boundary; the copy providing the inverse keeps the original names
-    # on the left composition slot
+    # on the left composition slot.  The inverse is a coherence over the
+    # opposite pasting context, instantiated by gamma_inverse.
     ps_data = check_ps(ps)
-    _, iso = opposite_context(n, ps)
-    flipped_ctx = iso.codomain
+    flipped_ctx, gamma_inv = inverse.ps, inverse.sub
     if side == "left":
         shared = ps_data.boundary_src(n - 1)
         left_part, right_part = flipped_ctx, ps
@@ -214,7 +214,6 @@ def _coh_cancellator_steps(subject: Coh, side: str, witnesses: dict[str, Term]) 
         entries.append((Var(ren[v.name]), rename_vars_type(vty, ren)))
     theta = to_ps_order(tuple(entries))
 
-    gamma_inv = gamma_inverse(n, ps, sub, side, witnesses)
     images: dict[str, Term] = {}
     for v, _ in left_part:
         images[v.name] = gamma_inv.lookup(v) if left_is_inverse else sub.lookup(v)
@@ -402,19 +401,16 @@ def canonical_component(can_term: Can, kind: str) -> Term:
     if len(steps) == 1:
         return Can(cancel, _step_witnesses(steps[0], kind))
     assert isinstance(cancel, Coh)
-    cell_dim = dim_type(cancel.ty) + 1
-    chain_tops = [v for v, vty in cancel.ps if dim_type(vty) + 1 == cell_dim]
     fams = tuple(
         (slot, Can(step.cell, _step_witnesses(step, kind)))
-        for slot, step in zip(chain_tops, steps)
+        for slot, step in zip(top_variables(cancel), steps)
     )
     return Can(cancel, fams)
 
 
 def _step_witnesses(step: _Step, wit_kind: str) -> tuple[tuple[Var, Term], ...]:
     assert isinstance(step.cell, Coh)
-    cell_dim = dim_type(step.cell.ty) + 1
-    tops = [v for v, vty in step.cell.ps if dim_type(vty) + 1 == cell_dim]
+    tops = top_variables(step.cell)
     if step.unit_witness is None:
         if tops:
             raise WrongWitnessSet("internal: coherence stage with unexpected top cells")

@@ -75,6 +75,7 @@ from .syntax import (
     dim_type,
     identity_sub,
     named_context_key,
+    top_variables,
     variables_used_term,
     variables_used_type,
 )
@@ -258,11 +259,10 @@ def _infer_can(ctx: Context, t: Can) -> Type:
     subject_ty = infer_term(ctx, t.subject)
     if not isinstance(subject_ty, Arr):
         raise BadCanSubject("canonical invertibility requires a positive-dimensional subject")
-    cell_dim = dim_type(t.subject.ty) + 1
-    tops = tuple(v for v, ty in t.subject.ps if dim_type(ty) + 1 == cell_dim)
+    tops = top_variables(t.subject)
     if tuple(v.name for v, _ in t.witnesses) != tuple(v.name for v in tops):
         raise WrongWitnessSet(
-            f"witness family must cover exactly the dimension-{cell_dim} variables "
+            f"witness family must cover exactly the dimension-{dim_type(subject_ty) + 1} variables "
             f"{[v.name for v in tops]} in order, got {[v.name for v, _ in t.witnesses]}"
         )
     for x, w in t.witnesses:
@@ -317,6 +317,9 @@ def check_sub(ctx: Context, sub: Substitution, cod: Context) -> Substitution:
 
 
 def convertible_types(ctx: Context, a: Type, b: Type) -> bool:
+    """Conversion of types: structural, with their terms compared by
+    :func:`convertible_terms`.  Conversion reads no context; ``ctx``,
+    the context both types live over, is kept for the callers."""
     if alpha_eq_type(a, b):
         return True
     match (a, b):
@@ -325,28 +328,17 @@ def convertible_types(ctx: Context, a: Type, b: Type) -> bool:
         case (Arr(ba, sa, ta), Arr(bb, sb, tb)):
             return (
                 convertible_types(ctx, ba, bb)
-                and convertible_terms(ctx, sa, sb, ba)
-                and convertible_terms(ctx, ta, tb, ba)
+                and convertible_terms(sa, sb)
+                and convertible_terms(ta, tb)
             )
         case (Inv(ba, ua), Inv(bb, ub)):
-            return convertible_types(ctx, ba, bb) and convertible_inv_terms(ctx, ua, ub)
+            return convertible_types(ctx, ba, bb) and convertible_terms(ua, ub)
     return False
 
 
-def convertible_terms(ctx: Context, a: Term, b: Term, ty: Type) -> bool:
-    """Conversion of categorical terms at a common type: compare guarded
-    normal forms up to alpha."""
-    if alpha_eq_term(a, b):
-        return True
-    from .normalize import nf
-
-    n = dim_type(ty) + 1
-    return alpha_eq_term(nf(ctx, a, n), nf(ctx, b, n))
-
-
-def convertible_inv_terms(ctx: Context, a: Term, b: Term) -> bool:
-    """Equality of invertibility structures: beta-normal syntactic
-    comparison (stricter than the theory, which never needs it)."""
+def convertible_terms(a: Term, b: Term) -> bool:
+    """Conversion of terms: alpha-equality of their beta-normal forms,
+    which are their normal forms (see :mod:`icatt.normalize`)."""
     if alpha_eq_term(a, b):
         return True
     from .normalize import beta_reduce
@@ -354,17 +346,11 @@ def convertible_inv_terms(ctx: Context, a: Term, b: Term) -> bool:
     return alpha_eq_term(beta_reduce(a), beta_reduce(b))
 
 
-def convertible(ctx: Context, a, b, at=None) -> bool:
-    """Public conversion entry point for types or typed terms."""
+def convertible(a, b) -> bool:
+    """Public conversion entry point for two types or two terms."""
     if isinstance(a, (Obj, Arr, Inv)):
-        return convertible_types(ctx, a, b)
-    if isinstance(at, Inv):
-        return convertible_inv_terms(ctx, a, b)
-    if at is None:
-        at = infer_term(ctx, a)
-        if isinstance(at, Inv):
-            return convertible_inv_terms(ctx, a, b)
-    return convertible_terms(ctx, a, b, at)
+        return convertible_types(Context(()), a, b)
+    return convertible_terms(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ from .syntax import (
     fresh_name,
     identity_sub,
     map_children,
+    rec_hyp_names,
 )
 
 # ---------------------------------------------------------------------------
@@ -308,8 +309,7 @@ def opposite_term(n: int, t: Term) -> Term:
         case VarRef():
             return t
         case Coh(ps, ty, sub):
-            _, iso = opposite_context(n, ps)
-            ps_reordered = iso.codomain
+            ps_reordered = opposite_context(n, ps)
             pairs = tuple((x, opposite_term(n, s)) for x, s in sub.pairs)
             reordered = _reorder_pairs(pairs, ps_reordered)
             return Coh(ps_reordered, opposite_type(n, ty), Substitution(reordered, ps_reordered))
@@ -317,14 +317,10 @@ def opposite_term(n: int, t: Term) -> Term:
             raise OppositeOnInv("opposite is only defined on Inv-free syntax")
 
 
-def opposite_context(n: int, ctx: Context) -> tuple[Context, Substitution]:
-    """Opposite of a context: the entrywise-opposite context (original
-    order) and, when it is a permuted pasting diagram, the isomorphism
-    onto its pasting reordering (the identity assignment)."""
-    op_ctx = Context(tuple((v, opposite_type(n, ty)) for v, ty in ctx))
-    reordered = to_ps_order(op_ctx.entries)
-    iso = Substitution(tuple((v, VarRef(v)) for v, _ in reordered), reordered)
-    return op_ctx, iso
+def opposite_context(n: int, ctx: Context) -> Context:
+    """Opposite of a pasting context: the opposites of its entries, in
+    the order in which the pasting rules derive them."""
+    return to_ps_order(tuple((v, opposite_type(n, ty)) for v, ty in ctx))
 
 
 def opposite_sub(n: int, sub: Substitution) -> Substitution:
@@ -476,8 +472,7 @@ def equiv_ind_context(seed: Context, t: Term, t_ty: Type) -> tuple[Context, Var,
     inv_up = Inv(apply_sub_type(st_ty, ren), apply_sub_term(st, ren))  # over E^{n+1}
     chi_l = wit_classifier(seed, "lwit")
     chi_r = wit_classifier(seed, "rwit")
-    h_minus = Var(fresh_name("h-", seed.names()))
-    h_plus = Var(fresh_name("h+", seed.names()))
+    h_minus, h_plus = map(Var, rec_hyp_names(seed))
     entries = seed.entries
     entries += ((h_minus, apply_sub_type(inv_up, chi_l)),)
     entries += ((h_plus, apply_sub_type(inv_up, chi_r)),)

@@ -1,13 +1,21 @@
-"""The rewrite system: beta-reduction, dimension-guarded eta-expansion,
-the normal-form procedure for categorical entities, and the
-conservativity erasure check.
+"""The rewrite system: beta-reduction, the normal form of categorical
+entities, and the conservativity erasure check.
 
-Beta-reduction fires whenever a destructor meets a constructor head and
-is applied exhaustively, innermost first.  Eta-expansion replaces an
-invertibility structure by the coinductive tuple of its destructor
-images; it is guarded by dimension, never applied under a destructor,
-and applied at most once per position, which keeps the restricted
-system terminating.
+Beta-reduction fires whenever a destructor meets a constructor head (a
+coinductive tuple, a canonical structure or a recursor) and is applied
+exhaustively, innermost first.
+
+The normal form of a categorical term is its beta-normal form.  The
+theory's normal forms also eta-expand invertibility structures of
+bounded dimension that are not under a destructor, but a well-typed
+beta-normal categorical term holds no such structure.  Every free
+position of a categorical term is categorical (an image of a pasting
+diagram's variable, and pasting diagrams are Inv-free) or is the
+argument of a destructor.  A beta-normal destructor argument has an
+invertibility type and no constructor head, so it is neutral: a
+variable, or a witness destructor applied to a neutral term.  No
+coinductive tuple, canonical structure or recursor is left to expand.
+:func:`eta_expand_once` builds one expansion, for stating the laws.
 """
 
 from __future__ import annotations
@@ -17,7 +25,6 @@ from .inverse import canonical_component
 from .meta import instantiation
 from .syntax import (
     DESTRUCTORS,
-    INVERSES,
     WITNESSES,
     Arr,
     Can,
@@ -28,12 +35,10 @@ from .syntax import (
     Inv,
     Obj,
     Rec,
-    Substitution,
     Term,
     Type,
     apply_sub_term,
     compose_sub,
-    dim_type,
     identity_sub,
     map_children,
     subterms,
@@ -111,101 +116,17 @@ def eta_expand_once(e: Term, subject: Term) -> Coind:
     return Coind(subject, *(Destr(kind, e) for kind in DESTRUCTORS))
 
 
-def _eta_pass(t: Term, guard: int) -> Term:
-    """Expand invertibility subterms of dimension at most ``guard`` not
-    under a destructor, once each, recursing into the new components.
-
-    In a beta-normal categorical term such positions only occur inside
-    surviving constructor tuples, so this is usually the identity.
-    """
-    return _Eta(guard)(t)
-
-
-class _Eta:
-    """The eta pass of :func:`_eta_pass` at one dimension guard."""
-
-    __slots__ = ("guard",)
-
-    def __init__(self, guard: int):
-        self.guard = guard
-
-    def expand_at(self, e: Term, subject: Term, subject_dim: int) -> Term:
-        if subject_dim > self.guard or isinstance(e, Coind):
-            return self(e)
-        expanded = eta_expand_once(self(e), self(subject))
-        return self(beta_reduce(expanded))
-
-    def __call__(self, term: Term) -> Term:
-        match term:
-            case Coind():
-                comps = term.components()
-                out = [self(c) for c in comps[:5]]
-                # the witness components are structures on the
-                # cancellation cells, whose dimension is read off the
-                # syntax (a bare-variable subject counts as expandable)
-                dim_up = _term_dim_bound(comps[3])
-                out.append(self.expand_at(comps[5], comps[3], dim_up))
-                out.append(self.expand_at(comps[6], comps[4], dim_up))
-                return Coind(*out)
-            case Can(subject, wit):
-                assert isinstance(subject, Coh)
-                new_wit = []
-                for x, w in wit:
-                    x_img = subject.sub.lookup(x)
-                    x_dim = dim_type(subject.ps.lookup(x)) + 1
-                    new_wit.append((x, self.expand_at(w, x_img, x_dim)))
-                return Can(self(subject), tuple(new_wit))
-            case Rec():
-                new_pairs = []
-                for x, s in term.sub.pairs:
-                    x_ty = term.sub.codomain.lookup(x)
-                    if isinstance(x_ty, Inv):
-                        subj = apply_sub_term(x_ty.subject, term.sub)
-                        new_pairs.append((x, self.expand_at(s, subj, dim_type(x_ty.base) + 1)))
-                    else:
-                        new_pairs.append((x, self(s)))
-                return Rec(*term.components(), Substitution(tuple(new_pairs), term.sub.codomain))
-            case _:
-                return map_children(term, self)
-
-
-def _term_dim_bound(t: Term) -> int:
-    """Dimension of a checked term, read off its syntax (coherences and
-    destructor results carry their type)."""
-    match t:
-        case Coh(_, ty, _):
-            return dim_type(ty) + 1
-        case Destr(kind, arg):
-            inner = _term_dim_bound(arg)
-            if kind not in INVERSES:
-                return inner + 1
-            return inner
-        case Coind() | Can():
-            return _term_dim_bound(t.components()[0] if isinstance(t, Coind) else t.subject)
-        case Rec():
-            return _term_dim_bound(t.t)
-        case _:
-            # a bare variable: no syntactic dimension; treat as 0 so the
-            # guard always allows expansion at variable subjects
-            return 0
-
-
-def nf(ctx: Context, entity, n: int):
-    """Normal form of an n-dimensional categorical term or type.
-
-    Beta-normalises exhaustively, then eta-expands invertibility
-    subterms of dimension at most n that are not under a destructor.
-    """
-    if isinstance(entity, (Obj, Arr)):
-        match entity:
-            case Obj():
-                return entity
-            case Arr(base, src, tgt):
-                return Arr(nf(ctx, base, n - 1), nf(ctx, src, n), nf(ctx, tgt, n))
-    if isinstance(entity, Inv):
-        raise NotCategorical("normal forms are defined for categorical entities only")
-    reduced = beta_reduce(entity)
-    return _eta_pass(reduced, n)
+def nf(entity: Term | Type) -> Term | Type:
+    """Normal form of a categorical term or type: its beta-normal form,
+    termwise for a type."""
+    match entity:
+        case Obj():
+            return entity
+        case Arr(base, src, tgt):
+            return Arr(nf(base), nf(src), nf(tgt))
+        case Inv():
+            raise NotCategorical("normal forms are defined for categorical entities only")
+    return beta_reduce(entity)
 
 
 def _mentions_inv(roots) -> bool:
@@ -225,12 +146,12 @@ def _mentions_inv_type(ty: Type) -> bool:
     return isinstance(ty, Inv)
 
 
-def erase_check(ctx: Context, entity, n: int) -> bool:
+def erase_check(ctx: Context, entity) -> bool:
     """Conservativity check: over an Inv-free context, the normal form
     of a categorical entity contains no invertibility syntax."""
     if any(isinstance(ty, Inv) for _, ty in ctx):
         raise NotCategorical("erasure is only meaningful over an Inv-free context")
-    normal = nf(ctx, entity, n)
+    normal = nf(entity)
     if isinstance(normal, (Obj, Arr, Inv)):
         return not _mentions_inv_type(normal)
     return not _mentions_inv((normal,))

@@ -28,6 +28,7 @@ from .syntax import (
     Type,
     coh_head_key,
     dim_type,
+    top_variables,
 )
 
 # ---------------------------------------------------------------------------
@@ -108,14 +109,12 @@ def print_term(t: Term) -> str:
             return f"?{hint}"
         case Coh() as coh:
             kind = _schema_kind(coh)
-            n = dim_type(coh.ty) + 1
             if kind is not None:
                 name, _ = kind
                 if name == "id":
                     top = coh.sub.pairs[-1][1]
                     return f"id {_atom(top)}"
-                tops = [coh.sub.lookup(v) for v, vty in coh.ps if dim_type(vty) + 1 == n]
-                args = " ".join(_atom(a) for a in tops)
+                args = " ".join(_atom(coh.sub.lookup(v)) for v in top_variables(coh))
                 return f"comp {args}"
             args = " , ".join(print_term(s) for s in coh.sub.terms())
             return f"coh[{print_context(coh.ps)} : {print_type(coh.ty)}][{args}]"

@@ -484,6 +484,13 @@ def dim_context(ctx: Context) -> int:
     return max((dim_type(ty) + 1 for _, ty in ctx), default=-1)
 
 
+def top_variables(coh: Coh) -> tuple[Var, ...]:
+    """The variables of a coherence's pasting context that have the
+    cell's own dimension, in order: the keys of its witnesses."""
+    n = dim_type(coh.ty) + 1
+    return tuple(v for v, ty in coh.ps if dim_type(ty) + 1 == n)
+
+
 # ---------------------------------------------------------------------------
 # Free variables
 # ---------------------------------------------------------------------------
@@ -639,13 +646,12 @@ def coh_head_key(ps: Context, ty: Type) -> AlphaClass:
     return hit[1]
 
 
-def _rec_hyp_names(t: Rec) -> tuple[str, str]:
-    """Names of the inductive-hypothesis variables of a Rec node.
-
-    They are generated deterministically from the seed context, so they
-    can be recomputed instead of stored (see meta.equiv_ind_context).
-    """
-    avoid = t.sub.codomain.names()
+def rec_hyp_names(seed: Context) -> tuple[str, str]:
+    """Names of the two inductive-hypothesis variables that extend a
+    recursor's seed context.  They are derived from the seed, so they
+    are recomputed rather than stored, by the one rule that both
+    :func:`rec_head_key` and :func:`icatt.meta.equiv_ind_context` use."""
+    avoid = seed.names()
     return fresh_name("h-", avoid), fresh_name("h+", avoid)
 
 
@@ -659,7 +665,7 @@ def rec_head_key(t: Rec) -> AlphaClass:
         seed = t.sub.codomain
         ek, _, eb = _ctx_key(seed)
         ebh = dict(eb)
-        for i, hv in enumerate(_rec_hyp_names(t)):
+        for i, hv in enumerate(rec_hyp_names(seed)):
             ebh[hv] = len(seed) + i
         comps = t.components()
         k = _intern(("rec-head", ek, *map(_Keys(eb), comps[:5]), *map(_Keys(ebh), comps[5:])))

@@ -14,6 +14,7 @@ from icatt.printer import print_surface_file
 import fresh
 
 CORPUS = fresh.CORPUS
+GOLDEN = fresh.ROOT / "tests" / "golden"
 
 
 def test_empty_file():
@@ -123,6 +124,18 @@ def test_cli_deterministic_output():
     a = _run_cli("check", str(CORPUS))
     b = _run_cli("check", str(CORPUS))
     assert a.stdout == b.stdout and a.returncode == b.returncode == 0
+
+
+@pytest.mark.parametrize("flags,golden", [
+    (("--verbose",), "check_verbose.txt"),
+    (("--dump-nf", "lri"), "dump_nf_lri.txt"),
+], ids=["verbose", "dump-nf-lri"])
+def test_cli_corpus_output_matches_golden(flags, golden):
+    """The corpus's verbose check and a normal form, byte for byte as
+    recorded under ``tests/golden``."""
+    out = _run_cli("check", *flags, str(CORPUS))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.encode("utf-8") == (GOLDEN / golden).read_bytes()
 
 
 def test_cli_reports_fullness_violation(tmp_path):

@@ -10,7 +10,7 @@ from icatt.inverse import (
     gamma_inverse,
 )
 from icatt.kernel import convertible_types, infer_term
-from icatt.meta import suspend_judgment
+from icatt.meta import opposite_context, suspend_judgment
 from icatt.syntax import (
     Arr,
     Can,
@@ -128,7 +128,7 @@ def test_gamma_inverse_below_dimension_is_identity():
         (Var("x"), Obj()), (Var("y"), Obj()), (Var("f"), arr0("x", "y")),
     ))
     sub = identity_sub(chain)
-    assert gamma_inverse(2, chain, sub, "left", {}) is sub
+    assert gamma_inverse(2, opposite_context(2, chain), sub, "left", {}) is sub
 
 
 def test_gamma_inverse_two_dim_example():
@@ -142,7 +142,7 @@ def test_gamma_inverse_two_dim_example():
         (Var("z"), Obj()), (Var("k"), arr0("y", "z")),
     ))
     wit = {"a": v("ea"), "b": v("eb")}
-    out = gamma_inverse(2, ps, identity_sub(ps), "left", wit)
+    out = gamma_inverse(2, opposite_context(2, ps), identity_sub(ps), "left", wit)
     imgs = dict((x.name, t) for x, t in out.pairs)
     assert imgs["a"] == Destr("linv", v("ea"))
     assert imgs["b"] == Destr("linv", v("eb"))

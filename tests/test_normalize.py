@@ -4,8 +4,9 @@ import pytest
 
 from icatt.builtins import comp_of, id_of
 from icatt.errors import NotCategorical
+from icatt.inverse import canonical_component
 from icatt.kernel import infer_term
-from icatt.meta import walking_equiv
+from icatt.meta import suspend_judgment, walking_equiv
 from icatt.normalize import beta_reduce, beta_step, erase_check, eta_expand_once, nf
 from icatt.syntax import (
     Arr,
@@ -21,8 +22,8 @@ from icatt.syntax import (
     Var,
     VarRef,
     alpha_eq_term,
-    dim_type,
     identity_sub,
+    subterms,
 )
 
 
@@ -84,27 +85,26 @@ def test_rec_beta_witness_instantiates():
 
 
 def test_nf_on_variables_and_types():
-    assert nf(E1, v("d1"), 1) == v("d1")
-    assert nf(E1, Obj(), -1) == Obj()
+    assert nf(v("d1")) == v("d1")
+    assert nf(Obj()) == Obj()
     ty = arr0("d0-", "d0+")
-    assert nf(E1, ty, 0) == ty
+    assert nf(ty) == ty
 
 
 def test_nf_rejects_inv_entities():
     with pytest.raises(NotCategorical):
-        nf(E1, Inv(arr0("d0-", "d0+"), v("d1")), 1)
+        nf(Inv(arr0("d0-", "d0+"), v("d1")))
 
 
 def test_critical_pair_converges():
     """Starting from a canonical structure, reducing a destructor
     directly or through the coinductive expansion meets at one normal
     form."""
-    ctx = Context(((Var("x"), Obj()),))
     can_id = Can(id_of(v("x"), Obj()), ())
     expanded = eta_expand_once(can_id, id_of(v("x"), Obj()))
-    for kind, n in [("linv", 1), ("rinv", 1), ("lunit", 2), ("runit", 2)]:
-        direct = nf(ctx, Destr(kind, can_id), n)
-        via_eta = nf(ctx, Destr(kind, expanded), n)
+    for kind in ("linv", "rinv", "lunit", "runit"):
+        direct = nf(Destr(kind, can_id))
+        via_eta = nf(Destr(kind, expanded))
         assert alpha_eq_term(direct, via_eta), kind
 
 
@@ -112,9 +112,8 @@ def test_nf_idempotent_on_corpus(corpus_terms):
     for name, ctx, term, ty in corpus_terms:
         if isinstance(ty, Inv):
             continue
-        n = dim_type(ty) + 1
-        once = nf(ctx, term, n)
-        assert alpha_eq_term(nf(ctx, once, n), once), name
+        once = nf(term)
+        assert alpha_eq_term(nf(once), once), name
 
 
 def _one_step_reducts(t):
@@ -168,27 +167,25 @@ def test_local_confluence_on_redex_rich_terms():
         ty = infer_term(ctx, t)
         if isinstance(ty, Inv):
             continue
-        n = dim_type(ty) + 1
-        target = nf(ctx, t, n)
+        target = nf(t)
         reducts = _one_step_reducts(t)
         assert reducts
         for r in reducts:
-            assert alpha_eq_term(nf(ctx, r, n), target)
+            assert alpha_eq_term(nf(r), target)
 
 
 def test_local_confluence_on_corpus(corpus_terms):
     for name, ctx, term, ty in corpus_terms:
         if isinstance(ty, Inv):
             continue
-        n = dim_type(ty) + 1
-        target = nf(ctx, term, n)
+        target = nf(term)
         for r in _one_step_reducts(term):
-            assert alpha_eq_term(nf(ctx, r, n), target), name
+            assert alpha_eq_term(nf(r), target), name
 
 
 def test_erase_check_requires_inv_free_context():
     with pytest.raises(NotCategorical):
-        erase_check(E1, v("d1"), 1)
+        erase_check(E1, v("d1"))
 
 
 def test_erase_check_on_catt_terms():
@@ -197,17 +194,17 @@ def test_erase_check_on_catt_terms():
         (Var("z"), Obj()), (Var("g"), arr0("y", "z")),
     ))
     cell, _ = comp_of([(v("f"), arr0("x", "y")), (v("g"), arr0("y", "z"))])
-    assert erase_check(ctx, cell, 1)
+    assert erase_check(ctx, cell)
 
 
 def test_erase_check_on_invertibility_reducts():
     ctx = Context(((Var("x"), Obj()),))
     idx = id_of(v("x"), Obj())
     can_id = Can(idx, ())
-    assert erase_check(ctx, Destr("linv", can_id), 1)
-    assert erase_check(ctx, Destr("lunit", can_id), 2)
+    assert erase_check(ctx, Destr("linv", can_id))
+    assert erase_check(ctx, Destr("lunit", can_id))
     # a destructor chain through the canonical witnesses also erases
-    assert erase_check(ctx, Destr("runit", Destr("lwit", can_id)), 3)
+    assert erase_check(ctx, Destr("runit", Destr("lwit", can_id)))
 
 
 def test_conversion_soundness_definitional():
@@ -218,9 +215,9 @@ def test_conversion_soundness_definitional():
     can_id = Can(idx, ())
     a = Destr("linv", can_id)
     b = Destr("linv", eta_expand_once(can_id, idx))
-    ty = infer_term(ctx, a)
-    assert convertible_terms(ctx, a, b, ty)
-    assert alpha_eq_term(nf(ctx, a, 1), nf(ctx, b, 1))
+    infer_term(ctx, a)
+    assert convertible_terms(a, b)
+    assert alpha_eq_term(nf(a), nf(b))
 
 
 def test_rec_over_higher_walking_equivalence():
@@ -273,3 +270,41 @@ def test_suspended_rec_beta(corpus_env):
         red = beta_reduce(Destr(kind, rec))
         want = infer_term(lriU.ctx, Destr(kind, rec))
         assert convertible_types(lriU.ctx, infer_term(lriU.ctx, red), want)
+
+
+# -- normal forms are beta-normal forms ----------------------------------------------
+
+
+def _assert_beta_normal_is_normal(t, label):
+    """``nf`` of a categorical term is its beta-normal form, and no free
+    position of that form holds a constructor that eta could expand."""
+    normal = beta_reduce(t)
+    assert nf(t) is normal, label
+    constructors = [type(s).__name__ for s in subterms((normal,)) if isinstance(s, (Coind, Can, Rec))]
+    assert not constructors, (label, constructors)
+
+
+def test_nf_is_beta_normal_on_corpus(corpus_terms):
+    for name, _, term, ty in corpus_terms:
+        if not isinstance(ty, Inv):
+            _assert_beta_normal_is_normal(term, name)
+
+
+def test_nf_is_beta_normal_on_canonical_components():
+    """The categorical destructor images of the canonical structures
+    built by ``test_inverse`` (and of one suspended), each with its
+    reduct; a witness image is taken through a further destructor."""
+    from test_inverse import ALL_KINDS, _chain_can, _comp_can, _vertical_can, _whisk_can
+
+    fixtures = [_comp_can(), _whisk_can(), _vertical_can()]
+    fixtures += [_chain_can(k, dim) for k, dim in [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3)]]
+    ctx, can_term = _comp_can()
+    fixtures.append(suspend_judgment(ctx, can_term, infer_term(ctx, can_term))[:2])
+    for ctx, can_term in fixtures:
+        for kind in ALL_KINDS:
+            terms = [Destr(kind, can_term), canonical_component(can_term, kind)]
+            if kind in ("lwit", "rwit"):
+                terms = [Destr(outer, t) for t in terms for outer in ("linv", "runit")]
+            for t in terms:
+                assert not isinstance(infer_term(ctx, t), Inv), kind
+                _assert_beta_normal_is_normal(t, kind)
