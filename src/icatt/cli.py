@@ -18,7 +18,9 @@ line, when the stage or dimension is out of bounds.
 The driver runs in one worker thread whose stack is large enough for the
 recursion limit, so deep input cannot overflow the C stack; input that
 nests past the recursion limit, or that exhausts memory, fails with a
-``bound-exceeded`` error, reported like any other checker error.
+``bound-exceeded`` error, reported like any other checker error.  A
+library caller gets the same guarantee by calling through
+:func:`run_on_worker_stack`.
 """
 
 from __future__ import annotations
@@ -125,18 +127,20 @@ def _dump_nf(decl) -> str:
     return f"nf {decl.name} = coherence schema : {print_type(decl.ty)}"
 
 
-def main(argv: list[str] | None = None) -> int:
-    """Run the driver on ``argv`` in a worker thread with a stack of
-    ``_STACK_BYTES``, and return its exit status; an exception it raises
-    (``SystemExit`` on a usage error) is raised again here."""
+def run_on_worker_stack(fn, *args):
+    """``fn(*args)``, run with the recursion limit of a check in a worker
+    thread whose stack of ``_STACK_BYTES`` holds it, so deep input cannot
+    overflow the C stack.  Returns what ``fn`` returns; running out of
+    recursion depth or of memory raises :class:`BoundExceeded`, and any
+    other exception ``fn`` raises is raised again here."""
     sys.setrecursionlimit(_RECURSION_LIMIT)
-    outcome: list[int | BaseException] = []
+    outcome: list = []
 
     def work() -> None:
         try:
-            outcome.append(_main(argv))
+            outcome.append((True, _bounded(fn, *args)))
         except BaseException as exc:  # raised again below
-            outcome.append(exc)
+            outcome.append((False, exc))
 
     old = threading.stack_size(_STACK_BYTES)
     try:
@@ -146,9 +150,18 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         threading.stack_size(old)
     worker.join()
-    if isinstance(outcome[0], BaseException):
-        raise outcome[0]
-    return outcome[0]
+    returned, value = outcome[0]
+    if not returned:
+        raise value
+    return value
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run the driver on ``argv`` on the worker stack
+    (:func:`run_on_worker_stack`), and return its exit status; an
+    exception it raises (``SystemExit`` on a usage error) is raised
+    again here."""
+    return run_on_worker_stack(_main, argv)
 
 
 def _main(argv: list[str] | None) -> int:

@@ -14,9 +14,13 @@ schema of the right arity and dimension; ``id`` is the identity schema;
 ``IHleft``/``IHright`` resolve to the inductive-hypothesis variables
 inside the last two components of a recursive definition.  Let-bodies
 are inlined at use sites, so the kernel re-checks declarations with no
-elaborator state left behind.  The strict zonk that every ``let`` body
-and ``inv``/``rec`` component passes through merges equal nodes
-(:class:`~icatt.syntax.SharingMap`), so a definition inlined several
+elaborator state left behind.  Only implicit slots of a schema get
+metavariables, and a slot's type is instantiated from the slots
+assigned so far.  Each schema application instantiates the metavariables
+solved by its end, so its result is a closed node as soon as every slot
+is solved; instantiating metavariables (a zonk) returns closed nodes as
+they are and rebuilds only open ones.  Closed nodes are shared by their
+constructors (see :mod:`icatt.syntax`), so a definition inlined several
 times at the same arguments is stored once, and later traversals of the
 declaration cost its number of distinct nodes.
 
@@ -89,7 +93,6 @@ from .syntax import (
     MetaRef,
     Obj,
     Rec,
-    SharingMap,
     Substitution,
     Term,
     Type,
@@ -101,6 +104,7 @@ from .syntax import (
     children,
     coh_head_key,
     dim_type,
+    instantiate_type,
     map_type,
     rec_head_key,
     top_variables,
@@ -158,8 +162,7 @@ def explicit_positions(tele: Context) -> tuple[int, ...]:
         implicit: dict[str, Var] = {}
         for _, ty in tele:
             variables_used_type(ty, implicit)
-        out = tuple(i for i, (v, _) in enumerate(tele) if v.name not in implicit)
-        object.__setattr__(tele, "_explicit", out)
+        out = tele._explicit = tuple(i for i, (v, _) in enumerate(tele) if v.name not in implicit)
     return out
 
 
@@ -195,6 +198,17 @@ class _Metas:
         return MetaRef(uid, hint)
 
 
+class _Zonk(MemoMap):
+    """A :class:`~icatt.syntax.MemoMap` that returns a closed node, which
+    holds no metavariable, as it is, so instantiating metavariables
+    costs the open nodes only."""
+
+    __slots__ = ()
+
+    def __call__(self, t: Term) -> Term:
+        return MemoMap.__call__(self, t) if t._open else t
+
+
 class Elaborator:
     def __init__(self, env: Environment):
         self.env = env
@@ -211,8 +225,7 @@ class Elaborator:
 
     def _zonker(self, strict: bool) -> MemoMap:
         """The map instantiating solved metavariables.  When ``strict``, an
-        unsolved one raises and equal nodes of the output are merged
-        (:class:`SharingMap`); otherwise an unsolved one is kept."""
+        unsolved one raises; otherwise an unsolved one is kept."""
 
         def leaf(x: Term, go: MemoMap) -> Term:
             if isinstance(x, MetaRef):
@@ -222,7 +235,7 @@ class Elaborator:
                     raise UnsolvedMeta(f"unsolved implicit argument {x.hint or x.uid}; give it explicitly")
             return x
 
-        return (SharingMap if strict else MemoMap)(leaf)
+        return _Zonk(leaf)
 
     def zonk_term(self, t: Term) -> Term:
         return self._zonker(True)(t)
@@ -252,9 +265,11 @@ class Elaborator:
             self._bind(b, a)
             return
         match (a, b):
-            case (Coh(), Coh()) if coh_head_key(a.ps, a.ty) != coh_head_key(b.ps, b.ty):
+            case (Coh(), Coh()) if (a.ps is not b.ps or a.ty is not b.ty) and coh_head_key(
+                a.ps, a.ty
+            ) is not coh_head_key(b.ps, b.ty):
                 raise UnificationFailure("distinct coherence heads")
-            case (Rec(), Rec()) if rec_head_key(a) != rec_head_key(b):
+            case (Rec(), Rec()) if rec_head_key(a) is not rec_head_key(b):
                 raise UnificationFailure("distinct recursive definitions")
             case (Coh(), Coh()) | (Coind(), Coind()) | (Rec(), Rec()):
                 pass
@@ -282,7 +297,7 @@ class Elaborator:
         stack = [t]
         while stack:
             x = self.resolve(stack.pop())
-            if id(x) in visited:
+            if not x._open or id(x) in visited:
                 continue
             visited.add(id(x))
             if isinstance(x, MetaRef):
@@ -474,40 +489,39 @@ class Elaborator:
         slots get fresh metas solved by unification."""
         tele = schema.telescope
         explicit = explicit_positions(tele)
-        assign: dict[str, Term] = {
-            v.name: self.metas.fresh(v.name) for v, _ in tele
-        }
-
-        def slot_sub() -> Substitution:
-            return Substitution(tuple((v, assign[v.name]) for v, _ in tele), tele)
-
+        # explicit variables occur in no entry's type, so the type of
+        # each slot reads only the implicit ones, which get metas here
+        given = set(explicit)
+        assign: dict[str, Term] = {}
+        for i, (v, _) in enumerate(tele):
+            if i not in given:
+                assign[v.name] = self.metas.fresh(v.name)
         for pos, data in zip(explicit, arg_data):
             v, v_ty = tele.entries[pos]
             if isinstance(data, tuple):
-                term, ty = data
+                assign[v.name], ty = data
             else:
-                slot_expect = self._zonkish_type(apply_sub_type(v_ty, slot_sub()))
-                term = self.elab_check(data, slot_expect)
+                slot_expect = self._zonkish_type(instantiate_type(v_ty, assign))
+                assign[v.name] = self.elab_check(data, slot_expect)
                 ty = None
-            placeholder = assign[v.name]
-            assign[v.name] = term
-            if isinstance(placeholder, MetaRef):
-                self.metas.solve(placeholder.uid, term)
             if ty is not None:
-                slot_ty = apply_sub_type(v_ty, slot_sub())
                 try:
-                    self.unify_type(ty, slot_ty)
+                    self.unify_type(ty, instantiate_type(v_ty, assign))
                 except UnificationFailure as e:
                     raise UnificationFailure(
                         f"argument for {v.name} does not fit: {e.message}", span=span
                     )
-        sub = slot_sub()
-        out_ty = apply_sub_type(schema.ty, sub)
+        out_ty = instantiate_type(schema.ty, assign)
         if expected is not None:
             try:
                 self.unify_type(self._zonkish_type(out_ty), self._zonkish_type(expected))
             except UnificationFailure as e:
                 raise UnificationFailure(f"result does not fit here: {e.message}", span=span)
+        # with the metas solved so far instantiated, the result is closed,
+        # and shared, as soon as every slot is solved
+        resolve = self._zonker(False)
+        sub = Substitution(tuple((v, resolve(assign[v.name])) for v, _ in tele), tele)
+        out_ty = map_type(out_ty, resolve)
         if schema.kind == "coh":
             return Coh(tele, schema.ty, sub), out_ty
         if schema.kind == "term":

@@ -16,20 +16,29 @@ witness cancellation data, and the leftover identities are absorbed.
 The shapes of the intermediate coherences are a deterministic choice of
 this implementation; every emitted cell re-checks in the kernel at the
 boundary dictated by the destructor typing table.
+
+What a construction derives is kept on an alpha-class (``built``, see
+:class:`~icatt.syntax.AlphaClass`), and so lives as long as the syntax
+it is about: on a pasting context's class, per context node and
+dimension, the opposite context and the boundaries; on a coherence's
+class, per subject node and witness family, its inverse cells, and per
+witness classes, its cancellator stages.  Each is built once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .builtins import comp_of, id_of
 from .errors import WrongWitnessSet
-from .meta import check_ps, opposite_context, to_ps_order
+from .meta import opposite_context, pasting_data, to_ps_order
 from .syntax import (
     DESTRUCTORS,
     INVERSES,
     SIDES,
     UNITS,
+    AlphaClass,
     Arr,
     Can,
     Coh,
@@ -41,6 +50,7 @@ from .syntax import (
     Var,
     VarRef,
     alpha_eq_term,
+    alpha_key_context,
     alpha_key_term,
     apply_sub_term,
     apply_sub_type,
@@ -87,15 +97,45 @@ def gamma_inverse(
     return Substitution(tuple(pairs), flipped)
 
 
+def _built(cls: AlphaClass, key: tuple, build: Callable[[], object]):
+    """The construction ``key``, kept on ``cls``: ``build()`` the first
+    time."""
+    if cls.built is None:
+        cls.built = {}
+    out = cls.built.get(key)
+    if out is None:
+        out = cls.built[key] = build()
+    return out
+
+
+def _opposite(ps: Context, n: int) -> tuple[Context, set[str], set[str]]:
+    """The opposite at dimension ``n`` of a pasting context, and the
+    context's source and target (n-1)-boundaries.  The kernel has
+    checked the context, so its boundaries are read without checking it
+    again."""
+
+    def build():
+        data = pasting_data(ps)
+        return opposite_context(n, ps), data.boundary_src(n - 1), data.boundary_tgt(n - 1)
+
+    return _built(alpha_key_context(ps), ("opposite", ps, n), build)
+
+
 def coh_inverse(subject: Coh, side: str, witnesses: dict[str, Term]) -> Coh:
     """The chosen-side inverse of a coherence cell: with top-dimensional
-    variables, a coherence over the opposite of its pasting context."""
+    variables, a coherence over the opposite of its pasting context.
+    Built once per subject node, side and witness family."""
+    key = ("inverse", subject, side, *sorted(witnesses.items()))
+    return _built(alpha_key_term(subject), key, lambda: _coh_inverse(subject, side, witnesses))
+
+
+def _coh_inverse(subject: Coh, side: str, witnesses: dict[str, Term]) -> Coh:
     ps, ty, sub, n, tops = _cell_data(subject)
     flipped_ty = Arr(ty.base, ty.tgt, ty.src)
     if not tops:
         return Coh(ps, flipped_ty, sub)
     _check_witnesses(tops, witnesses)
-    flipped = opposite_context(n, ps)
+    flipped = _opposite(ps, n)[0]
     return Coh(flipped, flipped_ty, gamma_inverse(n, flipped, sub, side, witnesses))
 
 
@@ -144,14 +184,8 @@ def coh_cancellator_steps(subject: Coh, side: str, witnesses: dict[str, Term]) -
     The construction is exponential if recomputed naively, so the stages
     are kept on the subject's alpha-class, per side and witness family;
     they contain the subject, so the cyclic collector frees them."""
-    cls = alpha_key_term(subject)
-    if cls.steps is None:
-        cls.steps = {}
-    key = (side, tuple(sorted((k, alpha_key_term(v)) for k, v in witnesses.items())))
-    steps = cls.steps.get(key)
-    if steps is None:
-        steps = cls.steps[key] = _coh_cancellator_steps(subject, side, witnesses)
-    return steps
+    key = ("steps", side, *sorted((k, alpha_key_term(v)) for k, v in witnesses.items()))
+    return _built(alpha_key_term(subject), key, lambda: _coh_cancellator_steps(subject, side, witnesses))
 
 
 def _coh_cancellator_steps(subject: Coh, side: str, witnesses: dict[str, Term]) -> list[_Step]:
@@ -188,14 +222,14 @@ def _coh_cancellator_steps(subject: Coh, side: str, witnesses: dict[str, Term]) 
     # boundary; the copy providing the inverse keeps the original names
     # on the left composition slot.  The inverse is a coherence over the
     # opposite pasting context, instantiated by gamma_inverse.
-    ps_data = check_ps(ps)
     flipped_ctx, gamma_inv = inverse.ps, inverse.sub
+    _, boundary_src, boundary_tgt = _opposite(ps, n)
     if side == "left":
-        shared = ps_data.boundary_src(n - 1)
+        shared = boundary_src
         left_part, right_part = flipped_ctx, ps
         left_is_inverse = True
     else:
-        shared = ps_data.boundary_tgt(n - 1)
+        shared = boundary_tgt
         left_part, right_part = ps, flipped_ctx
         left_is_inverse = False
 

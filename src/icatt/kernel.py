@@ -15,7 +15,8 @@ may be checked over the whole context once its variables are in scope.
 
 What the kernel learns lives as long as the syntax it is about: the type
 a term infers over a context is kept on the term's alpha-class
-(:class:`~icatt.syntax.AlphaClass`), under the context's named key.
+(:class:`~icatt.syntax.AlphaClass`), under a weak reference to the
+context node, and goes when either dies.
 Whether a coherence is valid depends only on its head, never on the
 substitution that instantiates it.  Inference therefore splits in two.
 The closed part, the pasting context, the type over it and its
@@ -32,6 +33,7 @@ benchmark workload), so a memo of bodies would not pay for itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from weakref import ref
 
 from .builtins import component_type, destructor_result_type
 from .errors import (
@@ -74,7 +76,6 @@ from .syntax import (
     coh_head_key,
     dim_type,
     identity_sub,
-    named_context_key,
     top_variables,
     variables_used_term,
     variables_used_type,
@@ -189,21 +190,36 @@ def check_type(ctx: Context, ty: Type) -> Type:
     raise IllFormedType(f"not a type: {ty!r}")
 
 
+class _ContextRef(ref):
+    """A weak reference to a context, keying an inferred type in the
+    ``types`` of an alpha-class, which it names weakly in ``owner``."""
+
+    __slots__ = ("owner",)
+
+
+def _forget_type(r: _ContextRef) -> None:
+    # the context died: drop the type inferred over it
+    cls = r.owner()
+    if cls is not None:
+        cls.types.pop(r, None)
+
+
 def infer_term(ctx: Context, t: Term) -> Type:
-    over = named_context_key(ctx)
+    if t._open:  # syntax over a metavariable, which elaboration zonks away
+        hint = t.hint if isinstance(t, MetaRef) else "_"
+        raise UnsolvedMeta(f"unsolved implicit argument {hint}; give it explicitly")
     cls = alpha_key_term(t)
     known = cls.types
-    if type(known) is tuple:
-        if known[0] is over:
-            return known[1]
-        known = cls.types = dict([known])
-    elif known is not None and over in known:
-        return known[over]
-    ty = _infer_term(ctx, t)
     if known is None:
-        cls.types = (over, ty)
+        known = cls.types = {}
     else:
-        known[over] = ty
+        ty = known.get(ref(ctx))
+        if ty is not None:
+            return ty
+    ty = _infer_term(ctx, t)
+    over = _ContextRef(ctx, _forget_type)
+    over.owner = ref(cls)
+    known[over] = ty
     return ty
 
 
@@ -211,8 +227,6 @@ def _infer_term(ctx: Context, t: Term) -> Type:
     match t:
         case VarRef(v):
             return ctx.lookup(v)
-        case MetaRef(_, hint):
-            raise UnsolvedMeta(f"unsolved implicit argument {hint}; give it explicitly")
         case Coh(ps_ctx, ty, sub):
             check_coh_head(ps_ctx, ty)
             check_sub(ctx, sub, ps_ctx)
@@ -293,7 +307,9 @@ def _infer_rec(ctx: Context, t: Rec) -> Type:
 
 
 def check_sub(ctx: Context, sub: Substitution, cod: Context) -> Substitution:
-    if not alpha_eq_context(sub.codomain, cod) or sub.codomain.names() != cod.names():
+    if sub.codomain is not cod and (
+        not alpha_eq_context(sub.codomain, cod) or sub.codomain.names() != cod.names()
+    ):
         raise BadSubstitution("substitution codomain does not match")
     if len(sub.pairs) != len(cod):
         raise BadSubstitution(

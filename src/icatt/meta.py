@@ -266,9 +266,15 @@ class PsContext:
 def check_ps(ctx: Context) -> PsContext:
     """Recognise a pasting diagram: its entries come in the order the
     pasting rules derive them (:func:`to_ps_order`)."""
-    entries = ctx.entries
-    if to_ps_order(entries).entries != entries:
+    if to_ps_order(ctx.entries) is not ctx:
         raise NotPasting("context entries are not in the order of their pasting derivation")
+    return pasting_data(ctx)
+
+
+def pasting_data(ctx: Context) -> PsContext:
+    """The boundary data of ``ctx``, a context that :func:`check_ps`
+    accepts."""
+    entries = ctx.entries
     dims = {v.name: dim_type(ty) + 1 for v, ty in entries}
     tgt_of: set[str] = set()
     src_of: set[str] = set()

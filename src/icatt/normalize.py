@@ -105,8 +105,8 @@ class _Beta:
             result = self(step)
         for node in (term, mapped):
             if node is not result:
-                object.__setattr__(node, "_beta", result)
-        object.__setattr__(result, "_beta", True)
+                node._beta = result
+        result._beta = True
         return result
 
 

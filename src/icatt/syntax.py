@@ -1,29 +1,36 @@
 """Raw syntax of the theory: types, terms, contexts, substitutions.
 
-Terms and types are immutable trees.  Variables are named; equality of
-entities that contain binders (the pasting context of a coherence, the
-seed context of a recursive definition) is alpha-insensitive, via their
-alpha-keys (:func:`alpha_key_term`, :func:`alpha_key_type`,
-:func:`alpha_key_context`, :func:`alpha_key_sub`).  Free variables
-always compare by name, so two terms over the same ambient context have
-equal keys exactly when they denote the same syntax up to renaming of
-bound contexts.  A key is an :class:`AlphaClass`, the one live object
-for a shallow shape (a tag, the keys of the children, and the names
-that matter: free variables, destructor kinds) in one weak intern
-table; a bound variable's shape is its binding position.  Keys compare
-by identity, so comparing or hashing one costs O(1), and computing a
-node's key costs O(arity) once its children's keys are known.
+Hash-consing.  Syntax is a DAG of immutable nodes, and each constructor
+(``Var``, ``Obj``, ``Arr``, ``Inv``, ``VarRef``, ``Coh``, ``Coind``,
+``Rec``, ``Can``, ``Destr``, ``Context``, ``Substitution``) returns the
+one live node with its fields: child nodes compared by identity, names
+and destructor kinds by value (Filliatre & Conchon, *Type-Safe Modular
+Hash-Consing*, 2006).  So ``==`` and ``hash`` are identity, two closed
+nodes are equal exactly when they are the same object, and a fact about
+a node is computed once however often the node is rebuilt.  The one
+exception is syntax over an unsolved elaboration metavariable
+(``MetaRef``): such a node is *open*, and stays a plain node outside the
+table, because the elaborator builds many short-lived ones and zonks
+them away before the kernel sees a declaration.
 
-Context keys.  Each entry of a context binds its name to its position,
-and its type is keyed over the entries before it.  An entry that
-repeats an earlier name is marked with the position it shadows, so a
-context that repeats a name never shares its key with one that does
-not; the two inductive hypotheses of a recursor are bound at the
-positions after its seed.  A context's key is a chain, the key of its
-prefix extended by the key of its last entry, computed in one pass over
-its entries (:func:`_ctx_key`).  The key of a coherence head
-(:func:`coh_head_key`) and of a recursor's body (:func:`rec_head_key`)
-leave out the instantiating substitution.
+Alpha-classes.  Variables are named, and the binders of the pasting
+context of a coherence and of the seed of a recursor stay named, since
+they are printed.  Two entities are alpha-equivalent when they are
+equal up to renaming those binders; their alpha-keys
+(:func:`alpha_key_term`, :func:`alpha_key_type`,
+:func:`alpha_key_context`, :func:`alpha_key_sub`) are then the same
+:class:`AlphaClass`, the one live object for a shallow shape (a tag,
+the classes of the children, and the names that matter: free variables,
+destructor kinds); a bound variable's shape is its binding position.
+A node's class is computed once, from its children's, in O(arity).
+Each entry of a context binds its name to its position, and its type
+is keyed over the entries before it; an entry that repeats an earlier
+name is marked with the position it shadows, so a context that repeats
+a name never shares its key with one that does not, and the two
+inductive hypotheses of a recursor are bound at the positions after its
+seed.  The key of a coherence head (:func:`coh_head_key`) and of a
+recursor's body (:func:`rec_head_key`) leave out the instantiating
+substitution.
 
 The six destructors are identified by the strings in :data:`DESTRUCTORS`
 ("lwit"/"rwit" are the invertibility witnesses of the left/right
@@ -37,33 +44,25 @@ a term: the images of a ``Coh``'s or ``Rec``'s substitution, the seven
 components of a ``Coind``, the subject and witnesses of a ``Can``, and
 the argument of a ``Destr``.  :func:`children` lists them and
 :func:`map_children` rebuilds a node from their images; ``VarRef`` and
-``MetaRef`` have none.  Bound contexts are never entered: the pasting
-context and type of a ``Coh``, and the seed context and components of a
-``Rec``, are closed and pass through unchanged.  :class:`MemoMap` lifts
-a map on leaves to whole terms, memoised on node identity so a shared
-DAG costs its number of distinct nodes; :class:`SharingMap` also merges
-equal nodes of its output.  The memo lives for one top-level call
-(shared across every pair of a substitution and every part of a type)
-and is dropped after it, so a cold run and a warm run cannot differ.
+``MetaRef`` have none.  Bound contexts are never entered.
+:class:`MemoMap` lifts a map on leaves to whole terms, memoised on node
+identity for one top-level call, so a DAG costs its number of distinct
+nodes; the constructors share its output.
 
 Cache policy.  Memory of past work lives as long as the syntax it is
-about.  The intern table, the only module-level table, holds each class
-weakly: a class lives while a node, a context or a larger class's shape
-refers to it.  Facts that carry no names are kept on the class (see
-:class:`AlphaClass`), facts that carry names on the node (see
-:class:`_Node`).  Traversal memos (:class:`MemoMap`, the keys under
-binders, suspension) are keyed on node identity and last one top-level
-call, and so does the merge table of :class:`SharingMap`, which maps
-the fields of each node a call has built (:func:`share_key`) to that
-node.
+about.  ``_INTERN``, the only module-level table, holds every node and
+every alpha-class weakly, under its fields or its shape; an entry goes
+when its object dies.  Facts about a node are slots on it (see
+:class:`_Node`), facts that carry no names on its alpha-class (see
+:class:`AlphaClass`), and traversal memos last one top-level call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import is_
-from typing import Callable, Iterable, Iterator, Union
-from weakref import KeyedRef
+from typing import Callable, Iterable, Iterator, Mapping, Union
+from weakref import ref
 
 from .errors import DuplicateVariable, UnboundVariable
 
@@ -78,26 +77,89 @@ INVERSES, UNITS, WITNESSES = DESTRUCTORS[0:2], DESTRUCTORS[2:4], DESTRUCTORS[4:6
 SIDES = ("left", "right")
 
 
+# ---------------------------------------------------------------------------
+# The intern table
+# ---------------------------------------------------------------------------
+
+
+class _Ref(ref):
+    """A weak reference that knows its key in ``_INTERN``."""
+
+    __slots__ = ("key",)
+
+
+# a node's class and fields, or an alpha-class's shape -> a weak
+# reference to the one live object with them; see the module docstring
+_INTERN: dict[tuple, _Ref] = {}
+
+
+def _forget(r: _Ref, table: dict[tuple, _Ref] = _INTERN) -> None:
+    # an object died: drop its entry, unless a new object took the key
+    if table.get(r.key) is r:
+        del table[r.key]
+
+
+def _keep(obj, key: tuple) -> None:
+    r = _Ref(obj, _forget)
+    r.key = key
+    _INTERN[key] = r
+
+
+def _cons(cls, is_open: bool, *fields):
+    """The node of class ``cls`` with ``fields``: the one live such node,
+    made and kept on first use; a new plain node when ``is_open``."""
+    if not is_open:
+        key = (cls, *fields)
+        r = _INTERN.get(key)
+        if r is not None:
+            node = r()
+            if node is not None:
+                return node
+    node = object.__new__(cls)
+    for name, value in zip(cls.__match_args__, fields):
+        setattr(node, name, value)
+    node._key = node._beta = node._head_key = node._keys = node._explicit = None
+    node._open = is_open
+    if not is_open:
+        _keep(node, key)
+    return node
+
+
+def _open_in(pairs: tuple) -> bool:
+    """Whether the second item of any pair is an open node."""
+    for _, x in pairs:
+        if x._open:
+            return True
+    return False
+
+
 class _Node:
-    """Facts about a node, cached on it in its instance ``__dict__``
-    (written with ``object.__setattr__``, the dataclasses being frozen):
-    the alpha-class of a closed node, the head key of a coherence type
-    over its pasting context (:func:`coh_head_key`) or of a recursor's
-    body (:func:`rec_head_key`), the beta-normal form of a term, which
-    :mod:`icatt.normalize` writes, and on a :class:`Context` its keys
-    and binder map (:func:`_ctx_key`) and the positions of its explicit
-    arguments, which the elaborator writes.  None until computed."""
+    """Facts about a node, in slots outside its dataclass fields: the
+    alpha-class of a closed node (``_key``); the head key of a coherence
+    type over a pasting context, with a weak reference to that context
+    (:func:`coh_head_key`), or of a recursor's body (:func:`rec_head_key`)
+    (``_head_key``); the beta-normal form of a term, which
+    :mod:`icatt.normalize` writes (``_beta``); on a :class:`Context` its
+    key and binder map (:func:`_ctx_key`), on a :class:`Substitution` its
+    image of each name (``_keys``); the explicit argument positions of a
+    telescope, which the elaborator writes (``_explicit``); and whether
+    the node is open (``_open``).  None until computed.  Nodes are never
+    changed after construction; facts are the only attributes written."""
 
-    _key = None
-    _beta = None
-    _head_key = None
-    _keys = None
-    _explicit = None
+    __slots__ = ("_key", "_beta", "_head_key", "_keys", "_explicit", "_open", "__weakref__")
 
 
-@dataclass(frozen=True)
-class Var:
+# a node class: a slotted dataclass whose equality is identity, built by
+# its __new__, which interns it
+_syntax_node = dataclass(eq=False, init=False, slots=True)
+
+
+@_syntax_node
+class Var(_Node):
     name: str
+
+    def __new__(cls, name: str) -> Var:
+        return _cons(cls, False, name)
 
     def __repr__(self) -> str:
         return f"Var({self.name!r})"
@@ -108,12 +170,15 @@ class Var:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_syntax_node
 class Obj(_Node):
     """The base type of objects (0-cells)."""
 
+    def __new__(cls) -> Obj:
+        return _cons(cls, False)
 
-@dataclass(frozen=True)
+
+@_syntax_node
 class Arr(_Node):
     """Arrow type between two parallel terms of a common base type."""
 
@@ -121,13 +186,19 @@ class Arr(_Node):
     src: Term
     tgt: Term
 
+    def __new__(cls, base: Type, src: Term, tgt: Term) -> Arr:
+        return _cons(cls, base._open or src._open or tgt._open, base, src, tgt)
 
-@dataclass(frozen=True)
+
+@_syntax_node
 class Inv(_Node):
     """Type of invertibility structures on ``subject : base``."""
 
     base: Type  # always an Arr in checked syntax
     subject: Term
+
+    def __new__(cls, base: Type, subject: Term) -> Inv:
+        return _cons(cls, base._open or subject._open, base, subject)
 
 
 Type = Union[Obj, Arr, Inv]
@@ -138,12 +209,15 @@ Type = Union[Obj, Arr, Inv]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_syntax_node
 class VarRef(_Node):
     var: Var
 
+    def __new__(cls, var: Var) -> VarRef:
+        return _cons(cls, False, var)
 
-@dataclass(frozen=True)
+
+@_syntax_node
 class Coh(_Node):
     """A coherence cell: a pasting context, a full type over it, and the
     substitution instantiating it in the ambient context."""
@@ -152,8 +226,11 @@ class Coh(_Node):
     ty: Type
     sub: Substitution
 
+    def __new__(cls, ps: Context, ty: Type, sub: Substitution) -> Coh:
+        return _cons(cls, ps._open or ty._open or sub._open, ps, ty, sub)
 
-@dataclass(frozen=True)
+
+@_syntax_node
 class Coind(_Node):
     """Direct coinductive invertibility tuple."""
 
@@ -165,11 +242,15 @@ class Coind(_Node):
     tilu: Term
     tiru: Term
 
+    def __new__(cls, t, tl, tr, tlu, tru, tilu, tiru) -> Coind:
+        is_open = t._open or tl._open or tr._open or tlu._open or tru._open or tilu._open or tiru._open
+        return _cons(cls, is_open, t, tl, tr, tlu, tru, tilu, tiru)
+
     def components(self) -> tuple[Term, ...]:
         return (self.t, self.tl, self.tr, self.tlu, self.tru, self.tilu, self.tiru)
 
 
-@dataclass(frozen=True)
+@_syntax_node
 class Rec(_Node):
     """Recursive invertibility definition.
 
@@ -187,11 +268,17 @@ class Rec(_Node):
     tiru: Term
     sub: Substitution
 
+    def __new__(cls, t, tl, tr, tlu, tru, tilu, tiru, sub) -> Rec:
+        is_open = (
+            t._open or tl._open or tr._open or tlu._open or tru._open or tilu._open or tiru._open or sub._open
+        )
+        return _cons(cls, is_open, t, tl, tr, tlu, tru, tilu, tiru, sub)
+
     def components(self) -> tuple[Term, ...]:
         return (self.t, self.tl, self.tr, self.tlu, self.tru, self.tilu, self.tiru)
 
 
-@dataclass(frozen=True)
+@_syntax_node
 class Can(_Node):
     """Canonical invertibility structure on a coherence cell.
 
@@ -203,20 +290,29 @@ class Can(_Node):
     subject: Term  # a Coh in checked syntax
     witnesses: tuple[tuple[Var, Term], ...]
 
+    def __new__(cls, subject: Term, witnesses: tuple[tuple[Var, Term], ...]) -> Can:
+        return _cons(cls, subject._open or _open_in(witnesses), subject, witnesses)
 
-@dataclass(frozen=True)
+
+@_syntax_node
 class Destr(_Node):
     kind: str  # one of DESTRUCTORS
     arg: Term
 
+    def __new__(cls, kind: str, arg: Term) -> Destr:
+        return _cons(cls, arg._open, kind, arg)
 
-@dataclass(frozen=True)
+
+@_syntax_node
 class MetaRef(_Node):
-    """An unsolved elaboration metavariable.  Never reaches the kernel:
-    declarations are zonked before checking."""
+    """An unsolved elaboration metavariable, always a new open node.
+    Never reaches the kernel: declarations are zonked before checking."""
 
     uid: int
     hint: str = "_"
+
+    def __new__(cls, uid: int, hint: str = "_") -> MetaRef:
+        return _cons(cls, True, uid, hint)
 
 
 Term = Union[VarRef, Coh, Coind, Rec, Can, Destr, MetaRef]
@@ -227,9 +323,12 @@ Term = Union[VarRef, Coh, Coind, Rec, Can, Destr, MetaRef]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_syntax_node
 class Context(_Node):
     entries: tuple[tuple[Var, Type], ...] = ()
+
+    def __new__(cls, entries: tuple[tuple[Var, Type], ...] = ()) -> Context:
+        return _cons(cls, _open_in(entries), entries)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -258,18 +357,29 @@ class Context(_Node):
         return Context(self.entries + ((var, ty),))
 
 
-@dataclass(frozen=True)
-class Substitution:
+@_syntax_node
+class Substitution(_Node):
     """Ordered assignments onto the variables of ``codomain``."""
 
     pairs: tuple[tuple[Var, Term], ...]
     codomain: Context
 
+    def __new__(cls, pairs: tuple[tuple[Var, Term], ...], codomain: Context) -> Substitution:
+        return _cons(cls, codomain._open or _open_in(pairs), pairs, codomain)
+
+    def images(self) -> dict[str, Term]:
+        """The image of each assigned name (of its first assignment),
+        kept on the node; callers only read it."""
+        out = self._keys
+        if out is None:
+            out = self._keys = {v.name: t for v, t in reversed(self.pairs)}
+        return out
+
     def lookup(self, var: Var) -> Term:
-        for v, t in self.pairs:
-            if v.name == var.name:
-                return t
-        raise UnboundVariable(f"substitution does not assign {var.name}")
+        t = self.images().get(var.name)
+        if t is None:
+            raise UnboundVariable(f"substitution does not assign {var.name}")
+        return t
 
     def terms(self) -> tuple[Term, ...]:
         return tuple([t for _, t in self.pairs])
@@ -324,14 +434,17 @@ def map_children(t: Term, f: Callable[[Term], Term]) -> Term:
 
 
 def map_type(ty: Type, f: Callable[[Term], Term]) -> Type:
-    """``ty`` rebuilt with ``f`` applied to each of its terms, base first."""
+    """``ty`` rebuilt with ``f`` applied to each of its terms, base
+    first; ``ty`` itself when every image is the term it replaces."""
     match ty:
         case Obj():
             return ty
         case Arr(base, src, tgt):
-            return Arr(map_type(base, f), f(src), f(tgt))
+            b, s, t = map_type(base, f), f(src), f(tgt)
+            return ty if b is base and s is src and t is tgt else Arr(b, s, t)
         case Inv(base, subject):
-            return Inv(map_type(base, f), f(subject))
+            b, s = map_type(base, f), f(subject)
+            return ty if b is base and s is subject else Inv(b, s)
     raise TypeError(f"not a type: {ty!r}")
 
 
@@ -371,62 +484,6 @@ class MemoMap:
         return out
 
 
-def share_key(t: Term) -> tuple:
-    """The fields of ``t`` with every node among them by identity: its
-    class, destructor kind and names (variables, the variables a
-    substitution or a ``Can`` assigns), and the identities of its closed
-    parts (pasting context, coherence type, a substitution's codomain,
-    a recursor's components) and of its children.  Two nodes with equal
-    keys are equal as dataclasses; alpha-equivalent nodes over
-    differently named binders are not, and keep distinct keys.  A key
-    names live objects only while a node with that key is kept."""
-    match t:
-        case VarRef(v):
-            return (VarRef, v.name)
-        case Coh(ps, ty, sub):
-            return (Coh, id(ps), id(ty), *_sub_fields(sub))
-        case Rec():
-            return (Rec, *map(id, t.components()), *_sub_fields(t.sub))
-        case Coind():
-            return (Coind, *map(id, t.components()))
-        case Can(subject, wit):
-            return (Can, id(subject), *[x.name for x, _ in wit], *[id(w) for _, w in wit])
-        case Destr(kind, arg):
-            return (Destr, kind, id(arg))
-        case MetaRef(uid, hint):
-            return (MetaRef, uid, hint)
-    raise TypeError(f"not a term: {t!r}")
-
-
-def _sub_fields(sub: Substitution) -> tuple:
-    return (id(sub.codomain), *[x.name for x, _ in sub.pairs], *[id(s) for _, s in sub.pairs])
-
-
-class SharingMap(MemoMap):
-    """A :class:`MemoMap` that also merges every node it returns with an
-    equal one it returned before (same :func:`share_key`), so its output
-    is a maximally shared DAG: equal subterms built separately, such as
-    two instances of one definition at the same arguments, are stored
-    once.  The merge table lives as long as the map, one top-level call;
-    its nodes keep alive every object their keys name."""
-
-    __slots__ = ("table",)
-
-    def __init__(self, leaf: Callable[[Term, MemoMap], Term]):
-        super().__init__(leaf)
-        self.table: dict[tuple, Term] = {}
-
-    def __call__(self, t: Term) -> Term:
-        if isinstance(t, (VarRef, MetaRef)):
-            out = self.leaf(t, self)
-            return self.table.setdefault(share_key(out), out)
-        out = self.memo.get(id(t))
-        if out is None:
-            out = map_children(t, self)
-            out = self.memo[id(t)] = self.table.setdefault(share_key(out), out)
-        return out
-
-
 def subterms(roots: Iterable[Term]) -> Iterator[Term]:
     """Each distinct node reachable from ``roots`` through free
     positions, once, depth first in pre-order (so in order of first
@@ -446,23 +503,53 @@ def subterms(roots: Iterable[Term]) -> Iterator[Term]:
 # ---------------------------------------------------------------------------
 
 
-def _sub_leaf(sub: Substitution) -> Callable[[Term, MemoMap], Term]:
-    return lambda x, _: sub.lookup(x.var) if isinstance(x, VarRef) else x
+def _image_leaf(images: Mapping[str, Term], keep: bool) -> Callable[[Term, MemoMap], Term]:
+    """The leaf map sending a variable to its image, and one with no
+    image to itself when ``keep``, else raising."""
+
+    def leaf(x: Term, _: MemoMap) -> Term:
+        if isinstance(x, VarRef):
+            t = images.get(x.var.name)
+            if t is not None:
+                return t
+            if not keep:
+                raise UnboundVariable(f"substitution does not assign {x.var.name}")
+        return x
+
+    return leaf
+
+
+def instantiate_type(ty: Type, images: Mapping[str, Term]) -> Type:
+    """``ty`` with each variable replaced by its image in ``images``,
+    every variable of ``ty`` having one."""
+    return map_type(ty, MemoMap(_image_leaf(images, False)))
 
 
 def apply_sub_type(ty: Type, sub: Substitution) -> Type:
-    return map_type(ty, MemoMap(_sub_leaf(sub)))
+    return instantiate_type(ty, sub.images())
 
 
 def apply_sub_term(t: Term, sub: Substitution) -> Term:
     if isinstance(t, VarRef):  # a leaf root needs no memo
         return sub.lookup(t.var)
-    return MemoMap(_sub_leaf(sub))(t)
+    return MemoMap(_image_leaf(sub.images(), False))(t)
 
 
 def compose_sub(first: Substitution, second: Substitution) -> Substitution:
     """Pointwise composition: apply ``second`` to the terms of ``first``."""
-    return _with_images(first, map(MemoMap(_sub_leaf(second)), first.terms()))
+    return _with_images(first, map(MemoMap(_image_leaf(second.images(), False)), first.terms()))
+
+
+def rename_vars_type(ty: Type, mapping: dict[str, str]) -> Type:
+    return map_type(ty, MemoMap(_rename_leaf(mapping)))
+
+
+def rename_vars_term(t: Term, mapping: dict[str, str]) -> Term:
+    return MemoMap(_rename_leaf(mapping))(t)
+
+
+def _rename_leaf(mapping: dict[str, str]) -> Callable[[Term, MemoMap], Term]:
+    return _image_leaf({old: VarRef(Var(new)) for old, new in mapping.items()}, True)
 
 
 # ---------------------------------------------------------------------------
@@ -532,41 +619,31 @@ def fresh_name(base: str, avoid: set[str]) -> str:
 # Alpha-invariant canonical keys
 # ---------------------------------------------------------------------------
 
+
 class AlphaClass:
     """The one live object for a shape (see :func:`_intern`), so keys
     are equal exactly when they are the same object, with the facts the
     kernel learns about the members of the class, made on first use:
-    ``types``, the type a member infers over the named key of a context
-    (a pair for the first context, then a dict; it keeps those keys
-    alive); ``checked``, set once a coherence head passes its check;
-    ``steps``, the stages of a cancellator by side and witness keys."""
+    ``types``, the type a member infers over each live context (keyed
+    by a weak reference to the context, so it keeps no context alive);
+    ``checked``, set once a coherence head passes its check; ``built``,
+    the constructions :mod:`icatt.inverse` derives from a coherence."""
 
-    __slots__ = ("types", "checked", "steps", "__weakref__")
+    __slots__ = ("types", "checked", "built", "__weakref__")
 
     def __init__(self) -> None:
         self.types = None
         self.checked = False
-        self.steps = None
-
-
-# shape (a tag, child classes, names) -> a weak reference to its class,
-# whose key is the shape; see the module docstring
-_INTERN: dict[tuple, KeyedRef] = {}
+        self.built = None
 
 
 def _intern(shape: tuple) -> AlphaClass:
-    ref = _INTERN.get(shape)
-    cls = None if ref is None else ref()
+    r = _INTERN.get(shape)
+    cls = None if r is None else r()
     if cls is None:
         cls = AlphaClass()
-        _INTERN[shape] = KeyedRef(cls, _forget, shape)
+        _keep(cls, shape)
     return cls
-
-
-def _forget(ref: KeyedRef, table: dict[tuple, KeyedRef] = _INTERN) -> None:
-    # a class died: drop its entry, unless a new class took the shape
-    if table.get(ref.key) is ref:
-        del table[ref.key]
 
 
 class _Keys:
@@ -595,8 +672,7 @@ _CLOSED = _Keys({})
 def _closed_key(x: Term | Type) -> AlphaClass:
     k = x._key
     if k is None:
-        k = _intern(_shape(x, _CLOSED))
-        object.__setattr__(x, "_key", k)
+        k = x._key = _intern(_shape(x, _CLOSED))
     return k
 
 
@@ -636,13 +712,12 @@ def alpha_key_type(ty: Type) -> AlphaClass:
 
 def coh_head_key(ps: Context, ty: Type) -> AlphaClass:
     """Alpha-invariant key of a coherence head: its pasting context and
-    its type over that context.  Cached on the type, with the named key
-    of the context it was keyed over."""
-    pk, over, pb = _ctx_key(ps)
+    its type over that context.  Cached on the type, with a weak
+    reference to the context it was keyed over."""
     hit = ty._head_key
-    if hit is None or hit[0] is not over:
-        hit = (over, _intern(("head", pk, _Keys(pb)(ty))))
-        object.__setattr__(ty, "_head_key", hit)
+    if hit is None or hit[0]() is not ps:
+        pk, pb = _ctx_key(ps)
+        hit = ty._head_key = (ref(ps), _intern(("head", pk, _Keys(pb)(ty))))
     return hit[1]
 
 
@@ -663,34 +738,31 @@ def rec_head_key(t: Rec) -> AlphaClass:
     k = t._head_key
     if k is None:
         seed = t.sub.codomain
-        ek, _, eb = _ctx_key(seed)
+        ek, eb = _ctx_key(seed)
         ebh = dict(eb)
         for i, hv in enumerate(rec_hyp_names(seed)):
             ebh[hv] = len(seed) + i
         comps = t.components()
-        k = _intern(("rec-head", ek, *map(_Keys(eb), comps[:5]), *map(_Keys(ebh), comps[5:])))
-        object.__setattr__(t, "_head_key", k)
+        k = t._head_key = _intern(("rec-head", ek, *map(_Keys(eb), comps[:5]), *map(_Keys(ebh), comps[5:])))
     return k
 
 
-def _ctx_key(ctx: Context) -> tuple[AlphaClass, AlphaClass, dict[str, int]]:
-    """The key of ``ctx``, its named key and its binder map (variable
-    name -> position of its last entry), cached on ``ctx``.  Each
-    entry's type is keyed over the entries before it; an entry that
-    repeats a name is marked with the position it shadows, so it never
-    keys like a fresh name."""
+def _ctx_key(ctx: Context) -> tuple[AlphaClass, dict[str, int]]:
+    """The key of ``ctx`` and its binder map (variable name -> position
+    of its last entry), cached on ``ctx``.  Each entry's type is keyed
+    over the entries before it; an entry that repeats a name is marked
+    with the position it shadows, so it never keys like a fresh name."""
     keys = ctx._keys
     if keys is None:
-        k, nk, b = _intern(("ctx",)), _intern(("named",)), {}
+        k, b = _intern(("ctx",)), {}
         for i, (v, ty) in enumerate(ctx):
             ek = _Keys(b)(ty)
             shadowed = b.get(v.name)
             if shadowed is not None:
                 ek = _intern(("shadows", shadowed, ek))
-            k, nk = _intern(("ctx", k, ek)), _intern(("named", nk, ek, v.name))
+            k = _intern(("ctx", k, ek))
             b[v.name] = i
-        keys = (k, nk, b)
-        object.__setattr__(ctx, "_keys", keys)
+        keys = ctx._keys = (k, b)
     return keys
 
 
@@ -698,37 +770,20 @@ def alpha_key_context(ctx: Context) -> AlphaClass:
     return _ctx_key(ctx)[0]
 
 
-def named_context_key(ctx: Context) -> AlphaClass:
-    """A key of ``ctx`` that also tells its variable names apart: equal
-    exactly for alpha-equivalent contexts with the same names in the same
-    order, the contexts over which terms have the same meaning."""
-    return _ctx_key(ctx)[1]
-
-
 def alpha_key_sub(sub: Substitution) -> AlphaClass:
-    return _intern(("sub", alpha_key_context(sub.codomain), *map(_closed_key, sub.terms())))
+    k = sub._key
+    if k is None:
+        k = sub._key = _intern(("sub", alpha_key_context(sub.codomain), *map(_closed_key, sub.terms())))
+    return k
 
 
 def alpha_eq_term(a: Term, b: Term) -> bool:
-    return alpha_key_term(a) == alpha_key_term(b)
+    return a is b or alpha_key_term(a) is alpha_key_term(b)
 
 
 def alpha_eq_type(a: Type, b: Type) -> bool:
-    return alpha_key_type(a) == alpha_key_type(b)
+    return a is b or alpha_key_type(a) is alpha_key_type(b)
 
 
 def alpha_eq_context(a: Context, b: Context) -> bool:
-    return alpha_key_context(a) == alpha_key_context(b)
-
-
-def rename_vars_type(ty: Type, mapping: dict[str, str]) -> Type:
-    return map_type(ty, MemoMap(_rename_leaf(mapping)))
-
-
-def rename_vars_term(t: Term, mapping: dict[str, str]) -> Term:
-    return MemoMap(_rename_leaf(mapping))(t)
-
-
-def _rename_leaf(mapping: dict[str, str]) -> Callable[[Term, MemoMap], Term]:
-    m = {old: VarRef(Var(new)) for old, new in mapping.items()}
-    return lambda x, _: m.get(x.var.name, x) if isinstance(x, VarRef) else x
+    return a is b or alpha_key_context(a) is alpha_key_context(b)

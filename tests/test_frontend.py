@@ -1,6 +1,7 @@
 """Parser and command-line driver."""
 
 import importlib
+import importlib.util
 import json
 import pkgutil
 import sys
@@ -307,6 +308,38 @@ def test_cli_checks_deep_chain(tmp_path):
     assert out.stdout == "checked let d\n"
 
 
+_DEEP_LIBRARY_CHECK = """
+from icatt.cli import run_on_worker_stack
+from icatt.elaborate import elaborate_decl
+from icatt.errors import IcattError
+from icatt.kernel import Environment, check_decl
+from icatt.parser import parse
+
+def check(text):
+    env = Environment()
+    for sdecl in parse(text):
+        check_decl(env, elaborate_decl(env, sdecl))
+    return "accepted"
+
+t = "f"
+for i in range(20000):
+    t = f"(comp {t} (id _))" if i % 2 else f"(comp (id _) {t})"
+try:
+    print(run_on_worker_stack(check, f"let d (x : *) (f : x -> x) = {t}\\n"))
+except IcattError as exc:
+    print(exc.category)
+"""
+
+
+def test_library_entry_point_checks_deep_chain():
+    """Parsing, elaborating and checking the depth-20000 comp/id chain
+    through the library, on the worker stack, in a new interpreter at
+    its default recursion limit, is accepted or bounded, never a crash."""
+    out = fresh.run("-c", _DEEP_LIBRARY_CHECK)
+    assert out.returncode == 0, (out.returncode, out.stderr[-2000:])
+    assert out.stdout in ("accepted\n", "bound-exceeded\n")
+
+
 def test_cli_reports_nesting_past_recursion_limit(tmp_path):
     src = tmp_path / "parens.catt"
     src.write_text("let d (x : *) = " + "(" * 300000 + "x" + ")" * 300000 + "\n")
@@ -410,6 +443,20 @@ def test_module_tables_are_the_listed_ones():
             elif isinstance(value, (dict, set)) and not attr.startswith("__"):
                 found.add(f"{name}.{attr}")
     assert found == MEMO_TABLES | CONSTANT_TABLES
+
+
+def test_traced_spans_name_existing_functions():
+    """Every function the benchmark's tracer wraps exists in its module,
+    so no per-layer metric reads 0 because a function was renamed; the
+    one exception is the retired ``kernel.convertible_inv_terms``."""
+    spec = importlib.util.spec_from_file_location("bench_spans", fresh.ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = []
+    for layer, fnames in spans.SPANS.values():
+        mod = importlib.import_module(f"icatt.{layer}")
+        missing += [f"{layer}.{f}" for f in fnames if not callable(getattr(mod, f, None))]
+    assert missing == ["kernel.convertible_inv_terms"]
 
 
 def test_no_module_imports_a_name_it_never_uses():
@@ -519,3 +566,39 @@ def test_memory_stays_bounded_across_inputs():
     sizes, peaks = json.loads(out.stdout)
     assert all(b - a <= 8 for a, b in zip(sizes[1:], sizes[2:])), sizes
     assert max(peaks[2:]) <= 1.05 * peaks[1], peaks
+
+
+# checks the corpus, then 100 and then 200 more distinct one-line inputs,
+# in one process; after each batch, the live entries of the intern table
+_DISTINCT_INPUTS = """
+import gc, json
+from icatt import syntax
+from icatt.elaborate import elaborate_decl
+from icatt.kernel import Environment, check_decl
+from icatt.parser import parse
+
+def check(text):
+    env = Environment()
+    for sdecl in parse(text):
+        check_decl(env, elaborate_decl(env, sdecl))
+
+with open("proofs/invertibility.catt", encoding="utf-8") as corpus:
+    check(corpus.read())
+sizes = []
+for batch in (range(0), range(100), range(100, 300)):
+    for i in batch:
+        check(f"let t (x0 : *) (v{i} : *) (f : x0 -> v{i}) = f\\n")
+    gc.collect()
+    sizes.append(len(syntax._INTERN))
+print(json.dumps(sizes))
+"""
+
+
+def test_inferred_types_keep_no_dead_context_alive():
+    """A type inferred over a context lives no longer than the context:
+    checking 100, then 200 more, distinct inputs whose terms share a
+    long-lived variable node leaves the intern table as it was."""
+    out = fresh.run("-c", _DISTINCT_INPUTS)
+    assert out.returncode == 0, out.stderr
+    sizes = json.loads(out.stdout)
+    assert max(sizes) - sizes[0] <= 8, sizes

@@ -509,20 +509,27 @@ def test_repeated_names_never_key_like_fresh_ones():
     assert len(fresh) > 1 and len(repeating) > 1000
 
 
+def _probe_nodes():
+    """The keys of live ``VarRef`` nodes of the lifetime probe variable."""
+    return [k for k in syntax._INTERN if k[0] is VarRef and k[1].name == "class-lifetime-probe"]
+
+
 def test_a_class_lives_as_long_as_syntax_refers_to_it():
-    """An alpha-class, and its entry in the intern table, live exactly as
-    long as some node refers to it: dropping a term frees them, and
-    building the term again makes one new class, which alpha-equivalent
-    live nodes share."""
+    """An alpha-class and a node, and their entries in the intern table,
+    live exactly as long as some node refers to them: dropping a term
+    frees them, and building the term again makes one new class, which
+    alpha-equivalent live nodes share."""
     probe = VarRef(Var("class-lifetime-probe"))
     leaf = ("fv", probe.var.name)
     t = Destr("linv", id_of(probe, Obj()))
     classes = [weakref.ref(alpha_key_term(s)) for s in subterms([t])]
-    assert leaf in syntax._INTERN
+    nodes = [weakref.ref(s) for s in subterms([t])]
+    assert leaf in syntax._INTERN and len(_probe_nodes()) == 1
     del t, probe
     gc.collect()
     assert [ref() for ref in classes] == [None, None, None]
-    assert leaf not in syntax._INTERN
+    assert [ref() for ref in nodes] == [None, None, None]
+    assert leaf not in syntax._INTERN and not _probe_nodes()
 
     # over a pasting context named apart from the one of id_of
     z = Context(((Var("z"), Obj()),))
@@ -530,3 +537,71 @@ def test_a_class_lives_as_long_as_syntax_refers_to_it():
     again = Destr("linv", id_of(VarRef(Var("class-lifetime-probe")), Obj()))
     assert alpha_key_term(again) is alpha_key_term(Destr("linv", renamed))
     assert leaf in syntax._INTERN and classes[0]() is None
+
+
+def _twice(build):
+    """``build()`` called twice, each time from children built anew."""
+    return build(), build()
+
+
+_NODE_BUILDERS = {
+    Var: lambda: Var("hc-x"),
+    Obj: lambda: Obj(),
+    Arr: lambda: arr0("hc-x", "hc-y"),
+    Inv: lambda: Inv(arr0("hc-x", "hc-y"), VarRef(Var("hc-f"))),
+    VarRef: lambda: VarRef(Var("hc-x")),
+    Coh: lambda: id_of(VarRef(Var("hc-x")), Obj()),
+    Coind: lambda: Coind(*[VarRef(Var(f"hc-{i}")) for i in range(7)]),
+    Rec: lambda: Rec(*[VarRef(Var(f"d{i % 2}")) for i in range(7)], identity_sub(walking_equiv(1))),
+    Can: lambda: Can(id_of(VarRef(Var("hc-x")), Obj()), ((Var("d0"), VarRef(Var("hc-e"))),)),
+    Destr: lambda: Destr("rwit", VarRef(Var("hc-e"))),
+    Context: lambda: Context(((Var("hc-x"), Obj()), (Var("hc-f"), arr0("hc-x", "hc-x")))),
+    Substitution: lambda: Substitution(((Var("d0"), VarRef(Var("hc-x"))),), Context(((Var("d0"), Obj()),))),
+}
+
+
+@pytest.mark.parametrize("cls", list(_NODE_BUILDERS), ids=lambda c: c.__name__)
+def test_equal_fields_give_the_same_node(cls):
+    """Each constructor returns the one live node with its fields, kept
+    in the intern table; equality and hashing are identity, and the
+    node's facts are not among its dataclass fields."""
+    import dataclasses
+
+    a, b = _twice(_NODE_BUILDERS[cls])
+    assert type(a) is cls and a is b and not a._open
+    assert (cls, *[getattr(a, f.name) for f in dataclasses.fields(a)]) in syntax._INTERN
+    assert hash(a) == object.__hash__(a)
+    assert tuple(f.name for f in dataclasses.fields(a)) == cls.__match_args__
+
+
+def _mentions_open(key) -> bool:
+    return any(
+        _mentions_open(x) if isinstance(x, tuple) else isinstance(x, syntax._Node) and x._open
+        for x in key
+    )
+
+
+def test_nodes_over_a_meta_are_plain_and_never_reach_the_kernel():
+    """Syntax over an unsolved metavariable is built as new plain nodes
+    outside the intern table, the kernel refuses it, and an elaboration
+    that leaves a metavariable unsolved stops before the kernel."""
+    from icatt.elaborate import elaborate_decl
+    from icatt.errors import UnsolvedMeta
+    from icatt.kernel import Environment, infer_term
+    from icatt.parser import parse
+
+    m = MetaRef(0, "m")
+    built = [Arr(Obj(), m, VarRef(Var("x"))), Destr("linv", m), Coind(*[m] * 7)]
+    again = [Arr(Obj(), m, VarRef(Var("x"))), Destr("linv", m), Coind(*[m] * 7)]
+    assert m is not MetaRef(0, "m")
+    for x, y in zip(built, again):
+        assert x._open and x is not y
+    ctx = Context(((Var("x"), Obj()),))
+    for t in (m, built[1], Destr("rinv", Destr("linv", m))):
+        with pytest.raises(UnsolvedMeta):
+            infer_term(ctx, t)
+        assert t._key is None
+    (sdecl,) = parse("let w (x : *) (f : x -> x) = comp _ f\n")
+    with pytest.raises(UnsolvedMeta):
+        elaborate_decl(Environment(), sdecl)
+    assert not any(_mentions_open(k) for k in list(syntax._INTERN))
