@@ -265,9 +265,7 @@ class Elaborator:
             self._bind(b, a)
             return
         match (a, b):
-            case (Coh(), Coh()) if (a.ps is not b.ps or a.ty is not b.ty) and coh_head_key(
-                a.ps, a.ty
-            ) is not coh_head_key(b.ps, b.ty):
+            case (Coh(), Coh()) if coh_head_key(a.ps, a.ty) is not coh_head_key(b.ps, b.ty):
                 raise UnificationFailure("distinct coherence heads")
             case (Rec(), Rec()) if rec_head_key(a) is not rec_head_key(b):
                 raise UnificationFailure("distinct recursive definitions")
