@@ -2,40 +2,53 @@
 
 Declared names are schemas over a telescope.  Only arguments whose
 variables do not occur in the types of later telescope entries are
-given explicitly; the rest are reconstructed by first-order unification
-of the explicit arguments' types against the telescope (best effort:
-unsolved metavariables are reported, never guessed).  Definitions are
-implicitly suspended: when the explicit arguments (or the expected
-type) live uniformly above the schema's dimension, the schema is
-suspended to match before unification.
+given explicitly; the rest are reconstructed from the explicit
+arguments' types (best effort: unsolved metavariables are reported,
+never guessed).  Definitions are implicitly suspended: when the
+explicit arguments (or the expected type) live uniformly above the
+schema's dimension, the schema is suspended to match.
 
 ``comp`` is multi-ary and elaborates through the linear composite
 schema of the right arity and dimension; ``id`` is the identity schema;
 ``IHleft``/``IHright`` resolve to the inductive-hypothesis variables
 inside the last two components of a recursive definition.  Let-bodies
 are inlined at use sites, so the kernel re-checks declarations with no
-elaborator state left behind.  Only implicit slots of a schema get
-metavariables, and a slot's type is instantiated from the slots
-assigned so far.  Each schema application instantiates the metavariables
-solved by its end, so its result is a closed node as soon as every slot
-is solved; instantiating metavariables (a zonk) returns closed nodes as
-they are and rebuilds only open ones.  Closed nodes are shared by their
-constructors (see :mod:`icatt.syntax`), so a definition inlined several
-times at the same arguments is stored once, and later traversals of the
-declaration cost its number of distinct nodes.
+elaborator state left behind.
 
-Unification costs distinct node pairs, not tree size.  Identical terms
-unify at once, and each top-level call (a :meth:`Elaborator.unify_term`
-or :meth:`Elaborator.unify_type` from outside the unifier) keeps one set
-of the pairs of nodes, by identity, it has unified, visiting each pair
-once; the set is dropped when the call returns.  This is sound because
-no solution is undone during the call: a pair unified once stays
-unified, and a failure raises out of the whole call, after which a
-caller that recovers (``_pre_elaborate``) undoes its solutions by the
-trail.  The set is never kept across calls, where an undo would make it
-stale.  The occurs check walks each node once, following solved metas,
-and builds nothing.  A telescope's explicit positions are computed once
-and cached on its :class:`~icatt.syntax.Context`.
+A schema application is checked against its expected type when that is
+known (bidirectional elaboration).  The arguments that synthesise a
+type are elaborated first, on their own; the others (``_``, and a
+``comp``, ``id`` or definition none of whose arguments synthesises)
+are checked against their slots.  Each telescope variable then gets its
+image in one pass: each synthesised argument's type is matched against
+its slot's type, and the schema's type against the expected type, so a
+variable gets its counterpart the first time it is met and is unified
+with its image after that.  An explicit ``_`` whose variable got an
+image this way (the ``_`` of ``id _``, from its neighbour's boundary)
+is not elaborated at all.  A metavariable is made only for a slot that
+nothing has determined by the time a surface argument is checked
+against a type that mentions it.  Each schema type is instantiated once
+per application, at images with their solved metavariables followed,
+so an application whose images are closed is a closed node at once;
+the strict instantiation of metavariables (a zonk) at the end of a
+declaration returns closed nodes as they are and rebuilds only open
+ones.  Closed nodes are shared by their constructors (see
+:mod:`icatt.syntax`), so a definition inlined several times at the same
+arguments is stored once, and later traversals of the declaration cost
+its number of distinct nodes.  Nothing is attempted that may fail on
+accepted input, so no solution is ever undone.
+
+Unification is the fallback of matching, for a pattern that is not a
+telescope variable.  It costs distinct node pairs, not tree size.
+Identical terms unify at once, and each top-level call (a
+:meth:`Elaborator.unify_term` or :meth:`Elaborator.unify_type` from
+outside the unifier) keeps one set of the pairs of nodes, by identity,
+it has unified, visiting each pair once; the set is dropped when the
+call returns.  This is sound because a pair unified once stays unified,
+and a failure raises out of the whole elaboration.  The occurs check
+walks each open node once, following solved metas, and builds nothing.
+A telescope's explicit positions are computed once and cached on its
+:class:`~icatt.syntax.Context`.
 """
 
 from __future__ import annotations
@@ -46,7 +59,6 @@ from .builtins import comp_schema, component_type, destructor_result_type, id_sc
 from .errors import (
     ArityError,
     BadCanSubject,
-    IcattError,
     IHOutsideRec,
     IllFormedType,
     NotEquivContext,
@@ -175,20 +187,9 @@ def explicit_positions(tele: Context) -> tuple[int, ...]:
 class _Metas:
     solutions: dict[int, Term] = field(default_factory=dict)
     next_uid: int = 0
-    # the uids of ``solutions`` in the order they were solved, so that
-    # a failed attempt can be undone back to a mark
-    trail: list[int] = field(default_factory=list)
 
     def solve(self, uid: int, t: Term) -> None:
-        if uid not in self.solutions:
-            self.solutions[uid] = t
-            self.trail.append(uid)
-
-    def undo(self, mark: int) -> None:
-        """Forget every solution found since ``len(trail)`` was ``mark``."""
-        for uid in self.trail[mark:]:
-            del self.solutions[uid]
-        del self.trail[mark:]
+        self.solutions.setdefault(uid, t)
 
     def fresh(self, hint: str) -> MetaRef:
         """A new meta, as the one node that stands for it: the unifier
@@ -215,6 +216,8 @@ class Elaborator:
         self.metas = _Metas()
         self.ctx = Context()
         self.ih: tuple[tuple[Var, Type], tuple[Var, Type]] | None = None
+        # surface node (by identity) -> whether it synthesises a type
+        self._synth: dict[int, bool] = {}
 
     # -- metavariable plumbing -------------------------------------------
 
@@ -284,7 +287,7 @@ class Elaborator:
             self.unify_term(c1, c2, seen)
 
     def _bind(self, m: MetaRef, t: Term) -> None:
-        if self._occurs(m.uid, t):
+        if t._open and self._occurs(m.uid, t):
             raise UnificationFailure("circular implicit argument")
         self.metas.solve(m.uid, t)
 
@@ -328,8 +331,11 @@ class Elaborator:
     # -- terms ---------------------------------------------------------------
 
     def elab_check(self, s: SurfaceTerm, expected: Type | None) -> Term:
+        """Elaborate ``s`` against ``expected``.  A schema application
+        checks itself against it and returns it as its type; any other
+        term's type is unified with it here."""
         term, ty = self.elab_infer(s, expected)
-        if expected is not None and ty is not None:
+        if expected is not None and ty is not None and ty is not expected:
             try:
                 self.unify_type(ty, expected)
             except UnificationFailure:
@@ -349,11 +355,8 @@ class Elaborator:
 
     def elab_infer(self, s: SurfaceTerm, expected: Type | None = None) -> tuple[Term, Type | None]:
         match s:
-            case SWild(span):
-                m = self.metas.fresh("_")
-                if expected is None:
-                    return m, None
-                return m, expected
+            case SWild():
+                return self.metas.fresh("_"), expected
             case SVar(name, span):
                 return self._elab_app(name, (), expected, span)
             case SApp(SVar(name, _), args, span):
@@ -362,13 +365,37 @@ class Elaborator:
                 return self._elab_can(s, expected)
         raise TypeMismatch(f"cannot elaborate {s!r}")
 
+    def _synthesises(self, s: SurfaceTerm) -> bool:
+        """Whether ``s`` elaborates with no expected type.  Everything
+        does but ``_``, a ``can`` whose subject does not, and an
+        application none of whose arguments does: the dimension of a
+        ``comp`` or ``id``, and the suspension of a definition, come from
+        an argument or else from the expected type.  Memoised per
+        elaborator, so a nested chain is walked once."""
+        if isinstance(s, SWild):
+            return False
+        if isinstance(s, SCan):
+            return self._synthesises(s.subject)
+        if not isinstance(s, SApp) or s.head.name in _DESTRUCTOR_OF_SPELLING:
+            return True
+        out = self._synth.get(id(s))
+        if out is None:
+            out = False
+            for a in s.args:
+                if self._synthesises(a):
+                    out = True
+                    break
+            self._synth[id(s)] = out
+        return out
+
     def _elab_app(
         self, name: str, args: tuple, expected: Type | None, span
     ) -> tuple[Term, Type | None]:
-        if self.ctx.has(Var(name)):
+        ty = self.ctx.types().get(name)
+        if ty is not None:
             if args:
                 raise ArityError(f"variable {name} cannot be applied to arguments", span=span)
-            return VarRef(Var(name)), self.ctx.lookup(Var(name))
+            return VarRef(Var(name)), ty
         if name in ("IHleft", "IHright"):
             if self.ih is None:
                 raise IHOutsideRec(
@@ -396,16 +423,14 @@ class Elaborator:
         if name == "id":
             if len(args) != 1:
                 raise ArityError("id takes exactly one argument", span=span)
-            dims = _cell_dim(expected)
-            k = None if dims is None else dims - 1
-            term, ty = self.elab_infer(args[0])
-            ty = self._zonkish_type(ty)
-            if ty is not None:
-                k = dim_type(ty) + 1
-            if k is None:
+            arg_data, first = self._pre_elaborate(args)
+            if first is not None:
+                k = dim_type(first[1]) + 1
+            elif expected is not None:
+                k = dim_type(expected)
+            else:
                 raise UnificationFailure("cannot infer the dimension of id here", span=span)
-            sctx, sty = id_schema(k)
-            return self._apply_schema_core(_Schema("coh", sctx, sty), [(term, ty)], expected, span)
+            return self._apply_schema_core(_Schema("coh", *id_schema(k)), arg_data, expected, span)
         decl = self.env.lookup(name)
         if decl is None:
             raise UnknownName(f"unknown name {name}", span=span)
@@ -417,35 +442,27 @@ class Elaborator:
             raise ArityError("comp needs at least one argument", span=span)
         if len(args) == 1:
             # a unary composite is its argument
-            term, ty = self.elab_infer(args[0], expected)
-            return term, ty
-        pre, first = self._pre_elaborate(args)
+            return self.elab_infer(args[0], expected)
+        arg_data, first = self._pre_elaborate(args)
         dim = _cell_dim(expected) if first is None else dim_type(first[1]) + 1
         if dim is None or dim < 1:
             raise UnificationFailure("cannot infer the dimension of this composite", span=span)
-        ctx, full = comp_schema(len(args), dim)
-        arg_data = [pre.get(i, a) for i, a in enumerate(args)]
-        return self._apply_schema_core(_Schema("coh", ctx, full), arg_data, expected, span)
+        return self._apply_schema_core(_Schema("coh", *comp_schema(len(args), dim)), arg_data, expected, span)
 
-    def _pre_elaborate(self, args: tuple) -> tuple[dict[int, tuple[Term, Type | None]], tuple[int, Type] | None]:
-        """First pass over the arguments: elaborate the ones that stand
-        alone (not ``_``; a failed attempt leaves no solved metas), by
-        position, with the position and type of the first one whose type
-        is known."""
-        pre: dict[int, tuple[Term, Type | None]] = {}
+    def _pre_elaborate(self, args: tuple) -> tuple[list, tuple[int, Type] | None]:
+        """The arguments that synthesise a type elaborated on their own,
+        as (term, type) pairs, and the others as they are, to be checked
+        against their slots; with the position and type of the first
+        pair."""
+        arg_data: list = []
         first = None
         for i, a in enumerate(args):
-            if isinstance(a, SWild):
-                continue
-            mark = len(self.metas.trail)
-            try:
-                pre[i] = self.elab_infer(a)
-            except IcattError:
-                self.metas.undo(mark)
-                continue
-            if first is None and pre[i][1] is not None:
-                first = (i, pre[i][1])
-        return pre, first
+            if self._synthesises(a):
+                a = self.elab_infer(a)
+                if first is None:
+                    first = (i, a[1])
+            arg_data.append(a)
+        return arg_data, first
 
     def _zonkish_type(self, ty: Type | None) -> Type | None:
         """Resolve solved metas inside a type without failing on
@@ -463,9 +480,9 @@ class Elaborator:
             raise ArityError(
                 f"expected {len(explicit)} explicit argument(s), got {len(args)}", span=span
             )
-        # first pass: elaborate what can stand alone, to find the
-        # suspension level from the argument dimensions
-        pre, first = self._pre_elaborate(args)
+        # the suspension level comes from the first argument that
+        # synthesises a type, else from the expected type
+        arg_data, first = self._pre_elaborate(args)
         if first is not None:
             i, ty = first
             susp = dim_type(ty) - dim_type(schema.telescope.entries[explicit[i]][1])
@@ -476,55 +493,111 @@ class Elaborator:
             raise UnificationFailure("argument dimensions are below the definition's", span=span)
         for _ in range(susp):
             schema = _suspend_schema(schema)
-        arg_data = [pre.get(i, a) for i, a in enumerate(args)]
         return self._apply_schema_core(schema, arg_data, expected, span)
 
     def _apply_schema_core(
         self, schema: _Schema, arg_data: list, expected: Type | None, span
     ) -> tuple[Term, Type | None]:
-        """Instantiate a schema: explicit slots get the given arguments
-        (surface terms are elaborated against the slot types), implicit
-        slots get fresh metas solved by unification."""
+        """Instantiate a schema at its explicit arguments: (term, type)
+        pairs and surface terms.  Telescope variables get their images,
+        in this order, by matching the pairs' types against their slots'
+        types, by matching the schema's type against ``expected`` when
+        it is known, and by checking each surface argument against its
+        slot's type; a variable met again is unified with its image.  A
+        ``_`` whose variable has an image already is not elaborated."""
         tele = schema.telescope
         explicit = explicit_positions(tele)
-        # explicit variables occur in no entry's type, so the type of
-        # each slot reads only the implicit ones, which get metas here
-        given = set(explicit)
         assign: dict[str, Term] = {}
-        for i, (v, _) in enumerate(tele):
-            if i not in given:
-                assign[v.name] = self.metas.fresh(v.name)
         for pos, data in zip(explicit, arg_data):
-            v, v_ty = tele.entries[pos]
             if isinstance(data, tuple):
+                v, v_ty = tele.entries[pos]
+                # an explicit variable occurs in no slot's type
                 assign[v.name], ty = data
-            else:
-                slot_expect = self._zonkish_type(instantiate_type(v_ty, assign))
-                assign[v.name] = self.elab_check(data, slot_expect)
-                ty = None
-            if ty is not None:
                 try:
-                    self.unify_type(ty, instantiate_type(v_ty, assign))
+                    self._match_type(v_ty, ty, assign)
                 except UnificationFailure as e:
                     raise UnificationFailure(
                         f"argument for {v.name} does not fit: {e.message}", span=span
                     )
-        out_ty = instantiate_type(schema.ty, assign)
         if expected is not None:
             try:
-                self.unify_type(self._zonkish_type(out_ty), self._zonkish_type(expected))
+                self._match_type(schema.ty, expected, assign)
             except UnificationFailure as e:
                 raise UnificationFailure(f"result does not fit here: {e.message}", span=span)
-        # with the metas solved so far instantiated, the result is closed,
-        # and shared, as soon as every slot is solved
-        resolve = self._zonker(False)
-        sub = Substitution(tuple((v, resolve(assign[v.name])) for v, _ in tele), tele)
-        out_ty = map_type(out_ty, resolve)
+        for pos, data in zip(explicit, arg_data):
+            if isinstance(data, tuple):
+                continue
+            v, v_ty = tele.entries[pos]
+            image = assign.get(v.name)
+            if image is not None and isinstance(data, SWild):
+                continue
+            term = self.elab_check(data, map_type(v_ty, self._instantiator(assign)))
+            if image is None:
+                assign[v.name] = term
+            else:
+                try:
+                    self.unify_term(image, term)
+                except UnificationFailure as e:
+                    raise UnificationFailure(
+                        f"argument for {v.name} does not fit: {e.message}", span=span
+                    )
+        # a slot that nothing determined keeps an unsolved meta, which the
+        # strict zonk of the declaration reports
+        pairs = []
+        for v, _ in tele:
+            image = assign.get(v.name)
+            image = assign[v.name] = self.metas.fresh(v.name) if image is None else self.resolve(image)
+            pairs.append((v, image))
+        sub = Substitution(tuple(pairs), tele)
+        out_ty = expected if expected is not None else instantiate_type(schema.ty, assign)
         if schema.kind == "coh":
             return Coh(tele, schema.ty, sub), out_ty
         if schema.kind == "term":
             return apply_sub_term(schema.term, sub), out_ty
         return Rec(*schema.components, sub), out_ty
+
+    def _instantiator(self, assign: dict[str, Term]) -> MemoMap:
+        """The map replacing each telescope variable by its image in
+        ``assign``, with solved metas followed; a variable with none
+        gets a new meta, recorded in ``assign``."""
+
+        def leaf(x: Term, _: MemoMap) -> Term:
+            name = x.var.name
+            image = assign.get(name)
+            if image is None:
+                image = assign[name] = self.metas.fresh(name)
+            return self.resolve(image)
+
+        return MemoMap(leaf)
+
+    def _match_type(self, pat: Type, ty: Type, assign: dict[str, Term]) -> None:
+        """Match ``pat``, a type over a schema's telescope, against
+        ``ty``: a telescope variable with no image gets its counterpart,
+        and any other pair of terms is unified with ``pat``'s side
+        instantiated."""
+        match (pat, ty):
+            case (Obj(), Obj()):
+                return
+            case (Arr(), Arr()):
+                self._match_type(pat.base, ty.base, assign)
+                self._match_term(pat.src, ty.src, assign)
+                self._match_term(pat.tgt, ty.tgt, assign)
+                return
+            case (Inv(), Inv()):
+                self._match_type(pat.base, ty.base, assign)
+                self._match_term(pat.subject, ty.subject, assign)
+                return
+        raise UnificationFailure("types do not unify")
+
+    def _match_term(self, pat: Term, t: Term, assign: dict[str, Term]) -> None:
+        if isinstance(pat, VarRef):
+            image = assign.get(pat.var.name)
+            if image is None:
+                assign[pat.var.name] = t
+                return
+        else:
+            image = self._instantiator(assign)(pat)
+        self.unify_term(image, t)
 
     def _elab_can(self, s: SCan, expected: Type | None) -> tuple[Term, Type | None]:
         expected = self._zonkish_type(expected)

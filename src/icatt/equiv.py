@@ -18,15 +18,13 @@ from functools import lru_cache
 
 from .builtins import comp_of, id_of
 from .errors import BoundExceeded
-from .kernel import check_sub, infer_term
+from .kernel import check_sub
 from .meta import rename_to, suspend_context, suspend_sub, walking_equiv, wit_classifier
 from .normalize import beta_reduce
 from .syntax import (
-    DESTRUCTORS,
     Arr,
     Context,
     Destr,
-    Inv,
     Obj,
     Substitution,
     Term,
@@ -101,32 +99,6 @@ def count_neutrals(n: int) -> int:
     for _ in range(1, n):
         inv_prev, inv = inv, 2 * inv
     return 2 * inv + 2 * inv_prev
-
-
-def brute_force_neutrals(n: int) -> set:
-    """Independent oracle: generate every destructor string of length at
-    most n + 1 over the variables of the walking equivalence, keep those
-    the kernel accepts, and collect the categorical ones of dimension n."""
-    found: set = set()
-    frontier: list[Term] = [VarRef(v) for v, _ in _E1]
-    for t in frontier:
-        ty = infer_term(_E1, t)
-        if not isinstance(ty, Inv) and dim_type(ty) + 1 == n:
-            found.add(alpha_key_term(t))
-    for _ in range(n + 1):
-        new_frontier = []
-        for t in frontier:
-            for kind in DESTRUCTORS:
-                cand = Destr(kind, t)
-                try:
-                    ty = infer_term(_E1, cand)
-                except Exception:
-                    continue
-                new_frontier.append(cand)
-                if not isinstance(ty, Inv) and dim_type(ty) + 1 == n:
-                    found.add(alpha_key_term(cand))
-        frontier = new_frontier
-    return found
 
 
 # ---------------------------------------------------------------------------

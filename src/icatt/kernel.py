@@ -86,14 +86,6 @@ from .syntax import (
 # ---------------------------------------------------------------------------
 
 
-def full_type(ps: PsContext, ty: Type) -> bool:
-    """Whether an arrow type over a pasting diagram is full."""
-    failure = fullness_failure(ps, ty)
-    if not isinstance(ty, Arr):
-        raise NotFull(failure)
-    return failure is None
-
-
 def fullness_failure(ps: PsContext, ty: Type) -> str | None:
     """None when ``ty`` is full over ``ps``, else a diagnostic naming the
     variables that break fullness.
@@ -429,6 +421,3 @@ def check_decl(env: Environment, decl: Decl) -> Environment:
     env.decls[decl.name] = decl
     return env
 
-
-def term_dimension(ctx: Context, t: Term) -> int:
-    return dim_type(infer_term(ctx, t)) + 1

@@ -329,11 +329,6 @@ def opposite_context(n: int, ctx: Context) -> Context:
     return to_ps_order(tuple((v, opposite_type(n, ty)) for v, ty in ctx))
 
 
-def opposite_sub(n: int, sub: Substitution) -> Substitution:
-    cod = Context(tuple((v, opposite_type(n, ty)) for v, ty in sub.codomain))
-    return Substitution(tuple((x, opposite_term(n, t)) for x, t in sub.pairs), cod)
-
-
 def _reorder_pairs(pairs: tuple[tuple[Var, Term], ...], cod: Context) -> tuple[tuple[Var, Term], ...]:
     by_name = {v.name: t for v, t in pairs}
     return tuple((v, by_name[v.name]) for v, _ in cod)
@@ -499,41 +494,3 @@ def instantiation(seed: Context, r: Term, t: Term, t_ty: Type) -> Substitution:
     pairs += ((h_minus, apply_sub_term(sr_canon, chi_l)),)
     pairs += ((h_plus, apply_sub_term(sr_canon, chi_r)),)
     return Substitution(pairs, ind_ctx)
-
-
-@dataclass(frozen=True)
-class DistinguishedContext:
-    """A named distinguished context together with its special variables."""
-
-    kind: str  # "disk" | "sphere" | "equiv" | "equiv-ind"
-    body: Context
-    roles: tuple[tuple[str, Var], ...] = ()
-
-    def role(self, name: str) -> Var:
-        for role_name, var in self.roles:
-            if role_name == name:
-                return var
-        raise KeyError(name)
-
-
-def distinguished(kind: str, n: int, t: Term | None = None, t_ty: Type | None = None) -> DistinguishedContext:
-    """Build one of the distinguished context families with its role map."""
-    if kind == "disk":
-        return DistinguishedContext("disk", disk(n), (("top", disk_var(n)),))
-    if kind == "sphere":
-        return DistinguishedContext("sphere", sphere(n))
-    if kind == "equiv":
-        return DistinguishedContext(
-            "equiv", walking_equiv(n), (("top", disk_var(n)), ("inv", equiv_var(n)))
-        )
-    if kind == "equiv-ind":
-        assert t is not None and t_ty is not None
-        body, h_minus, h_plus = equiv_ind_context(walking_equiv(n), t, t_ty)
-        roles = (
-            ("top", disk_var(n)),
-            ("inv", equiv_var(n)),
-            ("hyp-left", h_minus),
-            ("hyp-right", h_plus),
-        )
-        return DistinguishedContext("equiv-ind", body, roles)
-    raise ValueError(f"unknown distinguished context kind {kind}")

@@ -1,16 +1,14 @@
-"""Printers: surface declarations back to source, and kernel entities
-in a readable concrete form.
+"""The printer of kernel entities, in a readable concrete form.
 
-The kernel printer recognises the built-in composite and identity
-schemas and prints them applied to their top arguments; other
-coherences are printed with their full pasting telescope, so output is
-self-contained and deterministic.
+It recognises the built-in composite and identity schemas and prints
+them applied to their top arguments; other coherences are printed with
+their full pasting telescope, so output is self-contained and
+deterministic.
 """
 
 from __future__ import annotations
 
 from .builtins import comp_schema, id_schema
-from .parser import SApp, SCan, STArrow, STInv, STStar, SurfaceDecl, SVar, SWild
 from .syntax import (
     DESTRUCTOR_SPELLINGS,
     DESTRUCTORS,
@@ -30,59 +28,6 @@ from .syntax import (
     dim_type,
     top_variables,
 )
-
-# ---------------------------------------------------------------------------
-# Surface printer (round-trip stable)
-# ---------------------------------------------------------------------------
-
-
-def print_surface_term(t) -> str:
-    match t:
-        case SVar(name, _):
-            return name
-        case SWild(_):
-            return "_"
-        case SApp(head, args, _):
-            parts = [head.name] + [_surface_atom(a) for a in args]
-            return " ".join(parts)
-        case SCan(subject, wits, _):
-            inner = " , ".join(print_surface_term(w) for w in wits)
-            return f"can ({print_surface_term(subject)} {{ {inner} }})"
-    raise TypeError(f"not a surface term: {t!r}")
-
-
-def _surface_atom(t) -> str:
-    if isinstance(t, (SApp,)):
-        return f"({print_surface_term(t)})"
-    return print_surface_term(t)
-
-
-def print_surface_type(ty) -> str:
-    match ty:
-        case STStar(_):
-            return "*"
-        case STInv(subject, _):
-            return f"Inv ({print_surface_term(subject)})"
-        case STArrow(src, tgt, _):
-            return f"{print_surface_term(src)} -> {print_surface_term(tgt)}"
-    raise TypeError(f"not a surface type: {ty!r}")
-
-
-def print_surface_decl(d: SurfaceDecl) -> str:
-    tele = " ".join(f"({name} : {print_surface_type(ty)})" for name, ty in d.telescope)
-    head = f"{d.kind} {d.name} {tele}".rstrip()
-    if d.kind == "coh":
-        return f"{head} : {print_surface_type(d.ty)}"
-    if d.kind == "let":
-        ann = f" : {print_surface_type(d.ty)}" if d.ty is not None else ""
-        return f"{head}{ann} = {print_surface_term(d.body)}"
-    comps = " ,\n    ".join(print_surface_term(c) for c in d.components)
-    return f"{head} = {{ {comps} }}"
-
-
-def print_surface_file(decls) -> str:
-    return "\n\n".join(print_surface_decl(d) for d in decls) + "\n"
-
 
 # ---------------------------------------------------------------------------
 # Kernel printer

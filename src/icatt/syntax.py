@@ -140,8 +140,9 @@ class _Node:
     (:func:`coh_head_key`), or of a recursor's body (:func:`rec_head_key`)
     (``_head_key``); the beta-normal form of a term, which
     :mod:`icatt.normalize` writes (``_beta``); on a :class:`Context` its
-    key and binder map (:func:`_ctx_key`), on a :class:`Substitution` its
-    image of each name (``_keys``); the explicit argument positions of a
+    key and binder map (:func:`_ctx_key`) in ``_key``; the type of each
+    name of a :class:`Context` and the image of each name of a
+    :class:`Substitution` (``_keys``); the explicit argument positions of a
     telescope, which the elaborator writes (``_explicit``); and whether
     the node is open (``_open``).  None until computed.  Nodes are never
     changed after construction; facts are the only attributes written."""
@@ -342,14 +343,22 @@ class Context(_Node):
     def names(self) -> set[str]:
         return {v.name for v, _ in self.entries}
 
+    def types(self) -> dict[str, Type]:
+        """The type of each name (of its first entry), kept on the node;
+        callers only read it."""
+        out = self._keys
+        if out is None:
+            out = self._keys = {v.name: ty for v, ty in reversed(self.entries)}
+        return out
+
     def lookup(self, var: Var) -> Type:
-        for v, ty in self.entries:
-            if v.name == var.name:
-                return ty
-        raise UnboundVariable(f"variable {var.name} not in context")
+        ty = self.types().get(var.name)
+        if ty is None:
+            raise UnboundVariable(f"variable {var.name} not in context")
+        return ty
 
     def has(self, var: Var) -> bool:
-        return any(v.name == var.name for v, _ in self.entries)
+        return var.name in self.types()
 
     def extend(self, var: Var, ty: Type) -> Context:
         if self.has(var):
@@ -752,7 +761,7 @@ def _ctx_key(ctx: Context) -> tuple[AlphaClass, dict[str, int]]:
     of its last entry), cached on ``ctx``.  Each entry's type is keyed
     over the entries before it; an entry that repeats a name is marked
     with the position it shadows, so it never keys like a fresh name."""
-    keys = ctx._keys
+    keys = ctx._key
     if keys is None:
         k, b = _intern(("ctx",)), {}
         for i, (v, ty) in enumerate(ctx):
@@ -762,7 +771,7 @@ def _ctx_key(ctx: Context) -> tuple[AlphaClass, dict[str, int]]:
                 ek = _intern(("shadows", shadowed, ek))
             k = _intern(("ctx", k, ek))
             b[v.name] = i
-        keys = ctx._keys = (k, b)
+        keys = ctx._key = (k, b)
     return keys
 
 

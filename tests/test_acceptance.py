@@ -11,7 +11,7 @@ import time
 
 from icatt.builtins import comp_of, id_of
 from icatt.elaborate import elaborate_decl
-from icatt.equiv import brute_force_neutrals, check_gamma, enumerate_neutrals, equiv_truncation
+from icatt.equiv import check_gamma, enumerate_neutrals, equiv_truncation
 from icatt.errors import IcattError
 from icatt.kernel import (
     Environment,
@@ -56,6 +56,7 @@ from icatt.syntax import (
 )
 
 import fresh
+from oracles import brute_force_neutrals
 
 CORPUS = fresh.CORPUS
 

@@ -2,14 +2,18 @@
 wildcards, inductive-hypothesis markers."""
 
 import gc
+import importlib.util
+import sys
 
 import pytest
 
 from icatt import syntax
 from icatt.builtins import comp_schema
+from icatt.cli import run_on_worker_stack
 from icatt.elaborate import Elaborator, elaborate_decl, explicit_positions
 from icatt.errors import (
     ArityError,
+    IcattError,
     IHOutsideRec,
     NotEquivContext,
     ShadowedName,
@@ -30,6 +34,8 @@ from icatt.syntax import (
     VarRef,
     alpha_eq_term,
 )
+
+import fresh
 
 
 def _check_all(env, text):
@@ -320,3 +326,38 @@ def test_reserved_names_rejected():
         _check_all(env, "let comp (x : *) = x")
     with pytest.raises(ShadowedName):
         _check_all(env, "let ok (linv : *) = linv")
+
+
+def _load_scaling_generator(monkeypatch):
+    """The benchmark's script generator, loaded read-only from its file."""
+    spec = importlib.util.spec_from_file_location("bench_generate", fresh.ROOT / "bench" / "generate.py")
+    generate = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up while they are built
+    monkeypatch.setitem(sys.modules, spec.name, generate)
+    spec.loader.exec_module(generate)
+    return generate
+
+
+def _script_verdicts(text):
+    """Each declaration of ``text`` with ``accepted`` or the category of
+    its rejection, up to the first rejection, as ``icatt check`` goes."""
+    env = Environment()
+    out = []
+    for sdecl in parse(text):
+        try:
+            check_decl(env, elaborate_decl(env, sdecl))
+        except IcattError as e:
+            out.append((sdecl.name, e.category))
+            break
+        out.append((sdecl.name, "accepted"))
+    return out
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_scaling_scripts_get_their_recorded_verdicts(seed, monkeypatch):
+    """Every declaration of the benchmark's ``scaling`` scripts is
+    accepted, or rejected with the category its mutant was designed to
+    raise, the late-failing mutants included."""
+    generate = _load_scaling_generator(monkeypatch)
+    for script in generate.scaling_scripts(seed):
+        assert run_on_worker_stack(_script_verdicts, script.text) == list(script.expected), script.label

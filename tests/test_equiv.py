@@ -6,7 +6,6 @@ import pytest
 from icatt.builtins import comp_of, id_of
 from icatt.equiv import (
     MAX_COUNT_DIM,
-    brute_force_neutrals,
     check_gamma,
     count_neutrals,
     enumerate_neutrals,
@@ -32,6 +31,8 @@ from icatt.syntax import (
     dim_type,
     identity_sub,
 )
+
+from oracles import brute_force_neutrals
 
 
 def arr0(s, t):

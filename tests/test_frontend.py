@@ -10,9 +10,9 @@ import pytest
 
 from icatt.errors import SyntaxErrorIcatt
 from icatt.parser import SApp, SCan, STArrow, STInv, SVar, SWild, parse
-from icatt.printer import print_surface_file
 
 import fresh
+from oracles import print_surface_file
 
 CORPUS = fresh.CORPUS
 GOLDEN = fresh.ROOT / "tests" / "golden"

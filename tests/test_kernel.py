@@ -9,7 +9,7 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from icatt import kernel, syntax
+from icatt import elaborate, kernel, syntax
 from icatt.builtins import comp_of, comp_schema, id_of
 from icatt.elaborate import elaborate_decl
 from icatt.errors import (
@@ -36,7 +36,6 @@ from icatt.kernel import (
     check_term,
     check_type,
     convertible,
-    full_type,
     infer_term,
 )
 from icatt.meta import disk, walking_equiv
@@ -65,6 +64,7 @@ from icatt.syntax import (
 )
 
 import fresh
+from oracles import full_type
 
 
 def arr0(s, t):
@@ -353,7 +353,7 @@ def test_term_decl_recheck():
 
 
 def test_term_dimension():
-    from icatt.kernel import term_dimension
+    from oracles import term_dimension
 
     assert term_dimension(TWO_CHAIN, v("x")) == 0
     assert term_dimension(TWO_CHAIN, v("f")) == 1
@@ -574,6 +574,36 @@ def _context_checks_once_per_head():
     heads = {coh_head_key(c.ps, c.ty) for c in subterms([decl.term]) if isinstance(c, Coh)}
     assert len(heads) == 2
     assert len(calls) <= len(heads) + 1
+
+
+def test_elaboration_work_on_comp_id_chain(monkeypatch):
+    """Elaborating the depth-200 comp/id chain makes at most one
+    metavariable per level and raises no error, so it undoes nothing:
+    the ``_`` of each ``id _`` is read off its neighbour's boundary.
+    The counts repeat exactly."""
+    metas, errors = [0], [0]
+    make_meta = elaborate._Metas.fresh
+    make_error = IcattError.__init__
+
+    def counted_meta(self, hint):
+        metas[0] += 1
+        return make_meta(self, hint)
+
+    def counted_error(self, *args, **kwargs):
+        errors[0] += 1
+        make_error(self, *args, **kwargs)
+
+    monkeypatch.setattr(elaborate._Metas, "fresh", counted_meta)
+    monkeypatch.setattr(IcattError, "__init__", counted_error)
+    counts = []
+    for _ in range(2):
+        metas[0] = errors[0] = 0
+        env = Environment()
+        check_decl(env, elaborate_decl(env, parse(_comp_id_chain(200))[0]))
+        counts.append((metas[0], errors[0]))
+    assert counts[0] == counts[1]
+    assert counts[0][0] <= 200
+    assert counts[0][1] == 0
 
 
 def test_context_check_keys_linearly():

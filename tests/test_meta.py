@@ -233,7 +233,7 @@ def test_instantiation_images_have_hypothesis_types():
 
 
 def test_distinguished_context_roles():
-    from icatt.meta import distinguished
+    from oracles import distinguished
 
     eq = distinguished("equiv", 1)
     assert eq.role("top").name == "d1"
@@ -245,7 +245,7 @@ def test_distinguished_context_roles():
 
 
 def test_opposite_substitution_pointwise():
-    from icatt.meta import opposite_sub
+    from oracles import opposite_sub
 
     chain = Context((
         (Var("x"), Obj()), (Var("y"), Obj()), (Var("f"), arr0("x", "y")),
