@@ -25,7 +25,7 @@ from .syntax import (
     Var,
     VarRef,
     alpha_key_term,
-    apply_sub_type,
+    coh_type,
     dim_type,
 )
 from .meta import classify_term, disk, disk_var
@@ -116,8 +116,8 @@ def comp_of(args: list[tuple[Term, Type]]) -> tuple[Term, Type]:
         if i > 0 and alpha_key_term(ty.src) != alpha_key_term(images[-2]):
             raise TypeMismatch(f"composite boundary mismatch at argument {i}")
         images += (ty.tgt, t)
-    sub = Substitution(tuple(zip(ctx.vars(), images)), ctx)
-    return Coh(ctx, full, sub), apply_sub_type(full, sub)
+    cell = Coh(ctx, full, Substitution(tuple(zip(ctx.vars(), images)), ctx))
+    return cell, coh_type(cell)
 
 
 def component_type(kind: str, ty: Arr, comps: Sequence[Term]) -> Type:

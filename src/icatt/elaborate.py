@@ -6,7 +6,10 @@ given explicitly; the rest are reconstructed from the explicit
 arguments' types (best effort: unsolved metavariables are reported,
 never guessed).  Definitions are implicitly suspended: when the
 explicit arguments (or the expected type) live uniformly above the
-schema's dimension, the schema is suspended to match.
+schema's dimension, the schema is suspended to match, once per level
+in one declaration.  A declaration's telescope is read into the
+elaborator's scope, a map from names to types, and its context is built
+once.
 
 ``comp`` is multi-ary and elaborates through the linear composite
 schema of the right arity and dimension; ``id`` is the identity schema;
@@ -59,6 +62,7 @@ from .builtins import comp_schema, component_type, destructor_result_type, id_sc
 from .errors import (
     ArityError,
     BadCanSubject,
+    DuplicateVariable,
     IHOutsideRec,
     IllFormedType,
     NotEquivContext,
@@ -112,13 +116,13 @@ from .syntax import (
     VarRef,
     alpha_eq_context,
     apply_sub_term,
-    apply_sub_type,
     children,
     coh_head_key,
+    coh_type,
     dim_type,
     instantiate_type,
-    map_type,
     rec_head_key,
+    top_entries,
     top_variables,
     variables_used_type,
 )
@@ -169,12 +173,12 @@ def _cell_dim(ty: Type | None) -> int | None:
 def explicit_positions(tele: Context) -> tuple[int, ...]:
     """Positions of the entries of ``tele`` whose variables occur in no
     entry's type: the arguments given explicitly.  Cached on ``tele``."""
-    out = tele._explicit
+    out = tele._fact
     if out is None:
         implicit: dict[str, Var] = {}
         for _, ty in tele:
             variables_used_type(ty, implicit)
-        out = tele._explicit = tuple(i for i, (v, _) in enumerate(tele) if v.name not in implicit)
+        out = tele._fact = tuple(i for i, (v, _) in enumerate(tele) if v.name not in implicit)
     return out
 
 
@@ -200,24 +204,65 @@ class _Metas:
 
 
 class _Zonk(MemoMap):
-    """A :class:`~icatt.syntax.MemoMap` that returns a closed node, which
-    holds no metavariable, as it is, so instantiating metavariables
-    costs the open nodes only."""
+    """The map instantiating the solved metavariables of ``solutions``.
+    When ``strict``, an unsolved one raises; otherwise it is kept.  A
+    closed node, which holds no metavariable, is returned as it is, so
+    instantiating metavariables costs the open nodes only."""
 
-    __slots__ = ()
+    __slots__ = ("solutions", "strict")
+
+    def __init__(self, solutions: dict[int, Term], strict: bool):
+        self.memo = {}
+        self.solutions = solutions
+        self.strict = strict
 
     def __call__(self, t: Term) -> Term:
         return MemoMap.__call__(self, t) if t._open else t
+
+    def type(self, ty: Type) -> Type:
+        return MemoMap.type(self, ty) if ty._open else ty
+
+    def leaf(self, x: Term) -> Term:
+        if isinstance(x, MetaRef):
+            solution = self.solutions.get(x.uid)
+            if solution is not None:
+                return self(solution)
+            if self.strict:
+                raise UnsolvedMeta(f"unsolved implicit argument {x.hint or x.uid}; give it explicitly")
+        return x
+
+
+class _Instantiator(MemoMap):
+    """The map replacing each telescope variable by its image in
+    ``assign``, with solved metas followed; a variable with none gets a
+    new meta, recorded in ``assign``."""
+
+    __slots__ = ("el", "assign")
+
+    def __init__(self, el: Elaborator, assign: dict[str, Term]):
+        self.memo = {}
+        self.el = el
+        self.assign = assign
+
+    def leaf(self, x: Term) -> Term:
+        name = x.var.name
+        image = self.assign.get(name)
+        if image is None:
+            image = self.assign[name] = self.el.metas.fresh(name)
+        return self.el.resolve(image)
 
 
 class Elaborator:
     def __init__(self, env: Environment):
         self.env = env
         self.metas = _Metas()
-        self.ctx = Context()
+        # the variables in scope: name -> type
+        self.scope: dict[str, Type] = {}
         self.ih: tuple[tuple[Var, Type], tuple[Var, Type]] | None = None
         # surface node (by identity) -> whether it synthesises a type
         self._synth: dict[int, bool] = {}
+        # (declaration name, level) -> its schema suspended that many times
+        self._suspended: dict[tuple[str, int], _Schema] = {}
 
     # -- metavariable plumbing -------------------------------------------
 
@@ -226,25 +271,11 @@ class Elaborator:
             t = self.metas.solutions[t.uid]
         return t
 
-    def _zonker(self, strict: bool) -> MemoMap:
-        """The map instantiating solved metavariables.  When ``strict``, an
-        unsolved one raises; otherwise an unsolved one is kept."""
-
-        def leaf(x: Term, go: MemoMap) -> Term:
-            if isinstance(x, MetaRef):
-                if x.uid in self.metas.solutions:
-                    return go(self.metas.solutions[x.uid])
-                if strict:
-                    raise UnsolvedMeta(f"unsolved implicit argument {x.hint or x.uid}; give it explicitly")
-            return x
-
-        return _Zonk(leaf)
-
     def zonk_term(self, t: Term) -> Term:
-        return self._zonker(True)(t)
+        return _Zonk(self.metas.solutions, True)(t)
 
     def zonk_type(self, ty: Type) -> Type:
-        return map_type(ty, self._zonker(True))
+        return _Zonk(self.metas.solutions, True).type(ty)
 
     # -- unification -------------------------------------------------------
 
@@ -391,7 +422,7 @@ class Elaborator:
     def _elab_app(
         self, name: str, args: tuple, expected: Type | None, span
     ) -> tuple[Term, Type | None]:
-        ty = self.ctx.types().get(name)
+        ty = self.scope.get(name)
         if ty is not None:
             if args:
                 raise ArityError(f"variable {name} cannot be applied to arguments", span=span)
@@ -434,8 +465,7 @@ class Elaborator:
         decl = self.env.lookup(name)
         if decl is None:
             raise UnknownName(f"unknown name {name}", span=span)
-        schema = _schema_of_decl(decl)
-        return self._apply_schema(schema, args, expected, span)
+        return self._apply_schema(name, _schema_of_decl(decl), args, expected, span)
 
     def _elab_comp(self, args: tuple, expected: Type | None, span) -> tuple[Term, Type | None]:
         if not args:
@@ -467,13 +497,13 @@ class Elaborator:
     def _zonkish_type(self, ty: Type | None) -> Type | None:
         """Resolve solved metas inside a type without failing on
         unsolved ones."""
-        return None if ty is None else map_type(ty, self._zonker(False))
+        return None if ty is None else _Zonk(self.metas.solutions, False).type(ty)
 
     def _resolve_deep(self, t: Term) -> Term:
-        return self._zonker(False)(t)
+        return _Zonk(self.metas.solutions, False)(t)
 
     def _apply_schema(
-        self, schema: _Schema, args: tuple, expected: Type | None, span
+        self, name: str, schema: _Schema, args: tuple, expected: Type | None, span
     ) -> tuple[Term, Type | None]:
         explicit = explicit_positions(schema.telescope)
         if len(args) != len(explicit):
@@ -491,8 +521,12 @@ class Elaborator:
             susp = 0 if exp_dim is None else exp_dim - (dim_type(schema.ty) + 1)
         if susp < 0:
             raise UnificationFailure("argument dimensions are below the definition's", span=span)
-        for _ in range(susp):
-            schema = _suspend_schema(schema)
+        # each level of a definition is suspended once per declaration
+        for level in range(1, susp + 1):
+            suspended = self._suspended.get((name, level))
+            if suspended is None:
+                suspended = self._suspended[name, level] = _suspend_schema(schema)
+            schema = suspended
         return self._apply_schema_core(schema, arg_data, expected, span)
 
     def _apply_schema_core(
@@ -531,7 +565,7 @@ class Elaborator:
             image = assign.get(v.name)
             if image is not None and isinstance(data, SWild):
                 continue
-            term = self.elab_check(data, map_type(v_ty, self._instantiator(assign)))
+            term = self.elab_check(data, _Instantiator(self, assign).type(v_ty))
             if image is None:
                 assign[v.name] = term
             else:
@@ -555,20 +589,6 @@ class Elaborator:
         if schema.kind == "term":
             return apply_sub_term(schema.term, sub), out_ty
         return Rec(*schema.components, sub), out_ty
-
-    def _instantiator(self, assign: dict[str, Term]) -> MemoMap:
-        """The map replacing each telescope variable by its image in
-        ``assign``, with solved metas followed; a variable with none
-        gets a new meta, recorded in ``assign``."""
-
-        def leaf(x: Term, _: MemoMap) -> Term:
-            name = x.var.name
-            image = assign.get(name)
-            if image is None:
-                image = assign[name] = self.metas.fresh(name)
-            return self.resolve(image)
-
-        return MemoMap(leaf)
 
     def _match_type(self, pat: Type, ty: Type, assign: dict[str, Term]) -> None:
         """Match ``pat``, a type over a schema's telescope, against
@@ -596,7 +616,7 @@ class Elaborator:
                 assign[pat.var.name] = t
                 return
         else:
-            image = self._instantiator(assign)(pat)
+            image = _Instantiator(self, assign)(pat)
         self.unify_term(image, t)
 
     def _elab_can(self, s: SCan, expected: Type | None) -> tuple[Term, Type | None]:
@@ -628,12 +648,13 @@ class Elaborator:
                 span=s.span,
             )
         wit_pairs = []
+        entries = top_entries(subject)
         for x, w in zip(tops, s.witnesses):
             x_img = subject.sub.lookup(x)
-            x_ty = apply_sub_type(subject.ps.lookup(x), subject.sub)
+            _, x_ty = next(entries)
             assert isinstance(x_ty, Arr)
             wit_pairs.append((x, self.elab_check(w, Inv(x_ty, x_img))))
-        out_ty = Inv(apply_sub_type(subject.ty, subject.sub), subject)
+        out_ty = Inv(coh_type(subject), subject)
         return Can(subject, tuple(wit_pairs)), out_ty
 
     # -- types ---------------------------------------------------------------
@@ -688,15 +709,18 @@ def elaborate_decl(env: Environment, sdecl: SurfaceDecl):
     el = Elaborator(env)
     if sdecl.name in RESERVED_NAMES:
         raise ShadowedName(f"{sdecl.name} is a reserved name", span=sdecl.span)
-    ctx = Context()
+    # the telescope is read into the elaborator's scope, and its context
+    # built once at the end
+    entries = []
     for name, sty in sdecl.telescope:
         if name in RESERVED_NAMES:
             raise ShadowedName(f"{name} is a reserved name", span=sdecl.span)
-        el.ctx = ctx
-        ty = el.elab_type(sty)
-        ty = el.zonk_type(ty)
-        ctx = ctx.extend(Var(name), ty)
-    el.ctx = ctx
+        ty = el.zonk_type(el.elab_type(sty))
+        if name in el.scope:
+            raise DuplicateVariable(f"variable {name} already in context")
+        el.scope[name] = ty
+        entries.append((Var(name), ty))
+    ctx = Context(tuple(entries))
 
     if sdecl.kind == "coh":
         ty = el.zonk_type(el.elab_type(sdecl.ty))
@@ -734,11 +758,9 @@ def elaborate_decl(env: Environment, sdecl: SurfaceDecl):
     for kind, surface in zip(DESTRUCTORS, comps[1:]):
         if kind == "lwit" and sdecl.kind == "rec":
             ind_ctx, hm, hp = equiv_ind_context(ctx, t_term, t_ty)
-            el.ctx = ind_ctx
+            el.scope = ind_ctx.types()
             el.ih = ((hm, ind_ctx.lookup(hm)), (hp, ind_ctx.lookup(hp)))
         done.append(el.zonk_term(el.elab_check(surface, component_type(kind, t_ty, done))))
-    el.ctx = ctx
-    el.ih = None
     if sdecl.kind == "inv":
         return TermDecl(sdecl.name, ctx, Coind(*done), Inv(t_ty, t_term))
     return RecDecl(sdecl.name, ctx, tuple(done))

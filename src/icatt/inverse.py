@@ -53,7 +53,7 @@ from .syntax import (
     alpha_key_context,
     alpha_key_term,
     apply_sub_term,
-    apply_sub_type,
+    coh_type,
     dim_context,
     dim_type,
     fresh_name,
@@ -171,8 +171,10 @@ def _sub_for(theta: Context, images: dict[str, Term]) -> Substitution:
     return Substitution(tuple((v, images[v.name]) for v, _ in theta), theta)
 
 
-def _img_ty(ty: Type, xi: Substitution) -> Arr:
-    out = apply_sub_type(ty, xi)
+def _img_ty(xi: Substitution, name: str) -> Arr:
+    """The type of ``name`` in ``xi``'s codomain instantiated at ``xi``,
+    read off its instantiated codomain."""
+    out = xi.codomain_types()[xi.codomain.vars().index(Var(name))]
     assert isinstance(out, Arr)
     return out
 
@@ -192,10 +194,8 @@ def _coh_cancellator_steps(subject: Coh, side: str, witnesses: dict[str, Term]) 
     ps, ty, sub, n, tops = _cell_data(subject)
     _check_witnesses(tops, witnesses)
     unit_kind = UNITS[SIDES.index(side)]
-    base_amb = apply_sub_type(ty.base, sub)
-    u_amb = apply_sub_term(ty.src, sub)
-    v_amb = apply_sub_term(ty.tgt, sub)
-    ty_amb = Arr(base_amb, u_amb, v_amb)
+    ty_amb = coh_type(subject)
+    base_amb, u_amb, v_amb = ty_amb.base, ty_amb.src, ty_amb.tgt
     flipped_ty = Arr(ty.base, ty.tgt, ty.src)
     flipped_amb = Arr(base_amb, v_amb, u_amb)
     inverse = coh_inverse(subject, side, witnesses)
@@ -264,16 +264,10 @@ def _coh_cancellator_steps(subject: Coh, side: str, witnesses: dict[str, Term]) 
         tuple((v, VarRef(Var(ren.get(v.name, v.name)))) for v, _ in right_part), right_part
     )
     if side == "left":
-        first = Coh(flipped_ctx, flipped_ty, left_inc)
-        first_ty = apply_sub_type(flipped_ty, left_inc)
-        second = Coh(ps, ty, right_inc)
-        second_ty = apply_sub_type(ty, right_inc)
+        first, second = Coh(flipped_ctx, flipped_ty, left_inc), Coh(ps, ty, right_inc)
     else:
-        first = Coh(ps, ty, left_inc)
-        first_ty = apply_sub_type(ty, left_inc)
-        second = Coh(flipped_ctx, flipped_ty, right_inc)
-        second_ty = apply_sub_type(flipped_ty, right_inc)
-    pair_over, _ = comp_of([(first, first_ty), (second, second_ty)])
+        first, second = Coh(ps, ty, left_inc), Coh(flipped_ctx, flipped_ty, right_inc)
+    pair_over, _ = comp_of([(first, coh_type(first)), (second, coh_type(second))])
 
     # pairs to merge: the left-slot copy composes with the right-slot
     # copy of each top cell, cancelled by its witness
@@ -336,7 +330,7 @@ def _coh_cancellator_steps(subject: Coh, side: str, witnesses: dict[str, Term]) 
         back_images[c_name] = pair_term
         back = _sub_for(theta_merged, back_images)
         seam_tgt_over = apply_sub_term(tot_merged, back)
-        c_img, _ = comp_of([(images[a], _img_ty(a_ty, xi)), (images[b], _img_ty(b_ty, xi))])
+        c_img, _ = comp_of([(images[a], _img_ty(xi, a)), (images[b], _img_ty(xi, b))])
         images_merged = {v.name: images[v.name] for v, _ in theta_merged if v.name != c_name}
         images_merged[c_name] = c_img
         xi_merged = _sub_for(theta_merged, images_merged)
@@ -360,7 +354,7 @@ def _coh_cancellator_steps(subject: Coh, side: str, witnesses: dict[str, Term]) 
         side1 = apply_sub_term(tot_merged, pi1)
         func_ty = Arr(Arr(base_t, src_t, tgt_t), side0, side1)
         boundary_img = images[left_b]
-        boundary_ty = _img_ty(a_ty, xi).base
+        boundary_ty = _img_ty(xi, a).base
         id_img = id_of(boundary_img, boundary_ty)
         func_images = dict(images_merged)
         func_images[c2_name] = id_img
@@ -404,10 +398,9 @@ def _coh_cancellator_steps(subject: Coh, side: str, witnesses: dict[str, Term]) 
 
 
 def _loop_type(subject: Coh, side: str) -> Arr:
-    _, ty, sub, _, _ = _cell_data(subject)
-    base_amb = apply_sub_type(ty.base, sub)
-    fix = apply_sub_term(ty.tgt if side == "left" else ty.src, sub)
-    return Arr(base_amb, fix, fix)
+    ty_amb = coh_type(subject)
+    fix = ty_amb.tgt if side == "left" else ty_amb.src
+    return Arr(ty_amb.base, fix, fix)
 
 
 def _compose_steps(subject: Coh, side: str, steps: list[_Step]) -> Term:

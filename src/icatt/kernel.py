@@ -23,11 +23,17 @@ The closed part, the pasting context, the type over it and its
 fullness, is checked once per alpha-class of the head
 (:func:`check_coh_head`), and only its successes are marked on that
 class, so a failing head raises on every use.  The per-instance
-part runs at every node: the substitution is checked against the head's
-context and the result type is built from it.  A recursive definition's
-body is checked at every inference of a distinct ``Rec`` node: such
-inferences are few (at most nine in one run of the corpus or of any
-benchmark workload), so a memo of bodies would not pay for itself.
+part runs at every inference of a node: each image of the substitution
+is inferred and compared with the type its codomain entry expects.
+Those types, the codomain instantiated at the substitution, are made in
+one pass the first time and kept on the substitution node
+(:meth:`~icatt.syntax.Substitution.codomain_types`), as the result type
+is on the coherence node (:func:`~icatt.syntax.coh_type`), so a
+substitution checked again and again is instantiated once.  A recursive
+definition's body is checked at every inference of a distinct ``Rec``
+node: such inferences are few (at most nine in one run of the corpus or
+of any benchmark workload), so a memo of bodies would not pay for
+itself.
 """
 
 from __future__ import annotations
@@ -74,8 +80,10 @@ from .syntax import (
     apply_sub_term,
     apply_sub_type,
     coh_head_key,
+    coh_type,
     dim_type,
     identity_sub,
+    top_entries,
     top_variables,
     variables_used_term,
     variables_used_type,
@@ -222,7 +230,7 @@ def _infer_term(ctx: Context, t: Term) -> Type:
         case Coh(ps_ctx, ty, sub):
             check_coh_head(ps_ctx, ty)
             check_sub(ctx, sub, ps_ctx)
-            return apply_sub_type(ty, sub)
+            return coh_type(t)
         case Destr(kind, arg):
             arg_ty = infer_term(ctx, arg)
             if not isinstance(arg_ty, Inv):
@@ -271,9 +279,10 @@ def _infer_can(ctx: Context, t: Can) -> Type:
             f"witness family must cover exactly the dimension-{dim_type(subject_ty) + 1} variables "
             f"{[v.name for v in tops]} in order, got {[v.name for v, _ in t.witnesses]}"
         )
+    entries = top_entries(t.subject)
     for x, w in t.witnesses:
         x_img = t.subject.sub.lookup(x)
-        x_ty = apply_sub_type(t.subject.ps.lookup(x), t.subject.sub)
+        _, x_ty = next(entries)
         if not isinstance(x_ty, Arr):
             raise WrongWitnessSet(f"witness key {x.name} is not positive-dimensional")
         check_term(ctx, w, Inv(x_ty, x_img))
@@ -307,10 +316,13 @@ def check_sub(ctx: Context, sub: Substitution, cod: Context) -> Substitution:
         raise BadSubstitution(
             f"substitution has {len(sub.pairs)} assignments for {len(cod)} variables"
         )
-    for (x, t), (v, v_ty) in zip(sub.pairs, cod):
+    # the codomain instantiated in one pass, kept on the substitution;
+    # ``cod`` is a checked context, so the pass fails on no entry
+    at = sub.codomain_types() if cod is sub.codomain else None
+    for i, ((x, t), (v, v_ty)) in enumerate(zip(sub.pairs, cod)):
         if x.name != v.name:
             raise BadSubstitution(f"substitution assigns {x.name} where {v.name} was expected")
-        expected = apply_sub_type(v_ty, sub)
+        expected = apply_sub_type(v_ty, sub) if at is None else at[i]
         actual = infer_term(ctx, t)
         if not convertible_types(ctx, actual, expected):
             raise BadSubstitution(

@@ -45,6 +45,8 @@ def tokenize(text: str) -> list[Token]:
     line, col = 1, 1
     i = 0
     n = len(text)
+    simple = {"(": "lpar", ")": "rpar", "{": "lbrace", "}": "rbrace",
+              ":": "colon", ",": "comma", "=": "eq", "*": "star"}
     while i < n:
         ch = text[i]
         if ch == "\n":
@@ -66,8 +68,6 @@ def tokenize(text: str) -> list[Token]:
             i += 2
             col += 2
             continue
-        simple = {"(": "lpar", ")": "rpar", "{": "lbrace", "}": "rbrace",
-                  ":": "colon", ",": "comma", "=": "eq", "*": "star"}
         if ch in simple:
             toks.append(Token(simple[ch], ch, *start))
             i += 1

@@ -45,16 +45,24 @@ components of a ``Coind``, the subject and witnesses of a ``Can``, and
 the argument of a ``Destr``.  :func:`children` lists them and
 :func:`map_children` rebuilds a node from their images; ``VarRef`` and
 ``MetaRef`` have none.  Bound contexts are never entered.
-:class:`MemoMap` lifts a map on leaves to whole terms, memoised on node
-identity for one top-level call, so a DAG costs its number of distinct
-nodes; the constructors share its output.
+:class:`MemoMap` lifts a map on leaves (its method ``leaf``) to whole
+terms and to types, with one memo on node identity for both, so a pass
+costs its number of distinct nodes, and a type spine shared by several
+roots of the pass is rebuilt once; the constructors share its output.
+Substitution and renaming are one subclass, with no closure, made per
+pass.  The codomain of a :class:`Substitution` is instantiated in one
+such pass, the first time it is asked for
+(:meth:`Substitution.codomain_types`), and so is the type of a
+coherence cell (:func:`coh_type`).
 
 Cache policy.  Memory of past work lives as long as the syntax it is
 about.  ``_INTERN``, the only module-level table, holds every node and
 every alpha-class weakly, under its fields or its shape; an entry goes
 when its object dies.  Facts about a node are slots on it (see
-:class:`_Node`), facts that carry no names on its alpha-class (see
-:class:`AlphaClass`), and traversal memos last one top-level call.
+:class:`_Node`): among them its dimension, a substitution's instantiated
+codomain and a coherence cell's instantiated type, each computed once
+per node.  Facts that carry no names live on its alpha-class (see
+:class:`AlphaClass`), and traversal memos last one pass.
 """
 
 from __future__ import annotations
@@ -64,7 +72,7 @@ from operator import is_
 from typing import Callable, Iterable, Iterator, Mapping, Union
 from weakref import ref
 
-from .errors import DuplicateVariable, UnboundVariable
+from .errors import UnboundVariable
 
 # The six destructors.  Destructor i projects component i + 1 of an
 # invertibility structure; they come in (left, right) pairs: the
@@ -118,7 +126,7 @@ def _cons(cls, is_open: bool, *fields):
     node = object.__new__(cls)
     for name, value in zip(cls.__match_args__, fields):
         setattr(node, name, value)
-    node._key = node._beta = node._head_key = node._keys = node._explicit = None
+    node._key = node._beta = node._head_key = node._keys = node._fact = None
     node._open = is_open
     if not is_open:
         _keep(node, key)
@@ -142,12 +150,16 @@ class _Node:
     :mod:`icatt.normalize` writes (``_beta``); on a :class:`Context` its
     key and binder map (:func:`_ctx_key`) in ``_key``; the type of each
     name of a :class:`Context` and the image of each name of a
-    :class:`Substitution` (``_keys``); the explicit argument positions of a
-    telescope, which the elaborator writes (``_explicit``); and whether
-    the node is open (``_open``).  None until computed.  Nodes are never
-    changed after construction; facts are the only attributes written."""
+    :class:`Substitution` (``_keys``); in ``_fact``, one fact by kind of
+    node: the dimension of a type (:func:`dim_type`), the instantiated codomain of a
+    :class:`Substitution` (:meth:`Substitution.codomain_types`), the
+    instantiated type of a :class:`Coh` (:func:`coh_type`), and the
+    explicit argument positions of a telescope, which the elaborator
+    writes; and whether the node is open (``_open``).  None until
+    computed.  Nodes are never changed after construction; facts are the
+    only attributes written."""
 
-    __slots__ = ("_key", "_beta", "_head_key", "_keys", "_explicit", "_open", "__weakref__")
+    __slots__ = ("_key", "_beta", "_head_key", "_keys", "_fact", "_open", "__weakref__")
 
 
 # a node class: a slotted dataclass whose equality is identity, built by
@@ -357,14 +369,6 @@ class Context(_Node):
             raise UnboundVariable(f"variable {var.name} not in context")
         return ty
 
-    def has(self, var: Var) -> bool:
-        return var.name in self.types()
-
-    def extend(self, var: Var, ty: Type) -> Context:
-        if self.has(var):
-            raise DuplicateVariable(f"variable {var.name} already in context")
-        return Context(self.entries + ((var, ty),))
-
 
 @_syntax_node
 class Substitution(_Node):
@@ -392,6 +396,17 @@ class Substitution(_Node):
 
     def terms(self) -> tuple[Term, ...]:
         return tuple([t for _, t in self.pairs])
+
+    def codomain_types(self) -> tuple[Type, ...] | None:
+        """The type of each entry of ``codomain``, by position,
+        instantiated at this substitution in one pass, so a type shared by
+        several entries is rebuilt once; kept on the node.  None when the
+        substitution does not assign exactly the codomain's names."""
+        out = self._fact
+        if out is None and self.images().keys() == self.codomain.types().keys():
+            inst = _Instantiate(self.images())
+            out = self._fact = tuple([inst.type(ty) for _, ty in self.codomain.entries])
+        return out
 
 
 def identity_sub(ctx: Context) -> Substitution:
@@ -442,23 +457,9 @@ def map_children(t: Term, f: Callable[[Term], Term]) -> Term:
     return Destr(t.kind, new[0])  # the only other kind with a child
 
 
-def map_type(ty: Type, f: Callable[[Term], Term]) -> Type:
-    """``ty`` rebuilt with ``f`` applied to each of its terms, base
-    first; ``ty`` itself when every image is the term it replaces."""
-    match ty:
-        case Obj():
-            return ty
-        case Arr(base, src, tgt):
-            b, s, t = map_type(base, f), f(src), f(tgt)
-            return ty if b is base and s is src and t is tgt else Arr(b, s, t)
-        case Inv(base, subject):
-            b, s = map_type(base, f), f(subject)
-            return ty if b is base and s is subject else Inv(b, s)
-    raise TypeError(f"not a type: {ty!r}")
-
-
 def _type_terms(ty: Type) -> tuple[Term, ...]:
-    """The terms of ``ty`` in the order :func:`map_type` visits them."""
+    """The terms of ``ty``, base first, in the order :meth:`MemoMap.type`
+    visits them."""
     match ty:
         case Obj():
             return ()
@@ -471,26 +472,67 @@ def _type_terms(ty: Type) -> tuple[Term, ...]:
 
 class MemoMap:
     """The map sending each ``VarRef`` or ``MetaRef`` ``x`` to
-    ``leaf(x, self)`` and rebuilding every other node from the images of
-    its children, memoised on node identity.  The memo lives as long as
-    the map: make one per top-level call, whose roots keep every keyed
-    node alive.  (A class rather than a
-    closure: a closure that calls itself is a reference cycle, and every
-    memo would wait for the garbage collector.)"""
+    ``self.leaf(x)`` and rebuilding every other term, and every type, from
+    the images of its parts, memoised on node identity: a node whose parts
+    all map to themselves maps to itself.  Terms and types share the memo,
+    which lives as long as the map: make one per pass, whose roots keep
+    every keyed node alive.  A subclass overrides :meth:`leaf`.  (A class
+    rather than a closure: a closure that calls itself is a reference
+    cycle, and every memo would wait for the garbage collector.)"""
 
-    __slots__ = ("leaf", "memo")
+    __slots__ = ("memo",)
 
-    def __init__(self, leaf: Callable[[Term, MemoMap], Term]):
-        self.leaf = leaf
-        self.memo: dict[int, Term] = {}
+    def __init__(self) -> None:
+        self.memo: dict[int, Term | Type] = {}
+
+    def leaf(self, x: Term) -> Term:
+        return x
 
     def __call__(self, t: Term) -> Term:
         if isinstance(t, (VarRef, MetaRef)):
-            return self.leaf(t, self)
+            return self.leaf(t)
         out = self.memo.get(id(t))
         if out is None:
             out = self.memo[id(t)] = map_children(t, self)
         return out
+
+    def type(self, ty: Type) -> Type:
+        out = self.memo.get(id(ty))
+        if out is None:
+            match ty:
+                case Obj():
+                    return ty
+                case Arr(base, src, tgt):
+                    b, s, t = self.type(base), self(src), self(tgt)
+                    out = ty if b is base and s is src and t is tgt else Arr(b, s, t)
+                case Inv(base, subject):
+                    b, s = self.type(base), self(subject)
+                    out = ty if b is base and s is subject else Inv(b, s)
+                case _:
+                    raise TypeError(f"not a type: {ty!r}")
+            self.memo[id(ty)] = out
+        return out
+
+
+class _Instantiate(MemoMap):
+    """The map sending each variable to its image in ``images``; one with
+    no image raises, or maps to itself when ``keep``."""
+
+    __slots__ = ("images", "keep")
+
+    def __init__(self, images: Mapping[str, Term], keep: bool = False):
+        self.memo = {}
+        self.images = images
+        self.keep = keep
+
+    def leaf(self, x: Term) -> Term:
+        if isinstance(x, VarRef):
+            t = self.images.get(x.var.name)
+            if t is not None:
+                return t
+            if not self.keep:
+                raise UnboundVariable(f"substitution does not assign {x.var.name}")
+        return x
 
 
 def subterms(roots: Iterable[Term]) -> Iterator[Term]:
@@ -512,53 +554,35 @@ def subterms(roots: Iterable[Term]) -> Iterator[Term]:
 # ---------------------------------------------------------------------------
 
 
-def _image_leaf(images: Mapping[str, Term], keep: bool) -> Callable[[Term, MemoMap], Term]:
-    """The leaf map sending a variable to its image, and one with no
-    image to itself when ``keep``, else raising."""
-
-    def leaf(x: Term, _: MemoMap) -> Term:
-        if isinstance(x, VarRef):
-            t = images.get(x.var.name)
-            if t is not None:
-                return t
-            if not keep:
-                raise UnboundVariable(f"substitution does not assign {x.var.name}")
-        return x
-
-    return leaf
-
-
 def instantiate_type(ty: Type, images: Mapping[str, Term]) -> Type:
     """``ty`` with each variable replaced by its image in ``images``,
     every variable of ``ty`` having one."""
-    return map_type(ty, MemoMap(_image_leaf(images, False)))
+    return _Instantiate(images).type(ty)
 
 
 def apply_sub_type(ty: Type, sub: Substitution) -> Type:
-    return instantiate_type(ty, sub.images())
+    return _Instantiate(sub.images()).type(ty)
 
 
 def apply_sub_term(t: Term, sub: Substitution) -> Term:
-    if isinstance(t, VarRef):  # a leaf root needs no memo
-        return sub.lookup(t.var)
-    return MemoMap(_image_leaf(sub.images(), False))(t)
+    return _Instantiate(sub.images())(t)
 
 
 def compose_sub(first: Substitution, second: Substitution) -> Substitution:
     """Pointwise composition: apply ``second`` to the terms of ``first``."""
-    return _with_images(first, map(MemoMap(_image_leaf(second.images(), False)), first.terms()))
+    return _with_images(first, map(_Instantiate(second.images()), first.terms()))
 
 
 def rename_vars_type(ty: Type, mapping: dict[str, str]) -> Type:
-    return map_type(ty, MemoMap(_rename_leaf(mapping)))
+    return _renaming(mapping).type(ty)
 
 
 def rename_vars_term(t: Term, mapping: dict[str, str]) -> Term:
-    return MemoMap(_rename_leaf(mapping))(t)
+    return _renaming(mapping)(t)
 
 
-def _rename_leaf(mapping: dict[str, str]) -> Callable[[Term, MemoMap], Term]:
-    return _image_leaf({old: VarRef(Var(new)) for old, new in mapping.items()}, True)
+def _renaming(mapping: dict[str, str]) -> _Instantiate:
+    return _Instantiate({old: VarRef(Var(new)) for old, new in mapping.items()}, True)
 
 
 # ---------------------------------------------------------------------------
@@ -567,13 +591,20 @@ def _rename_leaf(mapping: dict[str, str]) -> Callable[[Term, MemoMap], Term]:
 
 
 def dim_type(ty: Type) -> int:
-    match ty:
-        case Obj():
-            return -1
-        case Arr(base, _, _) | Inv(base, _):
-            # an invertibility structure has the dimension of its subject
-            return dim_type(base) + 1
-    raise TypeError(f"not a type: {ty!r}")
+    """The dimension of ``ty``'s cells minus one; kept on the node, from
+    its base's."""
+    d = ty._fact
+    if d is None:
+        match ty:
+            case Obj():
+                d = -1
+            case Arr(base, _, _) | Inv(base, _):
+                # an invertibility structure has the dimension of its subject
+                d = dim_type(base) + 1
+            case _:
+                raise TypeError(f"not a type: {ty!r}")
+        ty._fact = d
+    return d
 
 
 def dim_context(ctx: Context) -> int:
@@ -585,6 +616,28 @@ def top_variables(coh: Coh) -> tuple[Var, ...]:
     cell's own dimension, in order: the keys of its witnesses."""
     n = dim_type(coh.ty) + 1
     return tuple(v for v, ty in coh.ps if dim_type(ty) + 1 == n)
+
+
+def coh_type(coh: Coh) -> Type:
+    """The type of a coherence cell where it is used: its type
+    instantiated at its substitution, kept on the node."""
+    out = coh._fact
+    if out is None:
+        out = coh._fact = apply_sub_type(coh.ty, coh.sub)
+    return out
+
+
+def top_entries(coh: Coh) -> Iterator[tuple[Var, Type]]:
+    """Each of :func:`top_variables` with its type instantiated at the
+    coherence's substitution, in order: read off the substitution's
+    instantiated codomain when that is the pasting context, else
+    instantiated as it is reached."""
+    n = dim_type(coh.ty) + 1
+    sub = coh.sub
+    at = sub.codomain_types() if sub.codomain is coh.ps else None
+    for i, (v, ty) in enumerate(coh.ps.entries):
+        if dim_type(ty) + 1 == n:
+            yield v, apply_sub_type(ty, sub) if at is None else at[i]
 
 
 # ---------------------------------------------------------------------------

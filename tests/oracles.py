@@ -26,6 +26,7 @@ from icatt.syntax import (
     Context,
     Destr,
     Inv,
+    Obj,
     Substitution,
     Term,
     Type,
@@ -34,6 +35,23 @@ from icatt.syntax import (
     alpha_key_term,
     dim_type,
 )
+
+# ---------------------------------------------------------------------------
+# Syntax
+# ---------------------------------------------------------------------------
+
+
+def dimension(ty: Type) -> int:
+    """The dimension of the cells of ``ty`` minus one, by recursion on
+    its bases: -1 for ``*``; an invertibility structure has its
+    subject's."""
+    match ty:
+        case Obj():
+            return -1
+        case Arr(base, _, _) | Inv(base, _):
+            return dimension(base) + 1
+    raise TypeError(f"not a type: {ty!r}")
+
 
 # ---------------------------------------------------------------------------
 # Kernel

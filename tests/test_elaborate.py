@@ -7,12 +7,13 @@ import sys
 
 import pytest
 
-from icatt import syntax
+from icatt import elaborate, syntax
 from icatt.builtins import comp_schema
 from icatt.cli import run_on_worker_stack
 from icatt.elaborate import Elaborator, elaborate_decl, explicit_positions
 from icatt.errors import (
     ArityError,
+    DuplicateVariable,
     IcattError,
     IHOutsideRec,
     NotEquivContext,
@@ -326,6 +327,57 @@ def test_reserved_names_rejected():
         _check_all(env, "let comp (x : *) = x")
     with pytest.raises(ShadowedName):
         _check_all(env, "let ok (linv : *) = linv")
+
+
+def test_telescope_errors_keep_their_categories():
+    """A repeated telescope name is a duplicate variable, and a reserved
+    one a shadowed name, whatever comes after it."""
+    env = Environment()
+    with pytest.raises(DuplicateVariable, match="^variable x already in context "):
+        _check_all(env, "let t (x : *) (y : *) (x : *) (id : *) = y")
+    with pytest.raises(ShadowedName):
+        _check_all(env, "let t (x : *) (id : *) (x : *) = x")
+
+
+def test_telescope_builds_one_context(monkeypatch):
+    """Elaborating a declaration builds its telescope's context once,
+    however long the telescope: 20 and 2,000 entries make the same
+    single ``Context``, where building each prefix made one per entry."""
+    cons = syntax._cons
+    built = [0]
+
+    def counting(cls, *fields):
+        built[0] += cls is Context
+        return cons(cls, *fields)
+
+    monkeypatch.setattr(syntax, "_cons", counting)
+    counts = []
+    for n in (20, 2000):
+        built[0] = 0
+        tele = " ".join(f"(x{i} : *)" for i in range(n))
+        decl = elaborate_decl(Environment(), parse(f"let t {tele} = x0")[0])
+        assert len(decl.ctx) == n
+        counts.append(built[0])
+    assert counts == [1, 1]
+
+
+def test_definition_suspended_once_per_declaration(monkeypatch):
+    """A definition applied k times above its dimension in one body is
+    suspended once, not k times: 20 applications of a two-cell ``let``
+    to pairs of 2-cells make one ``suspend_judgment`` call."""
+    calls = [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return suspend_judgment(*args)
+
+    env = Environment()
+    _check_all(env, "let c2 (x : *) (y : *) (z : *) (f : x -> y) (g : y -> z) = comp f g")
+    uses = " ".join(["(c2 a a)"] * 20)
+    monkeypatch.setattr(elaborate, "suspend_judgment", counting)
+    (decl,) = _check_all(env, f"let t (x : *) (y : *) (h : x -> y) (a : h -> h) = comp {uses}")
+    assert calls[0] == 1
+    assert isinstance(decl.term, Coh) and len(decl.term.sub.pairs) == 2 * 20 + 3
 
 
 def _load_scaling_generator(monkeypatch):

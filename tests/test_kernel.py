@@ -42,6 +42,7 @@ from icatt.meta import disk, walking_equiv
 from icatt.normalize import eta_expand_once
 from icatt.parser import parse
 from icatt.syntax import (
+    DESTRUCTORS,
     Arr,
     alpha_eq_term,
     Can,
@@ -57,6 +58,7 @@ from icatt.syntax import (
     VarRef,
     alpha_key_context,
     alpha_key_term,
+    apply_sub_type,
     coh_head_key,
     identity_sub,
     rename_vars_term,
@@ -604,6 +606,66 @@ def test_elaboration_work_on_comp_id_chain(monkeypatch):
     assert counts[0] == counts[1]
     assert counts[0][0] <= 200
     assert counts[0][1] == 0
+
+
+def test_instantiated_codomains_agree_with_instantiation(corpus_terms):
+    """For every substitution reachable from the checked corpus and from
+    the checked canonical components of its ``can``s, each type of the
+    instantiated codomain kept on it is the node that instantiating the
+    entry's type at the substitution gives, entry by entry."""
+    from icatt.inverse import canonical_component
+
+    roots = []
+    for _, ctx, term, _ in corpus_terms:
+        roots.append(term)
+        for can in [s for s in subterms([term]) if isinstance(s, Can)]:
+            for kind in DESTRUCTORS:
+                component = canonical_component(can, kind)
+                infer_term(ctx, component)
+                roots.append(component)
+    subs = {id(s.sub): s.sub for s in subterms(roots) if isinstance(s, (Coh, Rec))}
+    assert len(subs) > 100
+    for sub in subs.values():
+        at = sub.codomain_types()
+        assert len(at) == len(sub.codomain)
+        for (_, ty), got in zip(sub.codomain, at):
+            assert got is apply_sub_type(ty, sub)
+
+
+def test_checking_the_corpus_instantiates_each_codomain_once():
+    """Checking the corpus instantiates the codomain of each distinct
+    substitution at most once, though substitutions are checked again
+    and again, and never instantiates a codomain entry on its own."""
+    _in_fresh_interpreter(_checking_the_corpus_instantiates_each_codomain_once)
+
+
+def _checking_the_corpus_instantiates_each_codomain_once():
+    made, checks, alone = [], [0], []
+    codomain_types, check_sub_once = Substitution.codomain_types, kernel.check_sub
+
+    def counting_codomain(sub):
+        if sub._fact is None:
+            made.append(sub)  # held, so no node is rebuilt as a new one
+        return codomain_types(sub)
+
+    def counting_check(*args):
+        checks[0] += 1
+        return check_sub_once(*args)
+
+    def counting_entry(ty, sub):
+        if any(ty is e for _, e in sub.codomain):
+            alone.append((ty, sub))
+        return apply_sub_type(ty, sub)
+
+    Substitution.codomain_types = counting_codomain
+    kernel.check_sub = counting_check
+    kernel.apply_sub_type = syntax.apply_sub_type = counting_entry
+    env = Environment()
+    for sdecl in parse(fresh.CORPUS.read_text(encoding="utf-8")):
+        check_decl(env, elaborate_decl(env, sdecl))
+    assert len(set(map(id, made))) == len(made)
+    assert 0 < len(made) < checks[0]
+    assert alone == []
 
 
 def test_context_check_keys_linearly():

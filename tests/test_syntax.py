@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from icatt import syntax
 from icatt.builtins import comp_of, id_of
 from icatt.errors import UnboundVariable
+from icatt.kernel import infer_term
 from icatt.meta import suspend_judgment, walking_equiv
 from icatt.syntax import (
     Arr,
@@ -43,6 +44,8 @@ from icatt.syntax import (
     variables_used_term,
     variables_used_type,
 )
+
+from oracles import dimension
 
 
 def arr0(s, t):
@@ -128,6 +131,29 @@ def test_inv_dimension_matches_subject():
     e1 = walking_equiv(1)
     inv_ty = e1.entries[-1][1]
     assert dim_type(inv_ty) == 1  # dimension of d1
+
+
+def test_dimension_agrees_with_recursion(corpus_terms):
+    """The dimension kept on a type node is the one recursion on its
+    bases gives, on every type of the corpus: the declared and inferred
+    types, the context entries, the coherence types and their pasting
+    contexts, and the type each subterm infers, with all their bases."""
+    types = []
+    for _, ctx, term, ty in corpus_terms:
+        types += [ty, *(e for _, e in ctx)]
+        for s in subterms([term]):
+            types.append(infer_term(ctx, s))
+            if isinstance(s, Coh):
+                types += [s.ty, *(e for _, e in s.ps)]
+    seen = set()
+    for ty in types:
+        while id(ty) not in seen:
+            seen.add(id(ty))
+            assert dim_type(ty) == dimension(ty), ty
+            if isinstance(ty, Obj):
+                break
+            ty = ty.base
+    assert len(seen) > 100
 
 
 def test_variables_used(two_chain):
@@ -225,8 +251,6 @@ def test_variables_used_under_substitution(t):
 @settings(max_examples=20, deadline=None)
 @given(e1_terms())
 def test_dimension_substitution_invariant(t):
-    from icatt.kernel import infer_term
-
     ty = infer_term(_E1, t)
     if isinstance(ty, Inv):
         return
