@@ -24,7 +24,7 @@ from .syntax import (
     Type,
     Var,
     VarRef,
-    alpha_key_term,
+    alpha_eq_term,
     coh_type,
     dim_type,
 )
@@ -113,7 +113,7 @@ def comp_of(args: list[tuple[Term, Type]]) -> tuple[Term, Type]:
     for i, (t, ty) in enumerate(args):
         if not isinstance(ty, Arr) or dim_type(ty) + 1 != dim:
             raise TypeMismatch("composite arguments must share dimension")
-        if i > 0 and alpha_key_term(ty.src) != alpha_key_term(images[-2]):
+        if i > 0 and not alpha_eq_term(ty.src, images[-2]):
             raise TypeMismatch(f"composite boundary mismatch at argument {i}")
         images += (ty.tgt, t)
     cell = Coh(ctx, full, Substitution(tuple(zip(ctx.vars(), images)), ctx))

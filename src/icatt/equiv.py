@@ -238,7 +238,7 @@ def gamma_sub(n: int) -> Substitution:
     sgamma_canon = compose_sub(sgamma, ren)
     img_left = compose_sub(sgamma_canon, chi_l)
     img_right = compose_sub(sgamma_canon, chi_r)
-    assert sgamma.codomain.entries == sprev_names.entries
+    assert sgamma.codomain is sprev_names
     pairs = list(prev_gamma.pairs)
     ctx = trunc.ctx
     known = {v.name for v, _ in prev_gamma.pairs}
@@ -253,8 +253,8 @@ def gamma_sub(n: int) -> Substitution:
             pairs.append((v, img_right.lookup(Var(orig))))
         else:
             raise BoundExceeded(f"unexpected truncation variable {v.name}")
-    ordered = tuple((v, dict((p.name, t) for p, t in pairs)[v.name]) for v, _ in ctx)
-    return Substitution(ordered, ctx)
+    images = {p.name: t for p, t in pairs}
+    return Substitution(tuple((v, images[v.name]) for v, _ in ctx), ctx)
 
 
 @dataclass
@@ -309,18 +309,18 @@ def check_gamma(n: int) -> GammaReport:
         g_k = gamma_sub(k)
         t_k = equiv_truncation(k)
         lhs_i = compose_sub(t_k.to_prev, g_k)
-        if alpha_key_sub(lhs_i) != alpha_key_sub(gamma_sub(k - 1)):
+        if alpha_key_sub(lhs_i) is not alpha_key_sub(gamma_sub(k - 1)):
             equations = False
             details.append(f"i^{k} . gamma^{k} != gamma^{k-1}")
         sg = compose_sub(suspend_sub(gamma_sub(k - 1), (VarRef(Var("v-")), VarRef(Var("v+")))), ren)
         lhs_f = compose_sub(t_k.to_susp_left, g_k)
         rhs_f = compose_sub(sg, chi_l)
-        if alpha_key_sub(lhs_f) != alpha_key_sub(rhs_f):
+        if alpha_key_sub(lhs_f) is not alpha_key_sub(rhs_f):
             equations = False
             details.append(f"f^{k} . gamma^{k} != Sigma gamma^{k-1} . chi_lwit")
         lhs_g = compose_sub(t_k.to_susp_right, g_k)
         rhs_g = compose_sub(sg, chi_r)
-        if alpha_key_sub(lhs_g) != alpha_key_sub(rhs_g):
+        if alpha_key_sub(lhs_g) is not alpha_key_sub(rhs_g):
             equations = False
             details.append(f"g^{k} . gamma^{k} != Sigma gamma^{k-1} . chi_rwit")
     return GammaReport(n, checked, bijection, equations, counts, details)

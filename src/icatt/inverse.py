@@ -17,18 +17,17 @@ The shapes of the intermediate coherences are a deterministic choice of
 this implementation; every emitted cell re-checks in the kernel at the
 boundary dictated by the destructor typing table.
 
-What a construction derives is kept on an alpha-class (``built``, see
-:class:`~icatt.syntax.AlphaClass`), and so lives as long as the syntax
-it is about: on a pasting context's class, per context node and
-dimension, the opposite context and the boundaries; on a coherence's
-class, per subject node and witness family, its inverse cells, and per
-witness classes, its cancellator stages.  Each is built once.
+What a construction derives is kept on the node it is about
+(:func:`~icatt.syntax.built_on`), and so lives as long as that syntax:
+on a pasting context, per dimension, the opposite context and the
+boundaries; on a coherence, per side and witness family, its inverse
+cells, and per side and witness canonical nodes, its cancellator
+stages.  Each is built once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from .builtins import comp_of, id_of
 from .errors import WrongWitnessSet
@@ -38,7 +37,6 @@ from .syntax import (
     INVERSES,
     SIDES,
     UNITS,
-    AlphaClass,
     Arr,
     Can,
     Coh,
@@ -50,9 +48,9 @@ from .syntax import (
     Var,
     VarRef,
     alpha_eq_term,
-    alpha_key_context,
     alpha_key_term,
     apply_sub_term,
+    built_on,
     coh_type,
     dim_context,
     dim_type,
@@ -97,17 +95,6 @@ def gamma_inverse(
     return Substitution(tuple(pairs), flipped)
 
 
-def _built(cls: AlphaClass, key: tuple, build: Callable[[], object]):
-    """The construction ``key``, kept on ``cls``: ``build()`` the first
-    time."""
-    if cls.built is None:
-        cls.built = {}
-    out = cls.built.get(key)
-    if out is None:
-        out = cls.built[key] = build()
-    return out
-
-
 def _opposite(ps: Context, n: int) -> tuple[Context, set[str], set[str]]:
     """The opposite at dimension ``n`` of a pasting context, and the
     context's source and target (n-1)-boundaries.  The kernel has
@@ -118,15 +105,15 @@ def _opposite(ps: Context, n: int) -> tuple[Context, set[str], set[str]]:
         data = pasting_data(ps)
         return opposite_context(n, ps), data.boundary_src(n - 1), data.boundary_tgt(n - 1)
 
-    return _built(alpha_key_context(ps), ("opposite", ps, n), build)
+    return built_on(ps, ("opposite", n), build)
 
 
 def coh_inverse(subject: Coh, side: str, witnesses: dict[str, Term]) -> Coh:
     """The chosen-side inverse of a coherence cell: with top-dimensional
     variables, a coherence over the opposite of its pasting context.
     Built once per subject node, side and witness family."""
-    key = ("inverse", subject, side, *sorted(witnesses.items()))
-    return _built(alpha_key_term(subject), key, lambda: _coh_inverse(subject, side, witnesses))
+    key = ("inverse", side, *sorted(witnesses.items()))
+    return built_on(subject, key, lambda: _coh_inverse(subject, side, witnesses))
 
 
 def _coh_inverse(subject: Coh, side: str, witnesses: dict[str, Term]) -> Coh:
@@ -184,10 +171,11 @@ def coh_cancellator_steps(subject: Coh, side: str, witnesses: dict[str, Term]) -
     (left) or ``comp(cell, inverse)`` (right) down to the identity.
 
     The construction is exponential if recomputed naively, so the stages
-    are kept on the subject's alpha-class, per side and witness family;
-    they contain the subject, so the cyclic collector frees them."""
+    are kept on the subject, per side and witness family up to
+    alpha-equivalence; they contain the subject, so the cyclic collector
+    frees them."""
     key = ("steps", side, *sorted((k, alpha_key_term(v)) for k, v in witnesses.items()))
-    return _built(alpha_key_term(subject), key, lambda: _coh_cancellator_steps(subject, side, witnesses))
+    return built_on(subject, key, lambda: _coh_cancellator_steps(subject, side, witnesses))
 
 
 def _coh_cancellator_steps(subject: Coh, side: str, witnesses: dict[str, Term]) -> list[_Step]:

@@ -14,15 +14,16 @@ no prefix context built; weakening is admissible, so an entry's type
 may be checked over the whole context once its variables are in scope.
 
 What the kernel learns lives as long as the syntax it is about: the type
-a term infers over a context is kept on the term's alpha-class
-(:class:`~icatt.syntax.AlphaClass`), under a weak reference to the
-context node, and goes when either dies.
+a term infers over a context is kept on the term node, under a weak
+reference to the context node (:func:`~icatt.syntax.learn_over`), and
+goes when either dies.
 Whether a coherence is valid depends only on its head, never on the
 substitution that instantiates it.  Inference therefore splits in two.
 The closed part, the pasting context, the type over it and its
-fullness, is checked once per alpha-class of the head
-(:func:`check_coh_head`), and only its successes are marked on that
-class, so a failing head raises on every use.  The per-instance
+fullness, is checked once per canonical head cell
+(:func:`~icatt.syntax.coh_head_key`), which alpha-equivalent heads
+share, and only its successes are marked on that cell, so a failing
+head raises on every use.  The per-instance
 part runs at every inference of a node: each image of the substitution
 is inferred and compared with the type its codomain entry expects.
 Those types, the codomain instantiated at the substitution, are made in
@@ -39,7 +40,6 @@ itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from weakref import ref
 
 from .builtins import component_type, destructor_result_type
 from .errors import (
@@ -76,13 +76,14 @@ from .syntax import (
     alpha_eq_context,
     alpha_eq_term,
     alpha_eq_type,
-    alpha_key_term,
     apply_sub_term,
     apply_sub_type,
     coh_head_key,
     coh_type,
     dim_type,
     identity_sub,
+    known_over,
+    learn_over,
     top_entries,
     top_variables,
     variables_used_term,
@@ -152,10 +153,11 @@ def check_ctx(ctx: Context) -> Context:
 
 def check_coh_head(ps_ctx: Context, ty: Type, where: str = "") -> None:
     """Check a coherence head: its pasting context and a full type over
-    it.  Runs once per alpha-class of the head; ``where`` prefixes the
-    fullness diagnostic."""
+    it.  Runs once per canonical head cell, which a success marks with
+    the type it infers over its own pasting context; ``where`` prefixes
+    the fullness diagnostic."""
     head = coh_head_key(ps_ctx, ty)
-    if head.checked:
+    if known_over(head, head.ps) is not None:
         return
     check_ctx(ps_ctx)
     ps = check_ps(ps_ctx)
@@ -163,7 +165,7 @@ def check_coh_head(ps_ctx: Context, ty: Type, where: str = "") -> None:
     failure = fullness_failure(ps, ty)
     if failure is not None:
         raise NotFull(where + failure)
-    head.checked = True
+    learn_over(head, head.ps, head.ty)
 
 
 def check_type(ctx: Context, ty: Type) -> Type:
@@ -190,36 +192,13 @@ def check_type(ctx: Context, ty: Type) -> Type:
     raise IllFormedType(f"not a type: {ty!r}")
 
 
-class _ContextRef(ref):
-    """A weak reference to a context, keying an inferred type in the
-    ``types`` of an alpha-class, which it names weakly in ``owner``."""
-
-    __slots__ = ("owner",)
-
-
-def _forget_type(r: _ContextRef) -> None:
-    # the context died: drop the type inferred over it
-    cls = r.owner()
-    if cls is not None:
-        cls.types.pop(r, None)
-
-
 def infer_term(ctx: Context, t: Term) -> Type:
     if t._open:  # syntax over a metavariable, which elaboration zonks away
         hint = t.hint if isinstance(t, MetaRef) else "_"
         raise UnsolvedMeta(f"unsolved implicit argument {hint}; give it explicitly")
-    cls = alpha_key_term(t)
-    known = cls.types
-    if known is None:
-        known = cls.types = {}
-    else:
-        ty = known.get(ref(ctx))
-        if ty is not None:
-            return ty
-    ty = _infer_term(ctx, t)
-    over = _ContextRef(ctx, _forget_type)
-    over.owner = ref(cls)
-    known[over] = ty
+    ty = known_over(t, ctx)
+    if ty is None:
+        ty = learn_over(t, ctx, _infer_term(ctx, t))
     return ty
 
 

@@ -41,9 +41,9 @@ def _schema_kind(coh: Coh) -> tuple[str, int] | None:
     n = dim_type(coh.ty) + 1
     key = coh_head_key(coh.ps, coh.ty)
     k = (len(coh.ps) - 2 * n + 1) // 2
-    if k >= 1 and key == coh_head_key(*comp_schema(k, n)):
+    if k >= 1 and key is coh_head_key(*comp_schema(k, n)):
         return ("comp", k)
-    if key == coh_head_key(*id_schema(n - 1)):
+    if key is coh_head_key(*id_schema(n - 1)):
         return ("id", 1)
     return None
 

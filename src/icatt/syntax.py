@@ -13,24 +13,20 @@ exception is syntax over an unsolved elaboration metavariable
 table, because the elaborator builds many short-lived ones and zonks
 them away before the kernel sees a declaration.
 
-Alpha-classes.  Variables are named, and the binders of the pasting
+Canonical nodes.  Variables are named, and the binders of the pasting
 context of a coherence and of the seed of a recursor stay named, since
 they are printed.  Two entities are alpha-equivalent when they are
-equal up to renaming those binders; their alpha-keys
+equal up to renaming bound names, and then their alpha-keys
 (:func:`alpha_key_term`, :func:`alpha_key_type`,
-:func:`alpha_key_context`, :func:`alpha_key_sub`) are then the same
-:class:`AlphaClass`, the one live object for a shallow shape (a tag,
-the classes of the children, and the names that matter: free variables,
-destructor kinds); a bound variable's shape is its binding position.
-A node's class is computed once, from its children's, in O(arity).
-Each entry of a context binds its name to its position, and its type
-is keyed over the entries before it; an entry that repeats an earlier
-name is marked with the position it shadows, so a context that repeats
-a name never shares its key with one that does not, and the two
-inductive hypotheses of a recursor are bound at the positions after its
-seed.  The key of a coherence head (:func:`coh_head_key`) and of a
-recursor's body (:func:`rec_head_key`) leave out the instantiating
-substitution.
+:func:`alpha_key_context`, :func:`alpha_key_sub`) are the same
+*canonical node*: the entity with each bound name renamed to its
+binding position, spelled ``#i`` so no source identifier can spell it.
+Bound are the names of a coherence's pasting context, of a recursor's
+seed and its two inductive hypotheses (at the positions after the
+seed), and of a keyed context; the names a substitution or a witness
+family assigns are renamed with the context they name.  An entry that
+repeats a name also records the position it shadows, so a context that
+repeats a name never keys like one that does not.
 
 The six destructors are identified by the strings in :data:`DESTRUCTORS`
 ("lwit"/"rwit" are the invertibility witnesses of the left/right
@@ -50,19 +46,20 @@ terms and to types, with one memo on node identity for both, so a pass
 costs its number of distinct nodes, and a type spine shared by several
 roots of the pass is rebuilt once; the constructors share its output.
 Substitution and renaming are one subclass, with no closure, made per
-pass.  The codomain of a :class:`Substitution` is instantiated in one
-such pass, the first time it is asked for
-(:meth:`Substitution.codomain_types`), and so is the type of a
-coherence cell (:func:`coh_type`).
+pass, and canonical nodes another.  The codomain of a
+:class:`Substitution` is instantiated in one such pass, the first time
+it is asked for (:meth:`Substitution.codomain_types`), and so is the
+type of a coherence cell (:func:`coh_type`).
 
 Cache policy.  Memory of past work lives as long as the syntax it is
-about.  ``_INTERN``, the only module-level table, holds every node and
-every alpha-class weakly, under its fields or its shape; an entry goes
-when its object dies.  Facts about a node are slots on it (see
-:class:`_Node`): among them its dimension, a substitution's instantiated
-codomain and a coherence cell's instantiated type, each computed once
-per node.  Facts that carry no names live on its alpha-class (see
-:class:`AlphaClass`), and traversal memos last one pass.
+about.  ``_INTERN``, the only module-level table, holds every closed
+node weakly, under its fields; an entry goes when its node dies.  Facts
+about a node are slots on it (see :class:`_Node`): among them its
+canonical node, its dimension, a substitution's instantiated codomain
+and a coherence cell's instantiated type, each computed once per node.
+A fact about a node over a context is kept on the node under a weak
+reference to the context (:func:`learn_over`), and traversal memos last
+one pass.
 """
 
 from __future__ import annotations
@@ -96,21 +93,15 @@ class _Ref(ref):
     __slots__ = ("key",)
 
 
-# a node's class and fields, or an alpha-class's shape -> a weak
-# reference to the one live object with them; see the module docstring
+# a node's class and fields -> a weak reference to the one live node
+# with them; see the module docstring
 _INTERN: dict[tuple, _Ref] = {}
 
 
 def _forget(r: _Ref, table: dict[tuple, _Ref] = _INTERN) -> None:
-    # an object died: drop its entry, unless a new object took the key
+    # a node died: drop its entry, unless a new node took the key
     if table.get(r.key) is r:
         del table[r.key]
-
-
-def _keep(obj, key: tuple) -> None:
-    r = _Ref(obj, _forget)
-    r.key = key
-    _INTERN[key] = r
 
 
 def _cons(cls, is_open: bool, *fields):
@@ -126,10 +117,11 @@ def _cons(cls, is_open: bool, *fields):
     node = object.__new__(cls)
     for name, value in zip(cls.__match_args__, fields):
         setattr(node, name, value)
-    node._key = node._beta = node._head_key = node._keys = node._fact = None
+    node._key = node._beta = node._keys = node._known = node._fact = None
     node._open = is_open
     if not is_open:
-        _keep(node, key)
+        r = _INTERN[key] = _Ref(node, _forget)
+        r.key = key
     return node
 
 
@@ -142,24 +134,18 @@ def _open_in(pairs: tuple) -> bool:
 
 
 class _Node:
-    """Facts about a node, in slots outside its dataclass fields: the
-    alpha-class of a closed node (``_key``); the head key of a coherence
-    type over a pasting context, with a weak reference to that context
-    (:func:`coh_head_key`), or of a recursor's body (:func:`rec_head_key`)
-    (``_head_key``); the beta-normal form of a term, which
-    :mod:`icatt.normalize` writes (``_beta``); on a :class:`Context` its
-    key and binder map (:func:`_ctx_key`) in ``_key``; the type of each
-    name of a :class:`Context` and the image of each name of a
-    :class:`Substitution` (``_keys``); in ``_fact``, one fact by kind of
-    node: the dimension of a type (:func:`dim_type`), the instantiated codomain of a
-    :class:`Substitution` (:meth:`Substitution.codomain_types`), the
-    instantiated type of a :class:`Coh` (:func:`coh_type`), and the
-    explicit argument positions of a telescope, which the elaborator
-    writes; and whether the node is open (``_open``).  None until
-    computed.  Nodes are never changed after construction; facts are the
-    only attributes written."""
+    """Facts about a node, in slots outside its dataclass fields, None
+    until computed: its canonical node (``_key``; a context's comes with
+    its binders); a term's beta-normal form (``_beta``, written by
+    :mod:`icatt.normalize`); each name's type in a :class:`Context` or
+    image in a :class:`Substitution` (``_keys``); what the kernel and
+    :mod:`icatt.inverse` learn about it (``_known``, see
+    :func:`learn_over` and :func:`built_on`); in ``_fact``, a type's
+    dimension, a substitution's instantiated codomain, a coherence's
+    instantiated type, or a telescope's explicit argument positions,
+    which the elaborator writes; and whether it is open (``_open``)."""
 
-    __slots__ = ("_key", "_beta", "_head_key", "_keys", "_fact", "_open", "__weakref__")
+    __slots__ = ("_key", "_beta", "_keys", "_known", "_fact", "_open", "__weakref__")
 
 
 # a node class: a slotted dataclass whose equality is identity, built by
@@ -678,109 +664,156 @@ def fresh_name(base: str, avoid: set[str]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Alpha-invariant canonical keys
+# Facts over a context, and canonical nodes
 # ---------------------------------------------------------------------------
 
 
-class AlphaClass:
-    """The one live object for a shape (see :func:`_intern`), so keys
-    are equal exactly when they are the same object, with the facts the
-    kernel learns about the members of the class, made on first use:
-    ``types``, the type a member infers over each live context (keyed
-    by a weak reference to the context, so it keeps no context alive);
-    ``checked``, set once a coherence head passes its check; ``built``,
-    the constructions :mod:`icatt.inverse` derives from a coherence."""
+class _ContextRef(ref):
+    """A weak reference to a context, keying a fact in the ``_known`` of
+    the node that ``owner`` names weakly."""
 
-    __slots__ = ("types", "checked", "built", "__weakref__")
-
-    def __init__(self) -> None:
-        self.types = None
-        self.checked = False
-        self.built = None
+    __slots__ = ("owner",)
 
 
-def _intern(shape: tuple) -> AlphaClass:
-    r = _INTERN.get(shape)
-    cls = None if r is None else r()
-    if cls is None:
-        cls = AlphaClass()
-        _keep(cls, shape)
-    return cls
+def _forget_fact(r: _ContextRef) -> None:
+    # the context died: drop the fact kept over it
+    node = r.owner()
+    if node is not None:
+        node._known.pop(r, None)
 
 
-class _Keys:
-    """Alpha-keys of terms and types under ``bound`` (bound variable
-    name -> binding position), memoised on node identity for the life of
-    the object.  With nothing bound, the keys cached on the nodes."""
-
-    __slots__ = ("bound", "memo")
-
-    def __init__(self, bound: dict[str, int]):
-        self.bound = bound
-        self.memo: dict[int, AlphaClass] = {}
-
-    def __call__(self, x: Term | Type) -> AlphaClass:
-        if not self.bound:
-            return _closed_key(x)
-        k = self.memo.get(id(x))
-        if k is None:
-            k = self.memo[id(x)] = _intern(_shape(x, self))
-        return k
+def known_over(node: _Node, ctx: Context):
+    """The fact kept on ``node`` over ``ctx`` (:func:`learn_over`), or None."""
+    return None if node._known is None else node._known.get(ref(ctx))
 
 
-_CLOSED = _Keys({})
+def learn_over(node: _Node, ctx: Context, fact):
+    """Keep ``fact`` on ``node`` over ``ctx``, under a weak reference to
+    ``ctx``, so it keeps no context alive and goes when either dies."""
+    if node._known is None:
+        node._known = {}
+    over = _ContextRef(ctx, _forget_fact)
+    over.owner = ref(node)
+    node._known[over] = fact
+    return fact
 
 
-def _closed_key(x: Term | Type) -> AlphaClass:
+def built_on(node: _Node, key: tuple, build: Callable[[], object]):
+    """The construction ``key`` from ``node``, kept on it: ``build()``
+    the first time."""
+    if node._known is None:
+        node._known = {}
+    out = node._known.get(key)
+    if out is None:
+        out = node._known[key] = build()
+    return out
+
+
+def _keyed(x, make: Callable):
+    """The canonical node of the closed node ``x``, kept in its ``_key``
+    (True when it is ``x`` itself, so no node refers to itself):
+    ``make(x)`` the first time."""
     k = x._key
     if k is None:
-        k = x._key = _intern(_shape(x, _CLOSED))
-    return k
+        k = make(x)
+        x._key = True if k is x else k
+    return x if k is True else k
 
 
-def _shape(x: Term | Type, key: _Keys) -> tuple:
-    match x:
-        case VarRef(v):
-            i = key.bound.get(v.name)
-            return ("fv", v.name) if i is None else ("bv", i)
-        case Coh(ps, ty, sub):
-            return ("coh", coh_head_key(ps, ty), *map(key, sub.terms()))
-        case Destr(kind, arg):
-            return ("destr", kind, key(arg))
-        case Coind():
-            return ("coind", *map(key, x.components()))
-        case Rec():
-            return ("rec", rec_head_key(x), *map(key, x.sub.terms()))
-        case Can(subject, wit):
-            return ("can", key(subject), *[key(w) for _, w in wit])
-        case MetaRef(uid, _):
-            return ("meta", uid)
-        case Obj():
-            return ("obj",)
-        case Arr(base, src, tgt):
-            return ("arr", key(base), key(src), key(tgt))
-        case Inv(base, subject):
-            return ("inv", key(base), key(subject))
-    raise TypeError(f"not a term or type: {x!r}")
+class _Canon(MemoMap):
+    """The canonical node of terms and types: each variable in ``bound``
+    renamed to its position, each coherence and recursor head made
+    canonical, and the names a substitution or witness family assigns
+    renamed with the context they name.  With nothing bound, each closed
+    node keeps its canonical node (:func:`_keyed`)."""
+
+    __slots__ = ("bound",)
+
+    def __init__(self, bound: Mapping[str, Var]):
+        self.memo = {}
+        self.bound = bound
+
+    def leaf(self, x: Term) -> Term:
+        v = self.bound.get(x.var.name) if isinstance(x, VarRef) else None
+        return x if v is None else VarRef(v)
+
+    def __call__(self, t: Term) -> Term:
+        if not self.bound and not t._open:
+            return _keyed(t, self._rebuild)
+        if isinstance(t, (VarRef, MetaRef)):
+            return self.leaf(t)
+        out = self.memo.get(id(t))
+        if out is None:
+            out = self.memo[id(t)] = self._rebuild(t)
+        return out
+
+    def type(self, ty: Type) -> Type:
+        if not self.bound and not ty._open:
+            return _keyed(ty, lambda x: MemoMap.type(self, x))
+        return MemoMap.type(self, ty)
+
+    def _rebuild(self, t: Term) -> Term:
+        match t:
+            case Coh(ps, ty, sub):
+                head = coh_head_key(ps, ty)
+                return Coh(head.ps, head.ty, self.sub(sub))
+            case Rec():
+                return Rec(*rec_head_key(t).components(), self.sub(t.sub))
+            case Can(subject, wit):
+                names = _canon_context(subject.ps)[1] if isinstance(subject, Coh) else {}
+                return Can(self(subject), tuple([(names.get(x.name, x), self(w)) for x, w in wit]))
+        return map_children(t, self)
+
+    def sub(self, sub: Substitution) -> Substitution:
+        codomain, names = _canon_context(sub.codomain)
+        return Substitution(tuple([(names.get(x.name, x), self(s)) for x, s in sub.pairs]), codomain)
 
 
-def alpha_key_term(t: Term) -> AlphaClass:
-    return _closed_key(t)
+def _canon_context(ctx: Context) -> tuple[Context, dict[str, Var]]:
+    """The canonical node of ``ctx`` and its binders (each name -> the
+    position of its last entry), kept on ``ctx``: each entry renamed to
+    its position ``#i``, which no source identifier can spell, and its
+    type made canonical over the entries before it.  An entry that
+    shadows an earlier one also names the position it shadows."""
+    k = ctx._key
+    if k is None:
+        entries, bound = [], {}
+        for i, (v, ty) in enumerate(ctx):
+            shadowed = bound.get(v.name)
+            x = Var(f"#{i}" if shadowed is None else f"#{i}>{shadowed.name}")
+            entries.append((x, _Canon(bound).type(ty)))
+            bound[v.name] = x
+        canon = Context(tuple(entries))
+        k = ctx._key = (None if canon is ctx else canon, bound)
+    return ctx if k[0] is None else k[0], k[1]
 
 
-def alpha_key_type(ty: Type) -> AlphaClass:
-    return _closed_key(ty)
+def alpha_key_term(t: Term) -> Term:
+    return _Canon({})(t)
 
 
-def coh_head_key(ps: Context, ty: Type) -> AlphaClass:
-    """Alpha-invariant key of a coherence head: its pasting context and
-    its type over that context.  Cached on the type, with a weak
-    reference to the context it was keyed over."""
-    hit = ty._head_key
-    if hit is None or hit[0]() is not ps:
-        pk, pb = _ctx_key(ps)
-        hit = ty._head_key = (ref(ps), _intern(("head", pk, _Keys(pb)(ty))))
-    return hit[1]
+def alpha_key_type(ty: Type) -> Type:
+    return _Canon({}).type(ty)
+
+
+def alpha_key_context(ctx: Context) -> Context:
+    return _canon_context(ctx)[0]
+
+
+def alpha_key_sub(sub: Substitution) -> Substitution:
+    return _keyed(sub, _Canon({}).sub)
+
+
+def coh_head_key(ps: Context, ty: Type) -> Coh:
+    """The canonical head cell ``Coh(ps', ty', identity_sub(ps'))`` of a
+    coherence over ``ps`` of type ``ty``, with ``ps'`` and ``ty'`` their
+    canonical nodes, which alpha-equivalent heads share; kept on ``ty``
+    over ``ps``."""
+    head = known_over(ty, ps)
+    if head is None:
+        canon, bound = _canon_context(ps)
+        head = learn_over(ty, ps, Coh(canon, _Canon(bound).type(ty), identity_sub(canon)))
+    return head
 
 
 def rec_hyp_names(seed: Context) -> tuple[str, str]:
@@ -792,51 +825,16 @@ def rec_hyp_names(seed: Context) -> tuple[str, str]:
     return fresh_name("h-", avoid), fresh_name("h+", avoid)
 
 
-def rec_head_key(t: Rec) -> AlphaClass:
-    """Alpha-invariant key of a recursor's body, its seed context and
-    its components without the instantiating substitution: the first
-    five components over the seed, the last two over the seed extended
-    by the two inductive-hypothesis variables.  Cached on ``t``."""
-    k = t._head_key
-    if k is None:
-        seed = t.sub.codomain
-        ek, eb = _ctx_key(seed)
-        ebh = dict(eb)
-        for i, hv in enumerate(rec_hyp_names(seed)):
-            ebh[hv] = len(seed) + i
-        comps = t.components()
-        k = t._head_key = _intern(("rec-head", ek, *map(_Keys(eb), comps[:5]), *map(_Keys(ebh), comps[5:])))
-    return k
-
-
-def _ctx_key(ctx: Context) -> tuple[AlphaClass, dict[str, int]]:
-    """The key of ``ctx`` and its binder map (variable name -> position
-    of its last entry), cached on ``ctx``.  Each entry's type is keyed
-    over the entries before it; an entry that repeats a name is marked
-    with the position it shadows, so it never keys like a fresh name."""
-    keys = ctx._key
-    if keys is None:
-        k, b = _intern(("ctx",)), {}
-        for i, (v, ty) in enumerate(ctx):
-            ek = _Keys(b)(ty)
-            shadowed = b.get(v.name)
-            if shadowed is not None:
-                ek = _intern(("shadows", shadowed, ek))
-            k = _intern(("ctx", k, ek))
-            b[v.name] = i
-        keys = ctx._key = (k, b)
-    return keys
-
-
-def alpha_key_context(ctx: Context) -> AlphaClass:
-    return _ctx_key(ctx)[0]
-
-
-def alpha_key_sub(sub: Substitution) -> AlphaClass:
-    k = sub._key
-    if k is None:
-        k = sub._key = _intern(("sub", alpha_key_context(sub.codomain), *map(_closed_key, sub.terms())))
-    return k
+def rec_head_key(t: Rec) -> Rec:
+    """The canonical head of a recursor: its components made canonical,
+    the first five over its seed and the last two over the seed extended
+    by the two inductive-hypothesis variables, at the identity of its
+    canonical seed."""
+    seed = t.sub.codomain
+    canon, bound = _canon_context(seed)
+    ext = {**bound, **{h: Var(f"#{len(seed) + i}") for i, h in enumerate(rec_hyp_names(seed))}}
+    comps = t.components()
+    return Rec(*map(_Canon(bound), comps[:5]), *map(_Canon(ext), comps[5:]), identity_sub(canon))
 
 
 def alpha_eq_term(a: Term, b: Term) -> bool:

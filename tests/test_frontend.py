@@ -520,8 +520,8 @@ def test_recheck_is_stable_and_grows_no_table():
 
 
 # checks the corpus, then the scaling scripts of each seed, in one process
-# and as `icatt check` does; after each input, the live alpha-classes and
-# the peak RSS in KiB
+# and as `icatt check` does; after each input, the live entries of the
+# intern table and the peak RSS in KiB
 _LONG_LIVED_CHECKER = """
 import gc, json, resource, sys
 sys.setrecursionlimit(200_000)
@@ -559,7 +559,7 @@ print(json.dumps([sizes, peaks]))
 def test_memory_stays_bounded_across_inputs():
     """A long-lived checker's memory is bounded by the syntax it still
     holds: after the corpus and the first seed's scaling scripts, each
-    further seed's scripts add at most 8 live alpha-classes and keep
+    further seed's scripts add at most 8 live intern-table entries and keep
     peak RSS within 5 %."""
     out = fresh.run("-c", _LONG_LIVED_CHECKER)
     assert out.returncode == 0, out.stderr

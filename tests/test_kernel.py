@@ -3,11 +3,12 @@ recognition and fullness, conversion, environment."""
 
 import gc
 import itertools
+import random
 import sys
 import weakref
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from icatt import elaborate, kernel, syntax
 from icatt.builtins import comp_of, comp_schema, id_of
@@ -388,8 +389,8 @@ def test_check_term_converts_across_beta():
 
 def _in_fresh_interpreter(body):
     """Run ``body``, a function of this module, in a new interpreter with
-    the suite's recursion limit, where no alpha-class, and so no fact
-    the kernel keeps on one, is left from earlier tests."""
+    the suite's recursion limit, where no node, and so no fact the
+    kernel keeps on one, is left from earlier tests."""
     code = f"import sys; sys.path.insert(0, 'tests'); import conftest, test_kernel; test_kernel.{body.__name__}()"
     out = fresh.run("-c", code)
     assert out.returncode == 0, out.stderr
@@ -425,7 +426,7 @@ def _repeated_name_in_head():
         return Coh(ps, arr0("x", "z"), Substitution(pairs, ps))
 
     cold = _verdict(ambient, cell(_chain_ctx("xyfzf")))
-    good = cell(_chain_ctx("xyfzg"))  # held, and so are the facts on its classes
+    good = cell(_chain_ctx("xyfzg"))  # held, and so are the facts on its nodes
     assert _verdict(ambient, good) == arr0("a", "c")
     warm = _verdict(ambient, cell(_chain_ctx("xyfzf")))
     assert cold == warm == "duplicate-variable"
@@ -455,7 +456,7 @@ def _repeated_name_in_seed():
     bad = Rec(*bad_comps, Substitution(pairs, bad_seed))
 
     cold = _verdict(seed, bad)
-    good = Rec(*decl.components, identity_sub(seed))  # held, and so are the facts on its classes
+    good = Rec(*decl.components, identity_sub(seed))  # held, and so are the facts on its nodes
     assert isinstance(_verdict(seed, good), Inv)
     warm = _verdict(seed, bad)
     assert cold == warm == "duplicate-variable"
@@ -484,15 +485,16 @@ def _small_ctx(draw, max_len):
 @st.composite
 def _small_cell(draw):
     """A coherence over a small context, of an arrow type of dimension
-    0 or 1, whose substitution sends each entry to a named variable,
-    described by its context, the endpoints of its type and the names
-    of its images."""
+    0 or 1, whose substitution assigns to each entry's name, or to
+    another name, a named variable, described by its context, the
+    endpoints of its type and each assigned name with the name of its
+    image."""
     ps = draw(_small_ctx(3))
     name = st.sampled_from(_ABC)
     ends = [(draw(name), draw(name))]
     if draw(st.booleans()):
         ends.append((draw(name), draw(name)))
-    return ps, tuple(ends), tuple(draw(name) for _ in ps)
+    return ps, tuple(ends), tuple((x if draw(st.booleans()) else draw(name), draw(name)) for x, _ in ps)
 
 
 def _ctx_of(desc):
@@ -505,41 +507,47 @@ def _cell_of(desc):
     ty = Obj()
     for src, tgt in ends:
         ty = Arr(ty, v(src), v(tgt))
-    return Coh(ps, ty, Substitution(tuple((x, v(a)) for (x, _), a in zip(ps, images)), ps))
+    return Coh(ps, ty, Substitution(tuple((Var(x), v(a)) for x, a in images), ps))
 
 
 def _verdicts(ambient, cells, order):
     """The verdict on each described cell over the described ambient
     context, inferred in ``order`` from syntax built for this call and
     kept as text, so no node of the call outlives it; and weak
-    references to the alpha-classes of the cells and of their heads."""
+    references to the canonical nodes of the cells and of their heads."""
     ctx = _ctx_of(ambient)
     built = [_cell_of(c) for c in cells]
     verdicts = {i: repr(_verdict(ctx, built[i])) for i in order}
-    classes = [alpha_key_term(c) for c in built] + [coh_head_key(c.ps, c.ty) for c in built]
-    return verdicts, list(map(weakref.ref, classes))
+    keys = [alpha_key_term(c) for c in built] + [coh_head_key(c.ps, c.ty) for c in built]
+    return verdicts, list(map(weakref.ref, keys))
+
+
+# over (a : *), a cell that assigns z where its pasting context has x,
+# after its correctly named twin: bad-substitution cold and warm
+_WRONGLY_NAMED = [((("x", None),), (("x", "x"),), (("x", "a"),)), ((("x", None),), (("x", "x"),), (("z", "a"),))]
 
 
 @settings(max_examples=40, deadline=None)
 @given(_small_ctx(3), st.lists(_small_cell(), min_size=1, max_size=6), st.randoms(use_true_random=False))
+@example((("a", None),), _WRONGLY_NAMED, random.Random(0))
 def test_cold_and_warm_runs_agree(ambient, cells, rng):
     """Inferring cells in a random order, and then in the reverse order
-    from syntax built again once every alpha-class the first pass made
-    for a cell or a head is dead, with the facts kept on it, gives every
-    cell the same type or the same error category."""
+    from syntax built again once every node and canonical node the first
+    pass made for a cell or a head is dead, with the facts kept on them,
+    gives every cell the same type or the same error category."""
     order = list(range(len(cells)))
     rng.shuffle(order)
-    # the classes alive before the first pass, held so that they stay so
+    # the nodes alive before the first pass, held so that they stay so
     before = [ref() for ref in syntax._INTERN.values()]
     # the collector then looks only at what the first pass made
     gc.freeze()
     try:
-        first, classes = _verdicts(ambient, cells, order)
+        first, keys = _verdicts(ambient, cells, order)
         gc.collect()
     finally:
         gc.unfreeze()
     known = set(map(id, before))
-    assert all(ref() is None or id(ref()) in known for ref in classes)
+    assert all(ref() is None or id(ref()) in known for ref in keys)
     second, _ = _verdicts(ambient, cells, order[::-1])
     assert first == second
 
@@ -669,27 +677,30 @@ def _checking_the_corpus_instantiates_each_codomain_once():
 
 
 def test_context_check_keys_linearly():
-    """Checking a pasting context keys it in one pass: doubling the
-    arity of a composite about doubles the shapes keyed, where keying
-    every prefix afresh would quadruple them."""
+    """Checking a composite's head keys its pasting context in one pass:
+    doubling the arity of the composite about doubles the nodes built
+    while checking it, where keying every prefix afresh would quadruple
+    them."""
     _in_fresh_interpreter(_context_check_keys_linearly)
 
 
 def _context_check_keys_linearly():
-    interned = []
-    intern = syntax._intern
+    built = []
+    cons = syntax._cons
 
-    def counting(shape):
-        interned.append(shape)
-        return intern(shape)
+    def counting(cls, is_open, *fields):
+        built.append(cls)
+        return cons(cls, is_open, *fields)
 
-    syntax._intern = counting
     counts = []
     for k in (64, 128):
-        interned.clear()
-        check_ctx(comp_schema(k, 1)[0])
-        counts.append(len(interned))
-    assert counts[1] <= 2.5 * counts[0]
+        ps, ty = comp_schema(k, 1)
+        syntax._cons = counting
+        built.clear()
+        kernel.check_coh_head(ps, ty)
+        syntax._cons = cons
+        counts.append(len(built))
+    assert 0 < counts[0] and counts[1] <= 2.5 * counts[0]
 
 
 def test_non_full_head_fails_on_every_use():

@@ -533,34 +533,38 @@ def test_repeated_names_never_key_like_fresh_ones():
     assert len(fresh) > 1 and len(repeating) > 1000
 
 
-def _probe_nodes():
-    """The keys of live ``VarRef`` nodes of the lifetime probe variable."""
-    return [k for k in syntax._INTERN if k[0] is VarRef and k[1].name == "class-lifetime-probe"]
+def _probe_entries():
+    """The keys in the intern table of the live nodes of the lifetime
+    probe variable: its ``Var`` and its ``VarRef``."""
+    name = "class-lifetime-probe"
+    return [k for k in syntax._INTERN if k[1:] == (name,) or (k[0] is VarRef and k[1].name == name)]
 
 
-def test_a_class_lives_as_long_as_syntax_refers_to_it():
-    """An alpha-class and a node, and their entries in the intern table,
-    live exactly as long as some node refers to them: dropping a term
-    frees them, and building the term again makes one new class, which
-    alpha-equivalent live nodes share."""
+def test_a_canonical_node_lives_as_long_as_syntax_refers_to_it():
+    """A term's canonical nodes and its nodes, and their entries in the
+    intern table, live exactly as long as some node refers to them:
+    dropping a term frees them, and building the term again makes one
+    new canonical node, which alpha-equivalent live nodes share."""
     probe = VarRef(Var("class-lifetime-probe"))
-    leaf = ("fv", probe.var.name)
     t = Destr("linv", id_of(probe, Obj()))
-    classes = [weakref.ref(alpha_key_term(s)) for s in subterms([t])]
+    keys = [alpha_key_term(s) for s in subterms([t])]
+    assert keys[0] is not t and keys[-1] is probe  # a renamed binder, and a free variable
+    assert all((type(k), *[getattr(k, f) for f in type(k).__match_args__]) in syntax._INTERN for k in keys)
+    keys = list(map(weakref.ref, keys))
     nodes = [weakref.ref(s) for s in subterms([t])]
-    assert leaf in syntax._INTERN and len(_probe_nodes()) == 1
+    assert len(_probe_entries()) == 2
     del t, probe
     gc.collect()
-    assert [ref() for ref in classes] == [None, None, None]
+    assert [ref() for ref in keys] == [None, None, None]
     assert [ref() for ref in nodes] == [None, None, None]
-    assert leaf not in syntax._INTERN and not _probe_nodes()
+    assert not _probe_entries()
 
     # over a pasting context named apart from the one of id_of
     z = Context(((Var("z"), Obj()),))
     renamed = Coh(z, arr0("z", "z"), Substitution(((Var("z"), VarRef(Var("class-lifetime-probe"))),), z))
     again = Destr("linv", id_of(VarRef(Var("class-lifetime-probe")), Obj()))
     assert alpha_key_term(again) is alpha_key_term(Destr("linv", renamed))
-    assert leaf in syntax._INTERN and classes[0]() is None
+    assert len(_probe_entries()) == 2 and keys[0]() is None
 
 
 def _twice(build):
