@@ -80,6 +80,7 @@ def _run_check(args) -> int:
                 kdecl = _bounded(elaborate_decl, env, sdecl)
                 _bounded(check_decl, env, kdecl)
             except IcattError as exc:
+                exc.span = exc.span or sdecl.span  # a kernel error is at its declaration
                 print(f"{path}: {sdecl.kind} {sdecl.name}: {exc}", file=sys.stderr)
                 status = 1
                 if not args.keep_going:

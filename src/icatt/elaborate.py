@@ -95,6 +95,7 @@ from .parser import (
     SVar,
     SWild,
 )
+from .printer import show
 from .syntax import (
     DESTRUCTOR_SPELLINGS,
     DESTRUCTORS,
@@ -372,7 +373,7 @@ class Elaborator:
             except UnificationFailure:
                 if self._concrete(ty) and self._concrete(expected):
                     raise TypeMismatch(
-                        f"term has type {self.zonk_type(ty)}, expected {self.zonk_type(expected)}"
+                        f"term has type {show(self.zonk_type(ty))}, expected {show(self.zonk_type(expected))}"
                     )
                 raise
         return term
@@ -446,7 +447,7 @@ class Elaborator:
             arg_ty = self._zonkish_type(arg_ty)
             if not isinstance(arg_ty, Inv):
                 raise TypeMismatch(
-                    f"{name} needs an invertibility structure, got {arg_ty}", span=span
+                    f"{name} needs an invertibility structure, got {show(arg_ty)}", span=span
                 )
             return Destr(kind, arg), destructor_result_type(kind, arg, arg_ty)
         if name == "comp":
@@ -681,7 +682,7 @@ class Elaborator:
                         if self._concrete(s_ty) and self._concrete(t_ty):
                             raise IllFormedType(
                                 "arrow endpoints live in different types "
-                                f"({self.zonk_type(s_ty)} and {self.zonk_type(t_ty)})",
+                                f"({show(self.zonk_type(s_ty))} and {show(self.zonk_type(t_ty))})",
                                 span=span,
                             )
                         raise

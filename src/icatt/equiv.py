@@ -30,11 +30,10 @@ from .syntax import (
     Term,
     Var,
     VarRef,
-    alpha_key_sub,
     alpha_key_term,
-    apply_sub_type,
     compose_sub,
     dim_type,
+    instantiate_type,
 )
 
 MAX_STAGE = 5
@@ -120,19 +119,18 @@ def pullback_along_display(
         raise ValueError("display map must present a telescope extension")
     out_entries = list(dom.entries)
     names = {v.name for v, _ in dom}
-    top_pairs = list(f.pairs)
+    images = dict(f.images())
     for v, ty in extended.entries[len(base):]:
         new_name = rename(v.name)
         while new_name in names:
             new_name = new_name + "'"
         names.add(new_name)
         # entry types only mention earlier entries, all assigned by now
-        partial = Substitution(tuple(top_pairs), extended)
-        out_entries.append((Var(new_name), apply_sub_type(ty, partial)))
-        top_pairs.append((v, VarRef(Var(new_name))))
+        out_entries.append((Var(new_name), instantiate_type(ty, images)))
+        images[v.name] = VarRef(Var(new_name))
     pulled = Context(tuple(out_entries))
     proj_dom = Substitution(tuple((v, VarRef(v)) for v, _ in dom), dom)
-    proj_top = Substitution(tuple(top_pairs), extended)
+    proj_top = Substitution(tuple((v, images[v.name]) for v, _ in extended), extended)
     return pulled, proj_dom, proj_top
 
 
@@ -308,19 +306,14 @@ def check_gamma(n: int) -> GammaReport:
     for k in range(1, n + 1):
         g_k = gamma_sub(k)
         t_k = equiv_truncation(k)
-        lhs_i = compose_sub(t_k.to_prev, g_k)
-        if alpha_key_sub(lhs_i) is not alpha_key_sub(gamma_sub(k - 1)):
-            equations = False
-            details.append(f"i^{k} . gamma^{k} != gamma^{k-1}")
         sg = compose_sub(suspend_sub(gamma_sub(k - 1), (VarRef(Var("v-")), VarRef(Var("v+")))), ren)
-        lhs_f = compose_sub(t_k.to_susp_left, g_k)
-        rhs_f = compose_sub(sg, chi_l)
-        if alpha_key_sub(lhs_f) is not alpha_key_sub(rhs_f):
-            equations = False
-            details.append(f"f^{k} . gamma^{k} != Sigma gamma^{k-1} . chi_lwit")
-        lhs_g = compose_sub(t_k.to_susp_right, g_k)
-        rhs_g = compose_sub(sg, chi_r)
-        if alpha_key_sub(lhs_g) is not alpha_key_sub(rhs_g):
-            equations = False
-            details.append(f"g^{k} . gamma^{k} != Sigma gamma^{k-1} . chi_rwit")
+        # both sides are built over one named context: equal ones are one node
+        for lhs, rhs, equation in (
+            (t_k.to_prev, gamma_sub(k - 1), f"i^{k} . gamma^{k} != gamma^{k-1}"),
+            (t_k.to_susp_left, compose_sub(sg, chi_l), f"f^{k} . gamma^{k} != Sigma gamma^{k-1} . chi_lwit"),
+            (t_k.to_susp_right, compose_sub(sg, chi_r), f"g^{k} . gamma^{k} != Sigma gamma^{k-1} . chi_rwit"),
+        ):
+            if compose_sub(lhs, g_k) is not rhs:
+                equations = False
+                details.append(equation)
     return GammaReport(n, checked, bijection, equations, counts, details)

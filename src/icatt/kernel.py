@@ -56,6 +56,7 @@ from .errors import (
     WrongWitnessSet,
 )
 from .meta import PsContext, check_ps, equiv_ind_context, walking_equiv
+from .printer import show
 from .syntax import (
     DESTRUCTORS,
     WITNESSES,
@@ -178,7 +179,8 @@ def check_type(ctx: Context, ty: Type) -> Type:
             tgt_ty = infer_term(ctx, tgt)
             if not convertible_types(ctx, src_ty, base) or not convertible_types(ctx, tgt_ty, base):
                 raise IllFormedType(
-                    f"arrow endpoints must share the base type (got {src_ty} and {tgt_ty}, expected {base})"
+                    f"arrow endpoints must share the base type (got {show(src_ty)} and {show(tgt_ty)}, "
+                    f"expected {show(base)})"
                 )
             return ty
         case Inv(base, subject):
@@ -187,7 +189,7 @@ def check_type(ctx: Context, ty: Type) -> Type:
             check_type(ctx, base)
             sub_ty = infer_term(ctx, subject)
             if not convertible_types(ctx, sub_ty, base):
-                raise IllFormedType(f"invertibility subject has type {sub_ty}, expected {base}")
+                raise IllFormedType(f"invertibility subject has type {show(sub_ty)}, expected {show(base)}")
             return ty
     raise IllFormedType(f"not a type: {ty!r}")
 
@@ -213,7 +215,7 @@ def _infer_term(ctx: Context, t: Term) -> Type:
         case Destr(kind, arg):
             arg_ty = infer_term(ctx, arg)
             if not isinstance(arg_ty, Inv):
-                raise TypeMismatch(f"destructor {kind} needs an invertibility structure, got {arg_ty}")
+                raise TypeMismatch(f"destructor {kind} needs an invertibility structure, got {show(arg_ty)}")
             return destructor_result_type(kind, arg, arg_ty)
         case Coind():
             return _infer_coind(ctx, t)
@@ -227,7 +229,7 @@ def _infer_term(ctx: Context, t: Term) -> Type:
 def check_term(ctx: Context, t: Term, expected: Type) -> Type:
     actual = infer_term(ctx, t)
     if not convertible_types(ctx, actual, expected):
-        raise TypeMismatch(f"term has type {actual}, expected {expected}")
+        raise TypeMismatch(f"term has type {show(actual)}, expected {show(expected)}")
     return actual
 
 
@@ -305,7 +307,7 @@ def check_sub(ctx: Context, sub: Substitution, cod: Context) -> Substitution:
         actual = infer_term(ctx, t)
         if not convertible_types(ctx, actual, expected):
             raise BadSubstitution(
-                f"image of {v.name} has type {actual}, expected {expected}"
+                f"image of {v.name} has type {show(actual)}, expected {show(expected)}"
             )
     return sub
 

@@ -6,10 +6,11 @@ the order in which the pasting rules add a set of entries, and
 in that order, so the kernel's pasting judgment and the reordering used
 by opposites and the inverse construction cannot disagree.
 
-Suspension and opposites act on raw syntax; disks, spheres and walking
-equivalences are built directly with canonical names (``d0-``, ``d0+``,
+Suspension and opposites are :class:`~icatt.syntax.MemoMap` passes, so
+they cost the distinct nodes of shared syntax; disks, spheres and
+walking equivalences are built with canonical names (``d0-``, ``d0+``,
 ``d1``, ``e1``, ...) so that classifying substitutions are easy to
-assemble.  Suspending a canonical context yields an alpha-equal copy of
+assemble.  Suspending a canonical context gives an alpha-equal copy of
 the next canonical one.
 """
 
@@ -17,16 +18,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from weakref import ref
 
 from .errors import NotPasting, OppositeOnInv
 from .syntax import (
     Arr,
-    Can,
     Coh,
-    Coind,
     Context,
     Destr,
     Inv,
+    MemoMap,
     Obj,
     Rec,
     Substitution,
@@ -50,16 +51,12 @@ from .syntax import (
 # ---------------------------------------------------------------------------
 
 
-def susp_base_names(avoid: set[str]) -> tuple[str, str]:
-    return fresh_name("v-", avoid), fresh_name("v+", avoid)
-
-
 def suspend_type(ty: Type, base: tuple[Term, Term]) -> Type:
     return _Suspension(base).type(ty)
 
 
 def suspend_term(t: Term, base: tuple[Term, Term]) -> Term:
-    return _Suspension(base).term(t)
+    return _Suspension(base)(t)
 
 
 def suspend_context(ctx: Context) -> Context:
@@ -75,95 +72,66 @@ def suspend_sub(sub: Substitution, base: tuple[Term, Term]) -> Substitution:
     """Suspend a substitution; ``base`` gives the images of the two new
     codomain objects (the new domain objects, at a top-level use)."""
     s = _Suspension(base)
-    return s.onto(sub, s.context(sub.codomain))
+    return s.onto(sub, s.at(_base_avoiding(sub.codomain)).entries(sub.codomain))
 
 
 def suspend_judgment(ctx: Context, t: Term, ty: Type) -> tuple[Context, Term, Type]:
     """Suspend a typed term together with its context."""
     s = _Suspension(_base_avoiding(ctx))
-    return s.entries(ctx), s.term(t), s.type(ty)
+    return s.entries(ctx), s(t), s.type(ty)
 
 
 def _base_avoiding(ctx: Context) -> tuple[Term, Term]:
     """The base objects of the suspension of ``ctx``."""
-    neg, pos = susp_base_names(ctx.names())
-    return VarRef(Var(neg)), VarRef(Var(pos))
+    avoid = ctx.names()
+    return VarRef(Var(fresh_name("v-", avoid))), VarRef(Var(fresh_name("v+", avoid)))
 
 
-class _Suspension:
-    """Suspension onto ``base`` within one top-level call.  Terms are
-    memoised on node identity, so a shared DAG is suspended once per
-    distinct node, and ``heads`` holds one suspended copy of each
-    distinct coherence head (pasting context and type) and recursor head
-    (seed and components), shared by all their occurrences.  Suspensions
-    onto the heads' own bases share the call's ``heads`` and its memos,
-    one per base (``memos``)."""
+class _Suspension(MemoMap):
+    """Suspension onto ``base``: the object type becomes the arrow type
+    between the base objects, and each coherence or recursor head is
+    suspended by the pass onto its own base.  The first pass of a call
+    keeps one pass per other base in ``passes``, and each refers to it
+    weakly (``first``), so no pass is part of a reference cycle."""
 
-    __slots__ = ("base", "memo", "heads", "memos")
+    __slots__ = ("base", "first", "passes", "__weakref__")
 
-    def __init__(self, base: tuple[Term, Term], heads: dict | None = None, memos: dict | None = None):
-        self.base = base
-        self.heads: dict[tuple[int, ...], object] = {} if heads is None else heads
-        self.memos: dict[tuple[str, str], dict[int, Term]] = {} if memos is None else memos
-        self.memo = self.memos.setdefault((base[0].var.name, base[1].var.name), {})
+    def __init__(self, base: tuple[Term, Term], first: ref | None = None):
+        self.memo, self.base, self.passes = {}, base, {}
+        self.first = ref(self) if first is None else first
 
     def at(self, base: tuple[Term, Term]) -> _Suspension:
-        return _Suspension(base, self.heads, self.memos)
+        """The pass of this call onto ``base``."""
+        first = self.first()
+        if base == first.base:
+            return first
+        return first.passes.get(base) or first.passes.setdefault(base, _Suspension(base, self.first))
 
     def entries(self, ctx: Context) -> Context:
         """``ctx`` suspended onto this base, whose names it avoids."""
         neg, pos = self.base
         return Context(((neg.var, Obj()), (pos.var, Obj())) + tuple((v, self.type(ty)) for v, ty in ctx))
 
-    def context(self, ctx: Context) -> Context:
-        """The suspension of ``ctx``, sharing this call's memos."""
-        return self.at(_base_avoiding(ctx)).entries(ctx)
-
     def type(self, ty: Type) -> Type:
-        match ty:
-            case Obj():
-                return Arr(Obj(), *self.base)
-            case Arr(b, src, tgt):
-                return Arr(self.type(b), self.term(src), self.term(tgt))
-            case Inv(b, subject):
-                return Inv(self.type(b), self.term(subject))
-        raise TypeError(f"not a type: {ty!r}")
+        return Arr(ty, *self.base) if isinstance(ty, Obj) else MemoMap.type(self, ty)
 
-    def term(self, t: Term) -> Term:
-        if isinstance(t, VarRef):
-            return t
-        out = self.memo.get(id(t))
-        if out is None:
-            out = self.memo[id(t)] = self._term(t)
-        return out
-
-    def _term(self, t: Term) -> Term:
+    def rebuild(self, t: Term) -> Term:
         match t:
             case Coh(ps, ty, sub):
-                key = (id(ps), id(ty))
-                head = self.heads.get(key)
-                if head is None:
-                    sps = self.context(ps)
-                    head = self.heads[key] = (sps, self.at(suspension_base(sps)).type(ty))
-                return Coh(*head, self.onto(sub, head[0]))
+                head = self.at(_base_avoiding(ps))
+                sps = head.entries(ps)
+                return Coh(sps, head.type(ty), self.onto(sub, sps))
             case Rec():
-                comps = t.components()
-                key = (id(t.sub.codomain), *map(id, comps))
-                head = self.heads.get(key)
-                if head is None:
-                    sseed = self.context(t.sub.codomain)
-                    inner = self.at(suspension_base(sseed))
-                    head = self.heads[key] = (sseed, tuple(map(inner.term, comps)))
-                return Rec(*head[1], self.onto(t.sub, head[0]))
-            case Coind() | Can() | Destr():
-                return map_children(t, self.term)
-        raise TypeError(f"not a term: {t!r}")
+                head = self.at(_base_avoiding(t.sub.codomain))
+                sseed = head.entries(t.sub.codomain)
+                return Rec(*map(head, t.components()), self.onto(t.sub, sseed))
+        return map_children(t, self)
 
     def onto(self, sub: Substitution, scod: Context) -> Substitution:
         """``sub`` suspended onto ``scod``, the suspension of its codomain."""
         (vneg, _), (vpos, _) = scod.entries[0], scod.entries[1]
         pairs = ((vneg, self.base[0]), (vpos, self.base[1]))
-        return Substitution(pairs + tuple((x, self.term(t)) for x, t in sub.pairs), scod)
+        return Substitution(pairs + tuple((x, self(t)) for x, t in sub.pairs), scod)
 
 
 # ---------------------------------------------------------------------------
@@ -295,43 +263,44 @@ def pasting_data(ctx: Context) -> PsContext:
 
 
 def opposite_type(n: int, ty: Type) -> Type:
-    match ty:
-        case Obj():
-            return ty
-        case Arr(base, src, tgt):
-            b = opposite_type(n, base)
-            s = opposite_term(n, src)
-            t = opposite_term(n, tgt)
-            if dim_type(base) + 2 == n:
-                return Arr(b, t, s)
-            return Arr(b, s, t)
-        case Inv():
-            raise OppositeOnInv("opposite is only defined on Inv-free syntax")
-    raise TypeError(f"not a type: {ty!r}")
+    return _Opposite(n).type(ty)
 
 
 def opposite_term(n: int, t: Term) -> Term:
-    match t:
-        case VarRef():
-            return t
-        case Coh(ps, ty, sub):
-            ps_reordered = opposite_context(n, ps)
-            pairs = tuple((x, opposite_term(n, s)) for x, s in sub.pairs)
-            reordered = _reorder_pairs(pairs, ps_reordered)
-            return Coh(ps_reordered, opposite_type(n, ty), Substitution(reordered, ps_reordered))
-        case _:
-            raise OppositeOnInv("opposite is only defined on Inv-free syntax")
+    return _Opposite(n)(t)
 
 
 def opposite_context(n: int, ctx: Context) -> Context:
     """Opposite of a pasting context: the opposites of its entries, in
     the order in which the pasting rules derive them."""
-    return to_ps_order(tuple((v, opposite_type(n, ty)) for v, ty in ctx))
+    return _Opposite(n).context(ctx)
 
 
-def _reorder_pairs(pairs: tuple[tuple[Var, Term], ...], cod: Context) -> tuple[tuple[Var, Term], ...]:
-    by_name = {v.name: t for v, t in pairs}
-    return tuple((v, by_name[v.name]) for v, _ in cod)
+class _Opposite(MemoMap):
+    """The opposite in dimension ``n`` of Inv-free syntax: the source and
+    target of each n-cell's type swapped, and each coherence rebuilt over
+    the opposite of its pasting context."""
+
+    __slots__ = ("n",)
+
+    def __init__(self, n: int):
+        self.memo = {}
+        self.n = n
+
+    def type(self, ty: Type) -> Type:
+        if isinstance(ty, Inv):
+            raise OppositeOnInv("opposite is only defined on Inv-free syntax")
+        out = MemoMap.type(self, ty)
+        return Arr(out.base, out.tgt, out.src) if isinstance(ty, Arr) and dim_type(ty) + 1 == self.n else out
+
+    def context(self, ctx: Context) -> Context:
+        return to_ps_order(tuple((v, self.type(ty)) for v, ty in ctx))
+
+    def rebuild(self, t: Term) -> Term:
+        if not isinstance(t, Coh):
+            raise OppositeOnInv("opposite is only defined on Inv-free syntax")
+        ps, images = self.context(t.ps), t.sub.images()
+        return Coh(ps, self.type(t.ty), Substitution(tuple((v, self(images[v.name])) for v, _ in ps), ps))
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +340,7 @@ def disk_var(n: int) -> Var:
 
 def sphere_inclusion(n: int) -> Substitution:
     """The substitution D^n -> S^{n-1} forgetting the top cell."""
-    cod = sphere(n - 1)
-    return Substitution(tuple((v, VarRef(v)) for v, _ in cod), cod)
+    return identity_sub(sphere(n - 1))
 
 
 @lru_cache(maxsize=None)
@@ -391,8 +359,7 @@ def equiv_var(n: int) -> Var:
 
 def equiv_display(n: int) -> Substitution:
     """The weakening E^n -> D^n."""
-    cod = disk(n)
-    return Substitution(tuple((v, VarRef(v)) for v, _ in cod), cod)
+    return identity_sub(disk(n))
 
 
 # ---------------------------------------------------------------------------

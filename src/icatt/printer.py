@@ -3,7 +3,7 @@
 It recognises the built-in composite and identity schemas and prints
 them applied to their top arguments; other coherences are printed with
 their full pasting telescope, so output is self-contained and
-deterministic.
+deterministic.  Error messages print syntax cut short (:func:`show`).
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ from .syntax import (
     Rec,
     Term,
     Type,
+    VarRef,
+    _Node,
     coh_head_key,
     dim_type,
     top_variables,
@@ -48,54 +50,90 @@ def _schema_kind(coh: Coh) -> tuple[str, int] | None:
     return None
 
 
-def print_term(t: Term) -> str:
-    match t:
+def print_term(x: Term | Type | Context) -> str:
+    """The term, type or context ``x`` printed."""
+    return _printed(x, _pieces, None)
+
+
+print_type = print_context = print_term
+
+
+def show(x: Term | Type | Context) -> str:
+    """``x`` printed for an error message: cut with "…" after 300
+    characters, at a cost bounded by the cut, however large its tree."""
+    return _printed(x, _pieces, 300)
+
+
+def show_fields(x) -> str:
+    """The repr of syntax nodes: ``x`` as a dataclass repr writes it, cut at 1,000."""
+    return _printed(x, _fields, 1000)
+
+
+def _printed(x, pieces, cap: int | None) -> str:
+    """The strings of ``pieces(x)`` in order, each other piece replaced by
+    its own text, from a stack rather than by recursion."""
+    out, size, todo = [], 0, [x]
+    while todo:
+        x = todo.pop()
+        if not isinstance(x, str):
+            todo.extend(reversed(pieces(x)))
+            continue
+        out.append(x)
+        size += len(x)
+        if cap is not None and size > cap:
+            return "".join(out)[:cap] + "…"
+    return "".join(out)
+
+
+def _pieces(x) -> tuple:
+    """The printed form of ``x``: strings, and syntax printed in place."""
+    match x:
+        case VarRef(v):
+            return (v.name,)
         case MetaRef(_, hint):
-            return f"?{hint}"
-        case Coh() as coh:
-            kind = _schema_kind(coh)
-            if kind is not None:
-                name, _ = kind
-                if name == "id":
-                    top = coh.sub.pairs[-1][1]
-                    return f"id {_atom(top)}"
-                args = " ".join(_atom(coh.sub.lookup(v)) for v in top_variables(coh))
-                return f"comp {args}"
-            args = " , ".join(print_term(s) for s in coh.sub.terms())
-            return f"coh[{print_context(coh.ps)} : {print_type(coh.ty)}][{args}]"
+            return (f"?{hint}",)
+        case Coh():
+            kind = _schema_kind(x)
+            if kind is None:
+                return ("coh[", x.ps, " : ", x.ty, "][", *_commas(x.sub.terms()), "]")
+            if kind[0] == "id":
+                return ("id ", *_atom(x.sub.pairs[-1][1]))
+            return ("comp", *[p for v in top_variables(x) for p in (" ", *_atom(x.sub.lookup(v)))])
         case Destr(kind, arg):
-            return f"{DESTRUCTOR_SPELLINGS[DESTRUCTORS.index(kind)]} ({print_term(arg)})"
+            return (f"{DESTRUCTOR_SPELLINGS[DESTRUCTORS.index(kind)]} (", arg, ")")
         case Coind():
-            inner = " , ".join(print_term(c) for c in t.components())
-            return f"coind {{ {inner} }}"
+            return ("coind { ", *_commas(x.components()), " }")
         case Rec():
-            inner = " , ".join(print_term(c) for c in t.components())
-            args = " , ".join(print_term(s) for s in t.sub.terms())
-            return f"rec {{ {inner} }}[{args}]"
+            return ("rec { ", *_commas(x.components()), " }[", *_commas(x.sub.terms()), "]")
         case Can(subject, wit):
-            inner = " , ".join(print_term(w) for _, w in wit)
-            return f"can ({print_term(subject)} {{ {inner} }})"
-        case _:
-            if hasattr(t, "var"):
-                return t.var.name
-    raise TypeError(f"not a term: {t!r}")
-
-
-def _atom(t: Term) -> str:
-    s = print_term(t)
-    return f"({s})" if " " in s else s
-
-
-def print_type(ty: Type) -> str:
-    match ty:
+            return ("can (", subject, " { ", *_commas([w for _, w in wit]), " })")
         case Obj():
-            return "*"
+            return ("*",)
         case Arr(_, src, tgt):
-            return f"{print_term(src)} -> {print_term(tgt)}"
+            return (src, " -> ", tgt)
         case Inv(_, subject):
-            return f"Inv ({print_term(subject)})"
-    raise TypeError(f"not a type: {ty!r}")
+            return ("Inv (", subject, ")")
+        case Context():
+            return tuple(p for i, (v, ty) in enumerate(x) for p in (" (" if i else "(", v.name, " : ", ty, ")"))
+    raise TypeError(f"cannot print {x!r}")
 
 
-def print_context(ctx: Context) -> str:
-    return " ".join(f"({v.name} : {print_type(ty)})" for v, ty in ctx)
+def _commas(items, sep: str = " , ") -> list:
+    return [p for i, y in enumerate(items) for p in ((sep, y) if i else (y,))]
+
+
+def _atom(t: Term) -> tuple:
+    """``t``, in parentheses unless it is a name (printed with no space)."""
+    return (t,) if isinstance(t, (VarRef, MetaRef)) else ("(", t, ")")
+
+
+def _fields(x) -> tuple:
+    """The node or tuple ``x`` as a dataclass repr writes it, in pieces."""
+    if isinstance(x, tuple):
+        return ("(", *_commas(map(_field, x), ", "), ",)" if len(x) == 1 else ")")
+    named = [(f"{name}=", _field(getattr(x, name))) for name in x.__match_args__]
+    return (f"{type(x).__name__}(", *[p for i, f in enumerate(named) for p in ((", ",) if i else ()) + f], ")")
+
+
+def _field(y):
+    return y if isinstance(y, (tuple, _Node)) else repr(y)

@@ -45,8 +45,12 @@ the argument of a ``Destr``.  :func:`children` lists them and
 terms and to types, with one memo on node identity for both, so a pass
 costs its number of distinct nodes, and a type spine shared by several
 roots of the pass is rebuilt once; the constructors share its output.
-Substitution and renaming are one subclass, with no closure, made per
-pass, and canonical nodes another.  The codomain of a
+A memo miss calls its hook ``rebuild`` (by default :func:`map_children`).
+Each map over syntax is one subclass, made per pass: ``_Instantiate``
+(substitution, renaming), ``_Canon`` (canonical nodes), ``_Zonk`` and
+``_Instantiator`` (:mod:`icatt.elaborate`), and ``_Suspension`` and
+``_Opposite`` (:mod:`icatt.meta`); the last two and ``_Canon`` also map
+heads in ``rebuild``.  The codomain of a
 :class:`Substitution` is instantiated in one such pass, the first time
 it is asked for (:meth:`Substitution.codomain_types`), and so is the
 type of a coherence cell (:func:`coh_type`).
@@ -147,10 +151,15 @@ class _Node:
 
     __slots__ = ("_key", "_beta", "_keys", "_known", "_fact", "_open", "__weakref__")
 
+    def __repr__(self) -> str:
+        """Cut short: the tree of a shared DAG can be exponentially larger."""
+        from .printer import show_fields  # the printer imports this module
+        return show_fields(self)
 
-# a node class: a slotted dataclass whose equality is identity, built by
-# its __new__, which interns it
-_syntax_node = dataclass(eq=False, init=False, slots=True)
+
+# a node class: a slotted dataclass whose equality is identity and whose
+# repr is _Node's, built by its __new__, which interns it
+_syntax_node = dataclass(eq=False, init=False, slots=True, repr=False)
 
 
 @_syntax_node
@@ -159,9 +168,6 @@ class Var(_Node):
 
     def __new__(cls, name: str) -> Var:
         return _cons(cls, False, name)
-
-    def __repr__(self) -> str:
-        return f"Var({self.name!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -443,26 +449,14 @@ def map_children(t: Term, f: Callable[[Term], Term]) -> Term:
     return Destr(t.kind, new[0])  # the only other kind with a child
 
 
-def _type_terms(ty: Type) -> tuple[Term, ...]:
-    """The terms of ``ty``, base first, in the order :meth:`MemoMap.type`
-    visits them."""
-    match ty:
-        case Obj():
-            return ()
-        case Arr(base, src, tgt):
-            return _type_terms(base) + (src, tgt)
-        case Inv(base, subject):
-            return _type_terms(base) + (subject,)
-    raise TypeError(f"not a type: {ty!r}")
-
-
 class MemoMap:
     """The map sending each ``VarRef`` or ``MetaRef`` ``x`` to
     ``self.leaf(x)`` and rebuilding every other term, and every type, from
     the images of its parts, memoised on node identity: a node whose parts
     all map to themselves maps to itself.  Terms and types share the memo,
     which lives as long as the map: make one per pass, whose roots keep
-    every keyed node alive.  A subclass overrides :meth:`leaf`.  (A class
+    every keyed node alive.  A subclass overrides :meth:`leaf`, and
+    :meth:`rebuild` or :meth:`type` to map some nodes otherwise.  (A class
     rather than a closure: a closure that calls itself is a reference
     cycle, and every memo would wait for the garbage collector.)"""
 
@@ -474,12 +468,16 @@ class MemoMap:
     def leaf(self, x: Term) -> Term:
         return x
 
+    def rebuild(self, t: Term) -> Term:
+        """The image of a term other than a leaf, on a memo miss."""
+        return map_children(t, self)
+
     def __call__(self, t: Term) -> Term:
         if isinstance(t, (VarRef, MetaRef)):
             return self.leaf(t)
         out = self.memo.get(id(t))
         if out is None:
-            out = self.memo[id(t)] = map_children(t, self)
+            out = self.memo[id(t)] = self.rebuild(t)
         return out
 
     def type(self, ty: Type) -> Type:
@@ -643,7 +641,11 @@ def variables_used_term(t: Term, acc: dict[str, Var] | None = None) -> dict[str,
 
 
 def variables_used_type(ty: Type, acc: dict[str, Var] | None = None) -> dict[str, Var]:
-    return _variables_used(_type_terms(ty), acc)
+    terms: list[Term] = []  # base first, in the order MemoMap.type visits them
+    while not isinstance(ty, Obj):
+        terms[:0] = (ty.src, ty.tgt) if isinstance(ty, Arr) else (ty.subject,)
+        ty = ty.base
+    return _variables_used(terms, acc)
 
 
 def _variables_used(roots: Iterable[Term], acc: dict[str, Var] | None) -> dict[str, Var]:
@@ -739,20 +741,15 @@ class _Canon(MemoMap):
 
     def __call__(self, t: Term) -> Term:
         if not self.bound and not t._open:
-            return _keyed(t, self._rebuild)
-        if isinstance(t, (VarRef, MetaRef)):
-            return self.leaf(t)
-        out = self.memo.get(id(t))
-        if out is None:
-            out = self.memo[id(t)] = self._rebuild(t)
-        return out
+            return _keyed(t, self.rebuild)
+        return MemoMap.__call__(self, t)
 
     def type(self, ty: Type) -> Type:
         if not self.bound and not ty._open:
             return _keyed(ty, lambda x: MemoMap.type(self, x))
         return MemoMap.type(self, ty)
 
-    def _rebuild(self, t: Term) -> Term:
+    def rebuild(self, t: Term) -> Term:
         match t:
             case Coh(ps, ty, sub):
                 head = coh_head_key(ps, ty)

@@ -5,6 +5,7 @@ import importlib.util
 import json
 import pkgutil
 import sys
+import time
 
 import pytest
 
@@ -146,6 +147,27 @@ def test_cli_reports_fullness_violation(tmp_path):
     assert out.returncode == 1
     assert "not-full" in out.stderr
     assert "does not use z" in out.stderr  # the unused variable is named
+    # a kernel error carries the position of its declaration
+    assert out.stderr.startswith(f"{bad}: coh broken: 1:1: coherence broken: type is not full")
+
+
+def test_cli_error_text_is_bounded(tmp_path):
+    """An error that embeds a type prints it cut to a bounded size, at a
+    bounded cost: here the type ``r16 f -> r16 f``, whose tree has 2^17
+    composites on each side but whose DAG has 17."""
+    lines = ["let r0 (x : *) (f : x -> x) = comp f f"]
+    lines += [f"let r{i} (x : *) (f : x -> x) = comp (r{i - 1} f) (r{i - 1} f)" for i in range(1, 17)]
+    lines.append("let h (x : *) (f : x -> x) (a : r16 f -> r16 f) = linv a")
+    script = tmp_path / "deep.catt"
+    script.write_text("\n".join(lines) + "\n")
+    start = time.perf_counter()
+    out = _run_cli("check", str(script))
+    elapsed = time.perf_counter() - start
+    assert out.returncode == 1
+    assert out.stderr.startswith(f"{script}: let h: 18:51: ")
+    assert out.stderr.rstrip().endswith("[type-mismatch]")
+    assert len(out.stderr.encode("utf-8")) < 2048
+    assert elapsed < 2.0
 
 
 def test_cli_keep_going(tmp_path):

@@ -283,3 +283,31 @@ def test_to_ps_order_recovers_shuffled_telescopes():
         for i in range(len(ctx)):
             with pytest.raises(NotPasting):
                 to_ps_order(ctx.entries[:i] + ctx.entries[i + 1 :])
+
+
+def test_opposites_and_suspension_cost_distinct_nodes(monkeypatch):
+    """Opposites and suspension are passes over the shared DAG: on the
+    doubling chain ``r_i = comp r_(i-1) r_(i-1)`` of depth 16, whose tree
+    has 2^17 composites but whose DAG has 17, each builds a number of
+    nodes linear in the depth, and the opposite is an involution on the
+    nodes themselves."""
+    from icatt import syntax
+
+    ty = arr0("x", "x")
+    ctx = Context(((Var("x"), Obj()), (Var("f"), ty)))
+    depth, r = 16, VarRef(Var("f"))
+    for _ in range(depth + 1):
+        r, _ = comp_of([(r, ty), (r, ty)])
+    cons, built = syntax._cons, []
+
+    def counting(cls, is_open, *fields):
+        built.append(cls)
+        return cons(cls, is_open, *fields)
+
+    monkeypatch.setattr(syntax, "_cons", counting)
+    for run in (lambda: opposite_term(1, r), lambda: suspend_judgment(ctx, r, ty)):
+        built.clear()
+        run()
+        assert len(built) <= 20 * depth
+    monkeypatch.setattr(syntax, "_cons", cons)
+    assert opposite_term(1, opposite_term(1, r)) is r
