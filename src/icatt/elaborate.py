@@ -584,9 +584,12 @@ class Elaborator:
             image = assign[v.name] = self.metas.fresh(v.name) if image is None else self.resolve(image)
             pairs.append((v, image))
         sub = Substitution(tuple(pairs), tele)
-        out_ty = expected if expected is not None else instantiate_type(schema.ty, assign)
         if schema.kind == "coh":
-            return Coh(tele, schema.ty, sub), out_ty
+            # with no expected type, the cell's type is a fact kept on it,
+            # which the kernel reads again
+            cell = Coh(tele, schema.ty, sub)
+            return cell, coh_type(cell) if expected is None else expected
+        out_ty = expected if expected is not None else instantiate_type(schema.ty, assign)
         if schema.kind == "term":
             return apply_sub_term(schema.term, sub), out_ty
         return Rec(*schema.components, sub), out_ty

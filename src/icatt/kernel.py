@@ -25,12 +25,16 @@ fullness, is checked once per canonical head cell
 share, and only its successes are marked on that cell, so a failing
 head raises on every use.  The per-instance
 part runs at every inference of a node: each image of the substitution
-is inferred and compared with the type its codomain entry expects.
-Those types, the codomain instantiated at the substitution, are made in
-one pass the first time and kept on the substitution node
-(:meth:`~icatt.syntax.Substitution.codomain_types`), as the result type
-is on the coherence node (:func:`~icatt.syntax.coh_type`), so a
-substitution checked again and again is instantiated once.  A recursive
+is inferred, and the type of its codomain entry is *matched* against
+the inferred type (:func:`_fits`), so the codomain instantiated at the
+substitution is never built.  A variable of the entry's type stands for
+its image, which is compared with the inferred side by identity and
+then by conversion; only a term that is not a variable (in the walking
+equivalence's seeds and truncations) is instantiated, by one pass
+shared by the whole check.  The expected type is built only to report a
+failure.  The result type is instantiated once and kept on the
+coherence node (:func:`~icatt.syntax.coh_type`), where the elaborator
+put it when it built the cell.  A recursive
 definition's body is checked at every inference of a distinct ``Rec``
 node: such inferences are few (at most nine in one run of the corpus or
 of any benchmark workload), so a memo of bodies would not pay for
@@ -74,6 +78,7 @@ from .syntax import (
     Term,
     Type,
     VarRef,
+    _Instantiate,
     alpha_eq_context,
     alpha_eq_term,
     alpha_eq_type,
@@ -297,19 +302,40 @@ def check_sub(ctx: Context, sub: Substitution, cod: Context) -> Substitution:
         raise BadSubstitution(
             f"substitution has {len(sub.pairs)} assignments for {len(cod)} variables"
         )
-    # the codomain instantiated in one pass, kept on the substitution;
-    # ``cod`` is a checked context, so the pass fails on no entry
-    at = sub.codomain_types() if cod is sub.codomain else None
-    for i, ((x, t), (v, v_ty)) in enumerate(zip(sub.pairs, cod)):
+    # the one pass for the terms of the codomain that are not variables
+    inst = _Instantiate(sub.images())
+    for (x, t), (v, v_ty) in zip(sub.pairs, cod):
         if x.name != v.name:
             raise BadSubstitution(f"substitution assigns {x.name} where {v.name} was expected")
-        expected = apply_sub_type(v_ty, sub) if at is None else at[i]
         actual = infer_term(ctx, t)
-        if not convertible_types(ctx, actual, expected):
+        if not _fits(inst, v_ty, actual):
             raise BadSubstitution(
-                f"image of {v.name} has type {show(actual)}, expected {show(expected)}"
+                f"image of {v.name} has type {show(actual)}, expected {show(apply_sub_type(v_ty, sub))}"
             )
     return sub
+
+
+def _fits(inst: _Instantiate, pat: Type, ty: Type) -> bool:
+    """Whether ``inst.type(pat)`` is convertible with ``ty``, decided by
+    matching ``pat`` against ``ty`` from the top down to its base,
+    without building the instance."""
+    while not isinstance(pat, Obj):
+        if type(pat) is not type(ty):
+            return False
+        if isinstance(pat, Arr):
+            if not (_same(inst, pat.src, ty.src) and _same(inst, pat.tgt, ty.tgt)):
+                return False
+        elif not _same(inst, pat.subject, ty.subject):
+            return False
+        pat, ty = pat.base, ty.base
+    return isinstance(ty, Obj)
+
+
+def _same(inst: _Instantiate, pat: Term, t: Term) -> bool:
+    """Whether ``inst(pat)`` is convertible with ``t``: a variable is read
+    off the images, and only another term is instantiated."""
+    image = inst.images[pat.var.name] if isinstance(pat, VarRef) else inst(pat)
+    return image is t or convertible_terms(image, t)
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,14 @@ nest arbitrarily.  Comments run from ``#`` to the end of the line.
 Application is juxtaposition; the unary heads (the destructors and
 ``id``) greedily take the next atom, so ``linv-inv irunit (e)`` parses
 as ``linv-inv (irunit (e))``.
+
+Tokens are plain ``(kind, text, line, column)`` tuples, made by one
+compiled regular expression, and the parser reads them by index.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import SyntaxErrorIcatt
@@ -25,66 +29,33 @@ from .syntax import DESTRUCTOR_SPELLINGS
 KEYWORDS = ("coh", "let", "inv", "rec")
 UNARY_HEADS = DESTRUCTOR_SPELLINGS + ("id",)
 
-_IDENT_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_'-")
+# the kind of each token that is not an identifier
+_KIND = {"(": "lpar", ")": "rpar", "{": "lbrace", "}": "rbrace", ":": "colon",
+         ",": "comma", "=": "eq", "*": "star", "->": "arrow"}
 
+# blanks and a comment, then a newline (1), a token (2) or a character
+# that starts none (3); identifiers keep "->" out ("x->y"); nothing but
+# blanks is left at the end of the input
+_TOKEN = re.compile(
+    r"[ \t\r]*(?:#[^\n]*)?(?:(\n)|(->|[(){}:,=*]|(?:[A-Za-z0-9_']|-(?!>))+)|(.))?", re.S
+)
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # ident, lpar, rpar, lbrace, rbrace, colon, comma, eq, arrow, star
-    text: str
-    line: int
-    col: int
-
-    @property
-    def span(self) -> tuple[int, int]:
-        return (self.line, self.col)
+# a token: (kind, text, line, column); the kind is ident or one of _KIND's
+Token = tuple[str, str, int, int]
 
 
 def tokenize(text: str) -> list[Token]:
     toks: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    simple = {"(": "lpar", ")": "rpar", "{": "lbrace", "}": "rbrace",
-              ":": "colon", ",": "comma", "=": "eq", "*": "star"}
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start = (line, col)
-        if text.startswith("->", i):
-            toks.append(Token("arrow", "->", *start))
-            i += 2
-            col += 2
-            continue
-        if ch in simple:
-            toks.append(Token(simple[ch], ch, *start))
-            i += 1
-            col += 1
-            continue
-        if ch in _IDENT_CHARS:
-            j = i
-            while j < n and text[j] in _IDENT_CHARS:
-                # keep "->" out of identifiers ("x->y")
-                if text[j] == "-" and j + 1 < n and text[j + 1] == ">":
-                    break
-                j += 1
-            toks.append(Token("ident", text[i:j], *start))
-            col += j - i
-            i = j
-            continue
-        raise SyntaxErrorIcatt(f"unexpected character {ch!r}", span=start)
+    line, start = 1, 0  # the line and the offset where it starts
+    for m in _TOKEN.finditer(text):
+        group = m.lastindex
+        if group == 2:
+            tok = m[2]
+            toks.append((_KIND.get(tok, "ident"), tok, line, m.start(2) - start + 1))
+        elif group == 1:
+            line, start = line + 1, m.end()
+        elif group == 3:
+            raise SyntaxErrorIcatt(f"unexpected character {m[3]!r}", span=(line, m.start(3) - start + 1))
     return toks
 
 
@@ -92,26 +63,30 @@ def tokenize(text: str) -> list[Token]:
 # Surface syntax trees
 # ---------------------------------------------------------------------------
 
+# surface nodes are built once per token and only read: slotted, not frozen,
+# since a frozen dataclass pays a setattr call per field
+_surface = dataclass(slots=True)
 
-@dataclass(frozen=True)
+
+@_surface
 class SVar:
     name: str
     span: tuple[int, int] = (0, 0)
 
 
-@dataclass(frozen=True)
+@_surface
 class SWild:
     span: tuple[int, int] = (0, 0)
 
 
-@dataclass(frozen=True)
+@_surface
 class SApp:
     head: SVar
     args: tuple = ()
     span: tuple[int, int] = (0, 0)
 
 
-@dataclass(frozen=True)
+@_surface
 class SCan:
     subject: object
     witnesses: tuple = ()
@@ -121,19 +96,19 @@ class SCan:
 SurfaceTerm = SVar | SWild | SApp | SCan
 
 
-@dataclass(frozen=True)
+@_surface
 class STStar:
     span: tuple[int, int] = (0, 0)
 
 
-@dataclass(frozen=True)
+@_surface
 class STArrow:
     src: SurfaceTerm
     tgt: SurfaceTerm
     span: tuple[int, int] = (0, 0)
 
 
-@dataclass(frozen=True)
+@_surface
 class STInv:
     subject: SurfaceTerm
     span: tuple[int, int] = (0, 0)
@@ -142,7 +117,7 @@ class STInv:
 SurfaceType = STStar | STArrow | STInv
 
 
-@dataclass(frozen=True)
+@_surface
 class SurfaceDecl:
     kind: str  # coh | let | inv | rec
     name: str
@@ -151,6 +126,10 @@ class SurfaceDecl:
     body: SurfaceTerm | None = None
     components: tuple[SurfaceTerm, ...] | None = None
     span: tuple[int, int] = (0, 0)
+
+
+# the kinds of token that end a term, as a declaration keyword does
+_ENDS_TERM = frozenset(("rpar", "rbrace", "comma", "arrow", "lbrace", "colon", "eq"))
 
 
 class _Parser:
@@ -163,23 +142,28 @@ class _Parser:
             return self.toks[self.pos + k]
         return None
 
+    def end_of_input(self, message: str) -> SyntaxErrorIcatt:
+        """The error ``message`` for input that ends too soon, at the
+        last token, or at 1:1 in an empty input."""
+        span = self.toks[-1][2:] if self.toks else (1, 1)
+        return SyntaxErrorIcatt(message, span=span)
+
     def next(self) -> Token:
         tok = self.peek()
         if tok is None:
-            last = self.toks[-1] if self.toks else Token("ident", "", 1, 1)
-            raise SyntaxErrorIcatt("unexpected end of input", span=last.span)
+            raise self.end_of_input("unexpected end of input")
         self.pos += 1
         return tok
 
     def expect(self, kind: str) -> Token:
         tok = self.next()
-        if tok.kind != kind:
-            raise SyntaxErrorIcatt(f"expected {kind}, got {tok.text!r}", span=tok.span)
+        if tok[0] != kind:
+            raise SyntaxErrorIcatt(f"expected {kind}, got {tok[1]!r}", span=tok[2:])
         return tok
 
-    def at(self, kind: str, text: str | None = None) -> bool:
+    def at(self, kind: str) -> bool:
         tok = self.peek()
-        return tok is not None and tok.kind == kind and (text is None or tok.text == text)
+        return tok is not None and tok[0] == kind
 
     # -- declarations -----------------------------------------------------
 
@@ -190,23 +174,24 @@ class _Parser:
         return decls
 
     def parse_decl(self) -> SurfaceDecl:
-        kw = self.next()
-        if kw.kind != "ident" or kw.text not in KEYWORDS:
-            raise SyntaxErrorIcatt(f"expected a declaration keyword, got {kw.text!r}", span=kw.span)
-        name = self.expect("ident").text
+        tok = self.next()
+        kind, kw, span = tok[0], tok[1], tok[2:]
+        if kind != "ident" or kw not in KEYWORDS:
+            raise SyntaxErrorIcatt(f"expected a declaration keyword, got {kw!r}", span=span)
+        name = self.expect("ident")[1]
         telescope = self.parse_telescope()
-        if kw.text == "coh":
+        if kw == "coh":
             self.expect("colon")
             ty = self.parse_type()
-            return SurfaceDecl("coh", name, telescope, ty=ty, span=kw.span)
-        if kw.text == "let":
+            return SurfaceDecl("coh", name, telescope, ty=ty, span=span)
+        if kw == "let":
             ty = None
             if self.at("colon"):
                 self.next()
                 ty = self.parse_type()
             self.expect("eq")
             body = self.parse_term()
-            return SurfaceDecl("let", name, telescope, ty=ty, body=body, span=kw.span)
+            return SurfaceDecl("let", name, telescope, ty=ty, body=body, span=span)
         self.expect("eq")
         self.expect("lbrace")
         comps = [self.parse_term()]
@@ -214,7 +199,7 @@ class _Parser:
             self.next()
             comps.append(self.parse_term())
         self.expect("rbrace")
-        return SurfaceDecl(kw.text, name, telescope, components=tuple(comps), span=kw.span)
+        return SurfaceDecl(kw, name, telescope, components=tuple(comps), span=span)
 
     # -- telescopes --------------------------------------------------------
 
@@ -222,8 +207,9 @@ class _Parser:
         entries: list[tuple[str, SurfaceType]] = []
         while self.at("lpar"):
             self.next()
-            if self.at("ident") and self.peek(1) is not None and self.peek(1).kind == "colon":
-                name = self.next().text
+            after = self.peek(1)
+            if self.at("ident") and after is not None and after[0] == "colon":
+                name = self.next()[1]
                 self.next()  # colon
                 ty = self.parse_type()
                 entries.append((name, ty))
@@ -236,12 +222,12 @@ class _Parser:
 
     def parse_ps_items(self) -> list:
         """Alternating names and nested groups: x (f) y (g(a)h) z ..."""
-        items: list = [self.expect("ident").text]
+        items: list = [self.expect("ident")[1]]
         while self.at("lpar"):
             self.next()
             inner = self.parse_ps_items()
             self.expect("rpar")
-            nxt = self.expect("ident").text
+            nxt = self.expect("ident")[1]
             items.append(inner)
             items.append(nxt)
         return items
@@ -251,66 +237,63 @@ class _Parser:
     def parse_type(self) -> SurfaceType:
         tok = self.peek()
         if tok is None:
-            raise SyntaxErrorIcatt("expected a type", span=(0, 0))
-        if tok.kind == "star":
+            raise self.end_of_input("expected a type")
+        kind, text, span = tok[0], tok[1], tok[2:]
+        if kind == "star":
             self.next()
-            return STStar(tok.span)
-        if tok.kind == "ident" and tok.text == "Inv":
+            return STStar(span)
+        if kind == "ident" and text == "Inv":
             self.next()
             self.expect("lpar")
             subject = self.parse_term()
             self.expect("rpar")
-            return STInv(subject, tok.span)
+            return STInv(subject, span)
         src = self.parse_term()
         self.expect("arrow")
         tgt = self.parse_term()
-        return STArrow(src, tgt, tok.span)
+        return STArrow(src, tgt, span)
 
     # -- terms -------------------------------------------------------------
 
     def parse_term(self) -> SurfaceTerm:
+        toks = self.toks
         atoms = [self.parse_atom()]
-        while True:
-            tok = self.peek()
+        while self.pos < len(toks):
+            kind, text, _, _ = toks[self.pos]
             # a declaration keyword at term level ends the term
-            if tok is None or tok.kind in ("rpar", "rbrace", "comma", "arrow", "lbrace",
-                                           "colon", "eq") or (
-                tok.kind == "ident" and tok.text in KEYWORDS
-            ):
+            if kind in _ENDS_TERM or text in KEYWORDS:
                 break
             atoms.append(self.parse_atom())
         return _fold_atoms(atoms)
 
     def parse_atom(self) -> SurfaceTerm:
-        tok = self.peek()
-        if tok is None:
-            raise SyntaxErrorIcatt("expected a term", span=(0, 0))
-        if tok.kind == "ident" and tok.text == "can":
-            self.next()
-            self.expect("lpar")
-            subject = self.parse_term()
-            self.expect("lbrace")
-            wits: list[SurfaceTerm] = []
-            if not self.at("rbrace"):
-                wits.append(self.parse_term())
-                while self.at("comma"):
-                    self.next()
+        if self.pos == len(self.toks):
+            raise self.end_of_input("expected a term")
+        kind, text, line, col = self.toks[self.pos]
+        if kind == "ident":
+            self.pos += 1
+            if text == "can":
+                self.expect("lpar")
+                subject = self.parse_term()
+                self.expect("lbrace")
+                wits: list[SurfaceTerm] = []
+                if not self.at("rbrace"):
                     wits.append(self.parse_term())
-            self.expect("rbrace")
-            self.expect("rpar")
-            return SCan(subject, tuple(wits), tok.span)
-        if tok.kind == "ident":
-            if tok.text == "_":
-                self.next()
-                return SWild(tok.span)
-            self.next()
-            return SVar(tok.text, tok.span)
-        if tok.kind == "lpar":
-            self.next()
+                    while self.at("comma"):
+                        self.next()
+                        wits.append(self.parse_term())
+                self.expect("rbrace")
+                self.expect("rpar")
+                return SCan(subject, tuple(wits), (line, col))
+            if text == "_":
+                return SWild((line, col))
+            return SVar(text, (line, col))
+        if kind == "lpar":
+            self.pos += 1
             t = self.parse_term()
             self.expect("rpar")
             return t
-        raise SyntaxErrorIcatt(f"unexpected token {tok.text!r} in term", span=tok.span)
+        raise SyntaxErrorIcatt(f"unexpected token {text!r} in term", span=(line, col))
 
 
 def _fold_atoms(atoms: list[SurfaceTerm]) -> SurfaceTerm:

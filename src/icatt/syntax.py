@@ -50,10 +50,13 @@ Each map over syntax is one subclass, made per pass: ``_Instantiate``
 (substitution, renaming), ``_Canon`` (canonical nodes), ``_Zonk`` and
 ``_Instantiator`` (:mod:`icatt.elaborate`), and ``_Suspension`` and
 ``_Opposite`` (:mod:`icatt.meta`); the last two and ``_Canon`` also map
-heads in ``rebuild``.  The codomain of a
-:class:`Substitution` is instantiated in one such pass, the first time
-it is asked for (:meth:`Substitution.codomain_types`), and so is the
-type of a coherence cell (:func:`coh_type`).
+heads in ``rebuild``.  The type of a coherence cell is instantiated in
+one such pass, the first time it is asked for (:func:`coh_type`), and so
+is the codomain of a :class:`Substitution`
+(:meth:`Substitution.codomain_types`).  The kernel's substitution check
+builds no codomain: it matches each entry's type against its image's,
+and instantiates only the terms of it that are not variables
+(:func:`icatt.kernel.check_sub`).
 
 Cache policy.  Memory of past work lives as long as the syntax it is
 about.  ``_INTERN``, the only module-level table, holds every closed
@@ -613,15 +616,12 @@ def coh_type(coh: Coh) -> Type:
 
 def top_entries(coh: Coh) -> Iterator[tuple[Var, Type]]:
     """Each of :func:`top_variables` with its type instantiated at the
-    coherence's substitution, in order: read off the substitution's
-    instantiated codomain when that is the pasting context, else
-    instantiated as it is reached."""
+    coherence's substitution, in order, by one pass for them all."""
     n = dim_type(coh.ty) + 1
-    sub = coh.sub
-    at = sub.codomain_types() if sub.codomain is coh.ps else None
-    for i, (v, ty) in enumerate(coh.ps.entries):
+    inst = _Instantiate(coh.sub.images())
+    for v, ty in coh.ps.entries:
         if dim_type(ty) + 1 == n:
-            yield v, apply_sub_type(ty, sub) if at is None else at[i]
+            yield v, inst.type(ty)
 
 
 # ---------------------------------------------------------------------------

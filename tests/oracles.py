@@ -6,8 +6,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from icatt.errors import NotFull
-from icatt.kernel import fullness_failure, infer_term
+from icatt.errors import BadSubstitution, NotFull, SyntaxErrorIcatt
+from icatt.kernel import convertible_types, fullness_failure, infer_term
 from icatt.meta import (
     PsContext,
     disk,
@@ -20,6 +20,7 @@ from icatt.meta import (
     walking_equiv,
 )
 from icatt.parser import SApp, SCan, STArrow, STInv, STStar, SurfaceDecl, SVar, SWild
+from icatt.printer import show
 from icatt.syntax import (
     DESTRUCTORS,
     Arr,
@@ -32,9 +33,68 @@ from icatt.syntax import (
     Type,
     Var,
     VarRef,
+    alpha_eq_context,
     alpha_key_term,
+    apply_sub_type,
     dim_type,
 )
+
+# ---------------------------------------------------------------------------
+# Tokens
+# ---------------------------------------------------------------------------
+
+_IDENT_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_'-")
+_SIMPLE = {"(": "lpar", ")": "rpar", "{": "lbrace", "}": "rbrace",
+           ":": "colon", ",": "comma", "=": "eq", "*": "star"}
+
+
+def tokenize_by_characters(text: str) -> list[tuple[str, str, int, int]]:
+    """The tokens of ``text`` as ``(kind, text, line, column)``, by a loop
+    over its characters: the reference for :func:`icatt.parser.tokenize`."""
+    toks = []
+    line, col = 1, 1
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        start = (line, col)
+        if text.startswith("->", i):
+            toks.append(("arrow", "->", *start))
+            i += 2
+            col += 2
+            continue
+        if ch in _SIMPLE:
+            toks.append((_SIMPLE[ch], ch, *start))
+            i += 1
+            col += 1
+            continue
+        if ch in _IDENT_CHARS:
+            j = i
+            while j < n and text[j] in _IDENT_CHARS:
+                # keep "->" out of identifiers ("x->y")
+                if text[j] == "-" and j + 1 < n and text[j + 1] == ">":
+                    break
+                j += 1
+            toks.append(("ident", text[i:j], *start))
+            col += j - i
+            i = j
+            continue
+        raise SyntaxErrorIcatt(f"unexpected character {ch!r}", span=start)
+    return toks
+
 
 # ---------------------------------------------------------------------------
 # Syntax
@@ -68,6 +128,30 @@ def full_type(ps: PsContext, ty: Type) -> bool:
 
 def term_dimension(ctx: Context, t: Term) -> int:
     return dim_type(infer_term(ctx, t)) + 1
+
+
+def check_sub_by_instantiation(ctx: Context, sub: Substitution, cod: Context) -> Substitution:
+    """The substitution check with each codomain entry's type instantiated
+    at the substitution and then compared by conversion, with the
+    kernel's diagnostics: the reference for :func:`icatt.kernel.check_sub`."""
+    if sub.codomain is not cod and (
+        not alpha_eq_context(sub.codomain, cod) or sub.codomain.names() != cod.names()
+    ):
+        raise BadSubstitution("substitution codomain does not match")
+    if len(sub.pairs) != len(cod):
+        raise BadSubstitution(
+            f"substitution has {len(sub.pairs)} assignments for {len(cod)} variables"
+        )
+    for (x, t), (v, v_ty) in zip(sub.pairs, cod):
+        if x.name != v.name:
+            raise BadSubstitution(f"substitution assigns {x.name} where {v.name} was expected")
+        expected = apply_sub_type(v_ty, sub)
+        actual = infer_term(ctx, t)
+        if not convertible_types(ctx, actual, expected):
+            raise BadSubstitution(
+                f"image of {v.name} has type {show(actual)}, expected {show(expected)}"
+            )
+    return sub
 
 
 # ---------------------------------------------------------------------------

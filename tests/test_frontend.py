@@ -8,12 +8,13 @@ import sys
 import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from icatt.errors import SyntaxErrorIcatt
-from icatt.parser import SApp, SCan, STArrow, STInv, SVar, SWild, parse
+from icatt.parser import SApp, SCan, STArrow, STInv, SVar, SWild, parse, tokenize
 
 import fresh
-from oracles import print_surface_file
+from oracles import print_surface_file, tokenize_by_characters
 
 CORPUS = fresh.CORPUS
 GOLDEN = fresh.ROOT / "tests" / "golden"
@@ -77,6 +78,49 @@ def test_syntax_error_has_position():
     with pytest.raises(SyntaxErrorIcatt) as err:
         parse("let ! (x : *) = x")
     assert err.value.span is not None
+
+
+def _tokens(tokenizer, text):
+    """The tokens of ``text``, or the text and position of its error."""
+    try:
+        return tokenizer(text)
+    except SyntaxErrorIcatt as e:
+        return str(e), e.span
+
+
+def test_tokenizer_agrees_with_character_loop(monkeypatch):
+    """The tokens of the corpus and of the scaling scripts of seeds 1-5
+    are those of the character-loop reference, position for position."""
+    spec = importlib.util.spec_from_file_location("bench_generate", fresh.ROOT / "bench" / "generate.py")
+    generate = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, generate)  # for its dataclasses
+    spec.loader.exec_module(generate)
+    texts = [CORPUS.read_text(encoding="utf-8")]
+    texts += [script.text for seed in range(1, 6) for script in generate.scaling_scripts(seed)]
+    for text in texts:
+        assert _tokens(tokenize, text) == _tokens(tokenize_by_characters, text)
+
+
+_CORPUS_TEXT = CORPUS.read_text(encoding="utf-8")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, len(_CORPUS_TEXT)),
+    st.lists(st.tuples(st.integers(0, 200), st.sampled_from("ab_'->#\n\t\r (){}:,=*!\u00e9.")), max_size=8),
+)
+@example(0, [(0, "x"), (1, "-"), (2, ">"), (3, "y")])  # x->y
+@example(0, [(0, "#")])  # a comment to the end of the line
+@example(0, [(3, "'"), (5, "-")])  # quote and hyphen in names
+@example(200, [(150, "!")])  # a bad character past line 1
+def test_tokenizer_agrees_on_corpus_mutants(start, edits):
+    """Corpus text with characters inserted gives the reference's tokens,
+    or its error text and position."""
+    text = list(_CORPUS_TEXT[start:start + 200])
+    for at, ch in edits:
+        text.insert(at, ch)
+    text = "".join(text)
+    assert _tokens(tokenize, text) == _tokens(tokenize_by_characters, text)
 
 
 def test_seven_component_brace_payload():
@@ -168,6 +212,20 @@ def test_cli_error_text_is_bounded(tmp_path):
     assert out.stderr.rstrip().endswith("[type-mismatch]")
     assert len(out.stderr.encode("utf-8")) < 2048
     assert elapsed < 2.0
+
+
+@pytest.mark.parametrize("script,where", [
+    ("let a (x : *) =", "1:15: expected a term"),
+    ("coh c (x) :", "1:11: expected a type"),
+])
+def test_cli_reports_truncated_input_at_its_last_token(tmp_path, script, where):
+    """Input that ends where a term or a type should come is reported at
+    its last token, as any other end of input is."""
+    path = tmp_path / "eoi.catt"
+    path.write_text(script)
+    out = _run_cli("check", str(path))
+    assert out.returncode == 1
+    assert out.stderr == f"{path}:{where} [syntax]\n"
 
 
 def test_cli_keep_going(tmp_path):
@@ -443,7 +501,7 @@ MEMO_TABLES = {
 
 CONSTANT_TABLES = {
     "icatt.elaborate._DESTRUCTOR_OF_SPELLING",
-    "icatt.parser._IDENT_CHARS",
+    "icatt.parser._KIND",
 }
 
 

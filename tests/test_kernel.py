@@ -67,7 +67,7 @@ from icatt.syntax import (
 )
 
 import fresh
-from oracles import full_type
+from oracles import check_sub_by_instantiation, full_type
 
 
 def arr0(s, t):
@@ -640,15 +640,125 @@ def test_instantiated_codomains_agree_with_instantiation(corpus_terms):
             assert got is apply_sub_type(ty, sub)
 
 
-def test_checking_the_corpus_instantiates_each_codomain_once():
-    """Checking the corpus instantiates the codomain of each distinct
-    substitution at most once, though substitutions are checked again
-    and again, and never instantiates a codomain entry on its own."""
-    _in_fresh_interpreter(_checking_the_corpus_instantiates_each_codomain_once)
+def test_matching_agrees_with_instantiation(corpus_terms):
+    """For every substitution reachable from the checked corpus and from
+    the checked canonical components of its ``can``s, and for the cone
+    substitutions into the walking equivalence's truncations (whose entry
+    types hold terms other than variables), matching each codomain
+    entry's type against the type of each image of the substitution
+    gives the verdict of converting it with the entry's type
+    instantiated: true for the entry's own image, and false for most
+    others."""
+    from icatt.equiv import gamma_sub
+    from icatt.inverse import canonical_component
+
+    roots = []
+    for _, ctx, term, _ in corpus_terms:
+        roots.append((ctx, term))
+        for can in [s for s in subterms([term]) if isinstance(s, Can)]:
+            for kind in DESTRUCTORS:
+                component = canonical_component(can, kind)
+                infer_term(ctx, component)
+                roots.append((ctx, component))
+    subs = {}
+    for ctx, root in roots:
+        for s in subterms([root]):
+            if isinstance(s, (Coh, Rec)):
+                subs[id(s.sub)] = (ctx, s.sub)
+    subs = list(subs.values())
+    assert len(subs) > 100
+    subs += [(walking_equiv(1), gamma_sub(n)) for n in (2, 3)]
+    verdicts = set()
+    for ctx, sub in subs:
+        inst = kernel._Instantiate(sub.images())
+        actuals = [infer_term(ctx, t) for t in sub.terms()]
+        for i, (_, v_ty) in enumerate(sub.codomain):
+            expected = apply_sub_type(v_ty, sub)
+            for j, actual in enumerate(actuals):
+                verdict = kernel._fits(inst, v_ty, actual)
+                assert verdict == kernel.convertible_types(ctx, actual, expected)
+                assert verdict or i != j
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
-def _checking_the_corpus_instantiates_each_codomain_once():
-    made, checks, alone = [], [0], []
+def _fg():
+    """The composite of ``f`` and ``g`` of ``TWO_CHAIN``."""
+    return comp_of([(v("f"), arr0("x", "y")), (v("g"), arr0("y", "z"))])[0]
+
+
+# TWO_CHAIN with a 2-cell from the composite of f and g to h: the type of
+# a holds a term that is not a variable
+COMPOSED = Context(TWO_CHAIN.entries + (
+    (Var("h"), arr0("x", "z")),
+    (Var("a"), Arr(arr0("x", "z"), _fg(), v("h"))),
+))
+# COMPOSED with a second arrow from y to z and a second 2-cell, over
+# which substitutions into COMPOSED live
+COMPOSED_AMBIENT = Context(COMPOSED.entries + (
+    (Var("g2"), arr0("y", "z")),
+    (Var("k"), arr0("x", "z")),
+    (Var("b"), Arr(arr0("x", "z"), _fg(), v("k"))),
+))
+# the images drawn: the variables of COMPOSED_AMBIENT, then the composite
+_IMAGES = [VarRef(x) for x in COMPOSED_AMBIENT.vars()] + [_fg()]
+
+
+def _check_outcome(check, ctx, sub, cod):
+    try:
+        check(ctx, sub, cod)
+    except IcattError as e:
+        return type(e), str(e)
+    return "accepted"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.none(), st.integers(0, len(_IMAGES) - 1)), min_size=7, max_size=7))
+@example([None] * 7)  # the identity: accepted
+@example([1, 0] + [None] * 5)  # x and y swapped: f's image has the wrong type
+@example([None] * 4 + [7, None, None])  # g to g2: a's type is not its image's
+@example([None] * 5 + [8, 9])  # h to k and a to b: accepted
+def test_check_sub_diagnoses_as_instantiation(choice):
+    """A substitution into COMPOSED, each image the identity's (None) or
+    one drawn, gets the verdict and the diagnostic, byte for byte, of
+    instantiating each entry's type and converting."""
+    pairs = tuple(
+        (x, VarRef(x) if i is None else _IMAGES[i]) for x, i in zip(COMPOSED.vars(), choice)
+    )
+    sub = Substitution(pairs, COMPOSED)
+    assert _check_outcome(check_sub, COMPOSED_AMBIENT, sub, COMPOSED) == _check_outcome(
+        check_sub_by_instantiation, COMPOSED_AMBIENT, sub, COMPOSED
+    )
+
+
+def test_bad_substitution_text():
+    """The diagnostics of a wrong image, for an entry type of variables
+    and for one holding a composite."""
+    pairs = identity_sub(COMPOSED).pairs
+    swapped = Substitution(((Var("x"), v("y")), (Var("y"), v("x"))) + pairs[2:], COMPOSED)
+    to_g2 = Substitution(pairs[:4] + ((Var("g"), v("g2")),) + pairs[5:], COMPOSED)
+    texts = []
+    for sub in (swapped, to_g2):
+        with pytest.raises(BadSubstitution) as exc:
+            check_sub(COMPOSED_AMBIENT, sub, COMPOSED)
+        texts.append(str(exc.value))
+    assert texts == [
+        "image of f has type x -> y, expected y -> x [bad-substitution]",
+        "image of a has type comp f g -> h, expected comp f g2 -> h [bad-substitution]",
+    ]
+
+
+def test_checking_the_corpus_instantiates_no_codomain():
+    """Checking the corpus and the depth-2000 comp/id chain decides each
+    substitution entry by matching its codomain type against the image's
+    type: though substitutions are checked again and again, no codomain
+    is instantiated, in one pass or entry by entry, and no entry's type
+    holds a term other than a variable, which would be instantiated."""
+    _in_fresh_interpreter(_checking_the_corpus_instantiates_no_codomain)
+
+
+def _checking_the_corpus_instantiates_no_codomain():
+    made, checks, alone, rebuilt = [], [0], [], []
     codomain_types, check_sub_once = Substitution.codomain_types, kernel.check_sub
 
     def counting_codomain(sub):
@@ -665,15 +775,24 @@ def _checking_the_corpus_instantiates_each_codomain_once():
             alone.append((ty, sub))
         return apply_sub_type(ty, sub)
 
+    class CountingPass(kernel._Instantiate):
+        __slots__ = ()
+
+        def rebuild(self, t):
+            rebuilt.append(t)
+            return super().rebuild(t)
+
     Substitution.codomain_types = counting_codomain
     kernel.check_sub = counting_check
     kernel.apply_sub_type = syntax.apply_sub_type = counting_entry
+    kernel._Instantiate = CountingPass
     env = Environment()
     for sdecl in parse(fresh.CORPUS.read_text(encoding="utf-8")):
         check_decl(env, elaborate_decl(env, sdecl))
-    assert len(set(map(id, made))) == len(made)
-    assert 0 < len(made) < checks[0]
-    assert alone == []
+    chain = Environment()
+    check_decl(chain, elaborate_decl(chain, parse(_comp_id_chain(2000))[0]))
+    assert checks[0] > 2000
+    assert made == [] and alone == [] and rebuilt == []
 
 
 def test_context_check_keys_linearly():

@@ -533,6 +533,26 @@ def test_repeated_names_never_key_like_fresh_ones():
     assert len(fresh) > 1 and len(repeating) > 1000
 
 
+def test_rekeying_a_key_is_the_identity_only_without_repeats():
+    """A known limit: the key of a context that repeats a name names the
+    entry it shadows (``#2>#0``), and keying that key again drops the
+    mark, so a key is not its own key; a context with no repeated name
+    keys to a node that is its own key.  No caller may rely on keying a
+    key again."""
+    repeating = Context(((Var("x"), Obj()), (Var("y"), Obj()), (Var("x"), Obj())))
+    key = alpha_key_context(repeating)
+    assert [v.name for v in key.vars()] == ["#0", "#1", "#2>#0"]
+    rekeyed = alpha_key_context(key)
+    assert [v.name for v in rekeyed.vars()] == ["#0", "#1", "#2"]
+    assert rekeyed is not key
+    for n in range(4):
+        for entries in _small_contexts(n):
+            names = [v.name for v, _ in entries]
+            if len(set(names)) == len(names):
+                key = alpha_key_context(Context(entries))
+                assert alpha_key_context(key) is key
+
+
 def _probe_entries():
     """The keys in the intern table of the live nodes of the lifetime
     probe variable: its ``Var`` and its ``VarRef``."""
