@@ -130,17 +130,16 @@ def component_type(kind: str, ty: Arr, comps: Sequence[Term]) -> Type:
     """
     t = comps[0]
     flipped = Arr(ty.base, ty.tgt, ty.src)
-    match kind:
-        case "linv" | "rinv":
-            return flipped
-        case "lunit" | "lwit":
-            left, _ = comp_of([(comps[1], flipped), (t, ty)])
-            lu_ty = Arr(Arr(ty.base, ty.tgt, ty.tgt), left, id_of(ty.tgt, ty.base))
-            return lu_ty if kind == "lunit" else Inv(lu_ty, comps[3])
-        case "runit" | "rwit":
-            right, _ = comp_of([(t, ty), (comps[2], flipped)])
-            ru_ty = Arr(Arr(ty.base, ty.src, ty.src), right, id_of(ty.src, ty.base))
-            return ru_ty if kind == "runit" else Inv(ru_ty, comps[4])
+    if kind == "linv" or kind == "rinv":
+        return flipped
+    if kind == "lunit" or kind == "lwit":
+        left, _ = comp_of([(comps[1], flipped), (t, ty)])
+        lu_ty = Arr(Arr(ty.base, ty.tgt, ty.tgt), left, id_of(ty.tgt, ty.base))
+        return lu_ty if kind == "lunit" else Inv(lu_ty, comps[3])
+    if kind == "runit" or kind == "rwit":
+        right, _ = comp_of([(t, ty), (comps[2], flipped)])
+        ru_ty = Arr(Arr(ty.base, ty.src, ty.src), right, id_of(ty.src, ty.base))
+        return ru_ty if kind == "runit" else Inv(ru_ty, comps[4])
     raise ValueError(f"unknown destructor {kind}")
 
 

@@ -224,7 +224,7 @@ class _Zonk(MemoMap):
         return MemoMap.type(self, ty) if ty._open else ty
 
     def leaf(self, x: Term) -> Term:
-        if isinstance(x, MetaRef):
+        if type(x) is MetaRef:
             solution = self.solutions.get(x.uid)
             if solution is not None:
                 return self(solution)
@@ -268,7 +268,7 @@ class Elaborator:
     # -- metavariable plumbing -------------------------------------------
 
     def resolve(self, t: Term) -> Term:
-        while isinstance(t, MetaRef) and t.uid in self.metas.solutions:
+        while type(t) is MetaRef and t.uid in self.metas.solutions:
             t = self.metas.solutions[t.uid]
         return t
 
@@ -293,27 +293,27 @@ class Elaborator:
         if pair in seen:
             return
         seen.add(pair)
-        if isinstance(a, MetaRef):
+        if type(a) is MetaRef:
             self._bind(a, b)
             return
-        if isinstance(b, MetaRef):
+        if type(b) is MetaRef:
             self._bind(b, a)
             return
-        match (a, b):
-            case (Coh(), Coh()) if coh_head_key(a.ps, a.ty) is not coh_head_key(b.ps, b.ty):
+        c = type(a)
+        if c is not type(b):
+            raise UnificationFailure("terms do not unify")
+        if c is Coh:
+            if coh_head_key(a.ps, a.ty) is not coh_head_key(b.ps, b.ty):
                 raise UnificationFailure("distinct coherence heads")
-            case (Rec(), Rec()) if rec_head_key(a) is not rec_head_key(b):
+        elif c is Rec:
+            if rec_head_key(a) is not rec_head_key(b):
                 raise UnificationFailure("distinct recursive definitions")
-            case (Coh(), Coh()) | (Coind(), Coind()) | (Rec(), Rec()):
-                pass
-            case (Destr(k1, _), Destr(k2, _)) if k1 == k2:
-                pass
-            case (VarRef(v), VarRef(w)) if v.name == w.name:
-                return
-            case (Can(_, w1), Can(_, w2)) if len(w1) == len(w2):
-                pass
-            case _:
-                raise UnificationFailure("terms do not unify")
+        elif c is VarRef and a.var.name == b.var.name:
+            return
+        elif not (
+            c is Coind or c is Destr and a.kind == b.kind or c is Can and len(a.witnesses) == len(b.witnesses)
+        ):
+            raise UnificationFailure("terms do not unify")
         # same head: unify position by position
         for c1, c2 in zip(children(a), children(b)):
             self.unify_term(c1, c2, seen)
@@ -333,7 +333,7 @@ class Elaborator:
             if not x._open or id(x) in visited:
                 continue
             visited.add(id(x))
-            if isinstance(x, MetaRef):
+            if type(x) is MetaRef:
                 if x.uid == uid:
                     return True
             else:
@@ -346,17 +346,18 @@ class Elaborator:
             return
         if seen is None:
             seen = set()
-        match (a, b):
-            case (Obj(), Obj()):
+        c = type(a)
+        if c is type(b):
+            if c is Obj:
                 return
-            case (Arr(b1, s1, t1), Arr(b2, s2, t2)):
-                self.unify_type(b1, b2, seen)
-                self.unify_term(s1, s2, seen)
-                self.unify_term(t1, t2, seen)
+            if c is Arr:
+                self.unify_type(a.base, b.base, seen)
+                self.unify_term(a.src, b.src, seen)
+                self.unify_term(a.tgt, b.tgt, seen)
                 return
-            case (Inv(b1, u1), Inv(b2, u2)):
-                self.unify_type(b1, b2, seen)
-                self.unify_term(u1, u2, seen)
+            if c is Inv:
+                self.unify_type(a.base, b.base, seen)
+                self.unify_term(a.subject, b.subject, seen)
                 return
         raise UnificationFailure("types do not unify")
 
@@ -386,15 +387,15 @@ class Elaborator:
             return False
 
     def elab_infer(self, s: SurfaceTerm, expected: Type | None = None) -> tuple[Term, Type | None]:
-        match s:
-            case SWild():
-                return self.metas.fresh("_"), expected
-            case SVar(name, span):
-                return self._elab_app(name, (), expected, span)
-            case SApp(SVar(name, _), args, span):
-                return self._elab_app(name, args, expected, span)
-            case SCan():
-                return self._elab_can(s, expected)
+        c = type(s)
+        if c is SWild:
+            return self.metas.fresh("_"), expected
+        if c is SVar:
+            return self._elab_app(s.name, (), expected, s.span)
+        if c is SApp and type(s.head) is SVar:
+            return self._elab_app(s.head.name, s.args, expected, s.span)
+        if c is SCan:
+            return self._elab_can(s, expected)
         raise TypeMismatch(f"cannot elaborate {s!r}")
 
     def _synthesises(self, s: SurfaceTerm) -> bool:
@@ -404,11 +405,12 @@ class Elaborator:
         ``comp`` or ``id``, and the suspension of a definition, come from
         an argument or else from the expected type.  Memoised per
         elaborator, so a nested chain is walked once."""
-        if isinstance(s, SWild):
+        c = type(s)
+        if c is SWild:
             return False
-        if isinstance(s, SCan):
+        if c is SCan:
             return self._synthesises(s.subject)
-        if not isinstance(s, SApp) or s.head.name in _DESTRUCTOR_OF_SPELLING:
+        if c is not SApp or s.head.name in _DESTRUCTOR_OF_SPELLING:
             return True
         out = self._synth.get(id(s))
         if out is None:
@@ -544,7 +546,7 @@ class Elaborator:
         explicit = explicit_positions(tele)
         assign: dict[str, Term] = {}
         for pos, data in zip(explicit, arg_data):
-            if isinstance(data, tuple):
+            if type(data) is tuple:
                 v, v_ty = tele.entries[pos]
                 # an explicit variable occurs in no slot's type
                 assign[v.name], ty = data
@@ -560,11 +562,11 @@ class Elaborator:
             except UnificationFailure as e:
                 raise UnificationFailure(f"result does not fit here: {e.message}", span=span)
         for pos, data in zip(explicit, arg_data):
-            if isinstance(data, tuple):
+            if type(data) is tuple:
                 continue
             v, v_ty = tele.entries[pos]
             image = assign.get(v.name)
-            if image is not None and isinstance(data, SWild):
+            if image is not None and type(data) is SWild:
                 continue
             term = self.elab_check(data, _Instantiator(self, assign).type(v_ty))
             if image is None:
@@ -599,22 +601,23 @@ class Elaborator:
         ``ty``: a telescope variable with no image gets its counterpart,
         and any other pair of terms is unified with ``pat``'s side
         instantiated."""
-        match (pat, ty):
-            case (Obj(), Obj()):
+        c = type(pat)
+        if c is type(ty):
+            if c is Obj:
                 return
-            case (Arr(), Arr()):
+            if c is Arr:
                 self._match_type(pat.base, ty.base, assign)
                 self._match_term(pat.src, ty.src, assign)
                 self._match_term(pat.tgt, ty.tgt, assign)
                 return
-            case (Inv(), Inv()):
+            if c is Inv:
                 self._match_type(pat.base, ty.base, assign)
                 self._match_term(pat.subject, ty.subject, assign)
                 return
         raise UnificationFailure("types do not unify")
 
     def _match_term(self, pat: Term, t: Term, assign: dict[str, Term]) -> None:
-        if isinstance(pat, VarRef):
+        if type(pat) is VarRef:
             image = assign.get(pat.var.name)
             if image is None:
                 assign[pat.var.name] = t
@@ -664,35 +667,33 @@ class Elaborator:
     # -- types ---------------------------------------------------------------
 
     def elab_type(self, s: SurfaceType) -> Type:
-        match s:
-            case STStar():
-                return Obj()
-            case STInv(subject, span):
-                term, ty = self.elab_infer(subject)
-                ty = self._zonkish_type(ty)
-                if not isinstance(ty, Arr):
-                    raise TypeMismatch(
-                        "invertibility needs a positive-dimensional subject", span=span
-                    )
-                return Inv(ty, term)
-            case STArrow(src, tgt, span):
-                s_term, s_ty = self.elab_infer(src)
-                t_term, t_ty = self.elab_infer(tgt)
-                if s_ty is not None and t_ty is not None:
-                    try:
-                        self.unify_type(s_ty, t_ty)
-                    except UnificationFailure:
-                        if self._concrete(s_ty) and self._concrete(t_ty):
-                            raise IllFormedType(
-                                "arrow endpoints live in different types "
-                                f"({show(self.zonk_type(s_ty))} and {show(self.zonk_type(t_ty))})",
-                                span=span,
-                            )
-                        raise
-                base = self._zonkish_type(s_ty if s_ty is not None else t_ty)
-                if base is None:
-                    raise UnificationFailure("cannot infer the base of this arrow type", span=span)
-                return Arr(base, s_term, t_term)
+        c = type(s)
+        if c is STStar:
+            return Obj()
+        if c is STInv:
+            term, ty = self.elab_infer(s.subject)
+            ty = self._zonkish_type(ty)
+            if type(ty) is not Arr:
+                raise TypeMismatch("invertibility needs a positive-dimensional subject", span=s.span)
+            return Inv(ty, term)
+        if c is STArrow:
+            s_term, s_ty = self.elab_infer(s.src)
+            t_term, t_ty = self.elab_infer(s.tgt)
+            if s_ty is not None and t_ty is not None:
+                try:
+                    self.unify_type(s_ty, t_ty)
+                except UnificationFailure:
+                    if self._concrete(s_ty) and self._concrete(t_ty):
+                        raise IllFormedType(
+                            "arrow endpoints live in different types "
+                            f"({show(self.zonk_type(s_ty))} and {show(self.zonk_type(t_ty))})",
+                            span=s.span,
+                        )
+                    raise
+            base = self._zonkish_type(s_ty if s_ty is not None else t_ty)
+            if base is None:
+                raise UnificationFailure("cannot infer the base of this arrow type", span=s.span)
+            return Arr(base, s_term, t_term)
         raise TypeMismatch(f"not a surface type: {s!r}")
 
 

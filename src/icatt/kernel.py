@@ -175,27 +175,29 @@ def check_coh_head(ps_ctx: Context, ty: Type, where: str = "") -> None:
 
 
 def check_type(ctx: Context, ty: Type) -> Type:
-    match ty:
-        case Obj():
-            return ty
-        case Arr(base, src, tgt):
-            check_type(ctx, base)
-            src_ty = infer_term(ctx, src)
-            tgt_ty = infer_term(ctx, tgt)
-            if not convertible_types(ctx, src_ty, base) or not convertible_types(ctx, tgt_ty, base):
-                raise IllFormedType(
-                    f"arrow endpoints must share the base type (got {show(src_ty)} and {show(tgt_ty)}, "
-                    f"expected {show(base)})"
-                )
-            return ty
-        case Inv(base, subject):
-            if not isinstance(base, Arr):
-                raise IllFormedType("invertibility requires a positive-dimensional subject")
-            check_type(ctx, base)
-            sub_ty = infer_term(ctx, subject)
-            if not convertible_types(ctx, sub_ty, base):
-                raise IllFormedType(f"invertibility subject has type {show(sub_ty)}, expected {show(base)}")
-            return ty
+    c = type(ty)
+    if c is Obj:
+        return ty
+    if c is Arr:
+        base = ty.base
+        check_type(ctx, base)
+        src_ty = infer_term(ctx, ty.src)
+        tgt_ty = infer_term(ctx, ty.tgt)
+        if not convertible_types(ctx, src_ty, base) or not convertible_types(ctx, tgt_ty, base):
+            raise IllFormedType(
+                f"arrow endpoints must share the base type (got {show(src_ty)} and {show(tgt_ty)}, "
+                f"expected {show(base)})"
+            )
+        return ty
+    if c is Inv:
+        base = ty.base
+        if type(base) is not Arr:
+            raise IllFormedType("invertibility requires a positive-dimensional subject")
+        check_type(ctx, base)
+        sub_ty = infer_term(ctx, ty.subject)
+        if not convertible_types(ctx, sub_ty, base):
+            raise IllFormedType(f"invertibility subject has type {show(sub_ty)}, expected {show(base)}")
+        return ty
     raise IllFormedType(f"not a type: {ty!r}")
 
 
@@ -210,24 +212,26 @@ def infer_term(ctx: Context, t: Term) -> Type:
 
 
 def _infer_term(ctx: Context, t: Term) -> Type:
-    match t:
-        case VarRef(v):
-            return ctx.lookup(v)
-        case Coh(ps_ctx, ty, sub):
-            check_coh_head(ps_ctx, ty)
-            check_sub(ctx, sub, ps_ctx)
-            return coh_type(t)
-        case Destr(kind, arg):
-            arg_ty = infer_term(ctx, arg)
-            if not isinstance(arg_ty, Inv):
-                raise TypeMismatch(f"destructor {kind} needs an invertibility structure, got {show(arg_ty)}")
-            return destructor_result_type(kind, arg, arg_ty)
-        case Coind():
-            return _infer_coind(ctx, t)
-        case Can():
-            return _infer_can(ctx, t)
-        case Rec():
-            return _infer_rec(ctx, t)
+    c = type(t)
+    if c is VarRef:
+        return ctx.lookup(t.var)
+    if c is Coh:
+        ps_ctx = t.ps
+        check_coh_head(ps_ctx, t.ty)
+        check_sub(ctx, t.sub, ps_ctx)
+        return coh_type(t)
+    if c is Destr:
+        kind, arg = t.kind, t.arg
+        arg_ty = infer_term(ctx, arg)
+        if type(arg_ty) is not Inv:
+            raise TypeMismatch(f"destructor {kind} needs an invertibility structure, got {show(arg_ty)}")
+        return destructor_result_type(kind, arg, arg_ty)
+    if c is Coind:
+        return _infer_coind(ctx, t)
+    if c is Can:
+        return _infer_can(ctx, t)
+    if c is Rec:
+        return _infer_rec(ctx, t)
     raise TypeMismatch(f"not a term: {t!r}")
 
 
@@ -319,22 +323,24 @@ def _fits(inst: _Instantiate, pat: Type, ty: Type) -> bool:
     """Whether ``inst.type(pat)`` is convertible with ``ty``, decided by
     matching ``pat`` against ``ty`` from the top down to its base,
     without building the instance."""
-    while not isinstance(pat, Obj):
-        if type(pat) is not type(ty):
+    c = type(pat)
+    while c is not Obj:
+        if c is not type(ty):
             return False
-        if isinstance(pat, Arr):
+        if c is Arr:
             if not (_same(inst, pat.src, ty.src) and _same(inst, pat.tgt, ty.tgt)):
                 return False
         elif not _same(inst, pat.subject, ty.subject):
             return False
         pat, ty = pat.base, ty.base
-    return isinstance(ty, Obj)
+        c = type(pat)
+    return type(ty) is Obj
 
 
 def _same(inst: _Instantiate, pat: Term, t: Term) -> bool:
     """Whether ``inst(pat)`` is convertible with ``t``: a variable is read
     off the images, and only another term is instantiated."""
-    image = inst.images[pat.var.name] if isinstance(pat, VarRef) else inst(pat)
+    image = inst.images[pat.var.name] if type(pat) is VarRef else inst(pat)
     return image is t or convertible_terms(image, t)
 
 
@@ -349,17 +355,19 @@ def convertible_types(ctx: Context, a: Type, b: Type) -> bool:
     the context both types live over, is kept for the callers."""
     if alpha_eq_type(a, b):
         return True
-    match (a, b):
-        case (Obj(), Obj()):
-            return True
-        case (Arr(ba, sa, ta), Arr(bb, sb, tb)):
-            return (
-                convertible_types(ctx, ba, bb)
-                and convertible_terms(sa, sb)
-                and convertible_terms(ta, tb)
-            )
-        case (Inv(ba, ua), Inv(bb, ub)):
-            return convertible_types(ctx, ba, bb) and convertible_terms(ua, ub)
+    c = type(a)
+    if c is not type(b):
+        return False
+    if c is Obj:
+        return True
+    if c is Arr:
+        return (
+            convertible_types(ctx, a.base, b.base)
+            and convertible_terms(a.src, b.src)
+            and convertible_terms(a.tgt, b.tgt)
+        )
+    if c is Inv:
+        return convertible_types(ctx, a.base, b.base) and convertible_terms(a.subject, b.subject)
     return False
 
 
@@ -424,19 +432,21 @@ def check_decl(env: Environment, decl: Decl) -> Environment:
     """Re-check a declaration from scratch and extend the environment."""
     if decl.name in env.decls:
         raise ShadowedName(f"name {decl.name} is already declared")
-    match decl:
-        case CohDecl(_, ps_ctx, ty):
-            check_coh_head(ps_ctx, ty, f"coherence {decl.name}: ")
-        case TermDecl(_, ctx, term, ty):
-            check_ctx(ctx)
-            check_type(ctx, ty)
-            check_term(ctx, term, ty)
-        case RecDecl(_, seed, comps):
-            check_ctx(seed)
-            probe = Rec(*comps, identity_sub(seed))
-            infer_term(seed, probe)
-        case _:
-            raise TypeMismatch(f"unknown declaration {decl!r}")
+    c = type(decl)
+    if c is CohDecl:
+        check_coh_head(decl.ps, decl.ty, f"coherence {decl.name}: ")
+    elif c is TermDecl:
+        ctx, ty = decl.ctx, decl.ty
+        check_ctx(ctx)
+        check_type(ctx, ty)
+        check_term(ctx, decl.term, ty)
+    elif c is RecDecl:
+        seed = decl.seed
+        check_ctx(seed)
+        probe = Rec(*decl.components, identity_sub(seed))
+        infer_term(seed, probe)
+    else:
+        raise TypeMismatch(f"unknown declaration {decl!r}")
     env.decls[decl.name] = decl
     return env
 

@@ -113,18 +113,19 @@ class _Suspension(MemoMap):
         return Context(((neg.var, Obj()), (pos.var, Obj())) + tuple((v, self.type(ty)) for v, ty in ctx))
 
     def type(self, ty: Type) -> Type:
-        return Arr(ty, *self.base) if isinstance(ty, Obj) else MemoMap.type(self, ty)
+        return Arr(ty, *self.base) if type(ty) is Obj else MemoMap.type(self, ty)
 
     def rebuild(self, t: Term) -> Term:
-        match t:
-            case Coh(ps, ty, sub):
-                head = self.at(_base_avoiding(ps))
-                sps = head.entries(ps)
-                return Coh(sps, head.type(ty), self.onto(sub, sps))
-            case Rec():
-                head = self.at(_base_avoiding(t.sub.codomain))
-                sseed = head.entries(t.sub.codomain)
-                return Rec(*map(head, t.components()), self.onto(t.sub, sseed))
+        c = type(t)
+        if c is Coh:
+            ps = t.ps
+            head = self.at(_base_avoiding(ps))
+            sps = head.entries(ps)
+            return Coh(sps, head.type(t.ty), self.onto(t.sub, sps))
+        if c is Rec:
+            head = self.at(_base_avoiding(t.sub.codomain))
+            sseed = head.entries(t.sub.codomain)
+            return Rec(*map(head, t.components()), self.onto(t.sub, sseed))
         return map_children(t, self)
 
     def onto(self, sub: Substitution, scod: Context) -> Substitution:
@@ -370,33 +371,33 @@ def equiv_display(n: int) -> Substitution:
 def classify_type(ty: Type) -> Substitution:
     """chi_A : the substitution into S^n (categorical) or D^{n+1} (Inv)
     classifying a type."""
-    match ty:
-        case Obj():
-            return Substitution((), sphere(-1))
-        case Arr(base, src, tgt):
-            n = dim_type(ty)
-            prev = classify_type(base)
-            pairs = prev.pairs + ((Var(f"d{n}-"), src), (Var(f"d{n}+"), tgt))
-            return Substitution(pairs, sphere(n))
-        case Inv(base, subject):
-            m = dim_type(base)
-            prev = classify_type(base)
-            pairs = prev.pairs + ((disk_var(m + 1), subject),)
-            return Substitution(pairs, disk(m + 1))
+    c = type(ty)
+    if c is Obj:
+        return Substitution((), sphere(-1))
+    if c is Arr:
+        n = dim_type(ty)
+        prev = classify_type(ty.base)
+        pairs = prev.pairs + ((Var(f"d{n}-"), ty.src), (Var(f"d{n}+"), ty.tgt))
+        return Substitution(pairs, sphere(n))
+    if c is Inv:
+        m = dim_type(ty.base)
+        prev = classify_type(ty.base)
+        pairs = prev.pairs + ((disk_var(m + 1), ty.subject),)
+        return Substitution(pairs, disk(m + 1))
     raise TypeError(f"not a type: {ty!r}")
 
 
 def classify_term(t: Term, ty: Type) -> Substitution:
     """chi_{t,A} : into D^n for categorical types, E^{n} for Inv types."""
-    match ty:
-        case Obj() | Arr():
-            n = dim_type(ty) + 1
-            prev = classify_type(ty)
-            return Substitution(prev.pairs + ((disk_var(n), t),), disk(n))
-        case Inv():
-            n = dim_type(ty)
-            prev = classify_type(ty)
-            return Substitution(prev.pairs + ((equiv_var(n), t),), walking_equiv(n))
+    c = type(ty)
+    if c is Obj or c is Arr:
+        n = dim_type(ty) + 1
+        prev = classify_type(ty)
+        return Substitution(prev.pairs + ((disk_var(n), t),), disk(n))
+    if c is Inv:
+        n = dim_type(ty)
+        prev = classify_type(ty)
+        return Substitution(prev.pairs + ((equiv_var(n), t),), walking_equiv(n))
     raise TypeError(f"not a type: {ty!r}")
 
 

@@ -49,28 +49,28 @@ _BETA_FUEL = 1_000_000
 
 def beta_step(t: Term) -> Term | None:
     """One beta-contraction at the root, if the root is a redex."""
-    if not isinstance(t, Destr):
+    if type(t) is not Destr:
         return None
     kind, arg = t.kind, t.arg
-    match arg:
-        case Coind():
-            return arg.components()[DESTRUCTORS.index(kind) + 1]
-        case Can():
-            return canonical_component(arg, kind)
-        case Rec():
-            gamma = arg.sub
-            comp = arg.components()[DESTRUCTORS.index(kind) + 1]
-            if kind not in WITNESSES:
-                return apply_sub_term(comp, gamma)
-            # witness rules: instantiate the inductive hypotheses with
-            # the recursive call over the seed context, then substitute
-            from .kernel import infer_term
+    c = type(arg)
+    if c is Coind:
+        return arg.components()[DESTRUCTORS.index(kind) + 1]
+    if c is Can:
+        return canonical_component(arg, kind)
+    if c is Rec:
+        gamma = arg.sub
+        comp = arg.components()[DESTRUCTORS.index(kind) + 1]
+        if kind not in WITNESSES:
+            return apply_sub_term(comp, gamma)
+        # witness rules: instantiate the inductive hypotheses with
+        # the recursive call over the seed context, then substitute
+        from .kernel import infer_term
 
-            seed = gamma.codomain
-            t_ty = infer_term(seed, arg.t)
-            rec_over_seed = Rec(*arg.components(), identity_sub(seed))
-            inst = instantiation(seed, rec_over_seed, arg.t, t_ty)
-            return apply_sub_term(comp, compose_sub(inst, gamma))
+        seed = gamma.codomain
+        t_ty = infer_term(seed, arg.t)
+        rec_over_seed = Rec(*arg.components(), identity_sub(seed))
+        inst = instantiation(seed, rec_over_seed, arg.t, t_ty)
+        return apply_sub_term(comp, compose_sub(inst, gamma))
     return None
 
 
@@ -119,13 +119,13 @@ def eta_expand_once(e: Term, subject: Term) -> Coind:
 def nf(entity: Term | Type) -> Term | Type:
     """Normal form of a categorical term or type: its beta-normal form,
     termwise for a type."""
-    match entity:
-        case Obj():
-            return entity
-        case Arr(base, src, tgt):
-            return Arr(nf(base), nf(src), nf(tgt))
-        case Inv():
-            raise NotCategorical("normal forms are defined for categorical entities only")
+    c = type(entity)
+    if c is Obj:
+        return entity
+    if c is Arr:
+        return Arr(nf(entity.base), nf(entity.src), nf(entity.tgt))
+    if c is Inv:
+        raise NotCategorical("normal forms are defined for categorical entities only")
     return beta_reduce(entity)
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import SyntaxErrorIcatt
+from .errors import ShadowedName, SyntaxErrorIcatt
 from .syntax import DESTRUCTOR_SPELLINGS
 
 KEYWORDS = ("coh", "let", "inv", "rec")
@@ -209,7 +209,7 @@ class _Parser:
             self.next()
             after = self.peek(1)
             if self.at("ident") and after is not None and after[0] == "colon":
-                name = self.next()[1]
+                name = self.binder()
                 self.next()  # colon
                 ty = self.parse_type()
                 entries.append((name, ty))
@@ -222,15 +222,24 @@ class _Parser:
 
     def parse_ps_items(self) -> list:
         """Alternating names and nested groups: x (f) y (g(a)h) z ..."""
-        items: list = [self.expect("ident")[1]]
+        items: list = [self.binder()]
         while self.at("lpar"):
             self.next()
             inner = self.parse_ps_items()
             self.expect("rpar")
-            nxt = self.expect("ident")[1]
+            nxt = self.binder()
             items.append(inner)
             items.append(nxt)
         return items
+
+    def binder(self) -> str:
+        """A name bound by a telescope; one spelled like a declaration
+        keyword is refused here, where it is bound, since a term would
+        end at it."""
+        _, name, line, col = self.expect("ident")
+        if name in KEYWORDS:
+            raise ShadowedName(f"{name} is a reserved name", span=(line, col))
+        return name
 
     # -- types -------------------------------------------------------------
 
@@ -301,7 +310,7 @@ def _fold_atoms(atoms: list[SurfaceTerm]) -> SurfaceTerm:
     i = len(atoms) - 2
     while i >= 0:
         a = atoms[i]
-        if isinstance(a, SVar) and a.name in UNARY_HEADS and i + 1 < len(atoms):
+        if type(a) is SVar and a.name in UNARY_HEADS and i + 1 < len(atoms):
             atoms[i : i + 2] = [SApp(a, (atoms[i + 1],), a.span)]
         i -= 1
     head = atoms[0]

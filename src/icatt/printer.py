@@ -87,34 +87,34 @@ def _printed(x, pieces, cap: int | None) -> str:
 
 def _pieces(x) -> tuple:
     """The printed form of ``x``: strings, and syntax printed in place."""
-    match x:
-        case VarRef(v):
-            return (v.name,)
-        case MetaRef(_, hint):
-            return (f"?{hint}",)
-        case Coh():
-            kind = _schema_kind(x)
-            if kind is None:
-                return ("coh[", x.ps, " : ", x.ty, "][", *_commas(x.sub.terms()), "]")
-            if kind[0] == "id":
-                return ("id ", *_atom(x.sub.pairs[-1][1]))
-            return ("comp", *[p for v in top_variables(x) for p in (" ", *_atom(x.sub.lookup(v)))])
-        case Destr(kind, arg):
-            return (f"{DESTRUCTOR_SPELLINGS[DESTRUCTORS.index(kind)]} (", arg, ")")
-        case Coind():
-            return ("coind { ", *_commas(x.components()), " }")
-        case Rec():
-            return ("rec { ", *_commas(x.components()), " }[", *_commas(x.sub.terms()), "]")
-        case Can(subject, wit):
-            return ("can (", subject, " { ", *_commas([w for _, w in wit]), " })")
-        case Obj():
-            return ("*",)
-        case Arr(_, src, tgt):
-            return (src, " -> ", tgt)
-        case Inv(_, subject):
-            return ("Inv (", subject, ")")
-        case Context():
-            return tuple(p for i, (v, ty) in enumerate(x) for p in (" (" if i else "(", v.name, " : ", ty, ")"))
+    c = type(x)
+    if c is VarRef:
+        return (x.var.name,)
+    if c is MetaRef:
+        return (f"?{x.hint}",)
+    if c is Coh:
+        kind = _schema_kind(x)
+        if kind is None:
+            return ("coh[", x.ps, " : ", x.ty, "][", *_commas(x.sub.terms()), "]")
+        if kind[0] == "id":
+            return ("id ", *_atom(x.sub.pairs[-1][1]))
+        return ("comp", *[p for v in top_variables(x) for p in (" ", *_atom(x.sub.lookup(v)))])
+    if c is Destr:
+        return (f"{DESTRUCTOR_SPELLINGS[DESTRUCTORS.index(x.kind)]} (", x.arg, ")")
+    if c is Coind:
+        return ("coind { ", *_commas(x.components()), " }")
+    if c is Rec:
+        return ("rec { ", *_commas(x.components()), " }[", *_commas(x.sub.terms()), "]")
+    if c is Can:
+        return ("can (", x.subject, " { ", *_commas([w for _, w in x.witnesses]), " })")
+    if c is Obj:
+        return ("*",)
+    if c is Arr:
+        return (x.src, " -> ", x.tgt)
+    if c is Inv:
+        return ("Inv (", x.subject, ")")
+    if c is Context:
+        return tuple(p for i, (v, ty) in enumerate(x) for p in (" (" if i else "(", v.name, " : ", ty, ")"))
     raise TypeError(f"cannot print {x!r}")
 
 

@@ -58,6 +58,19 @@ builds no codomain: it matches each entry's type against its image's,
 and instantiates only the terms of it that are not variables
 (:func:`icatt.kernel.check_sub`).
 
+Every per-node function, here and in the modules built on this one,
+picks its case by the node's exact class (``c = type(t)``, then ``if c
+is Arr: ...``, reading the fields it needs by name), never by a ``match``
+on class patterns, and a test made once per node (for a leaf, a
+metavariable, the kind of a surface term) is ``type(x) is C``, not
+``isinstance``.  On CPython 3.11 a class pattern looks up
+``__match_args__`` and calls ``getattr`` for each capture: choosing
+between ``Obj`` and ``Arr(base, src, tgt)`` costs about 590 ns by
+``match`` and 190 ns by ``type`` tests, a pair pattern ``(Arr(),
+Arr())`` 310 ns against 105 ns (``timeit``, best of 5, call included),
+and an ``isinstance`` that fails 64 ns against 29 ns.  Exact-class
+tests agree with both because no node class is subclassed.
+
 Cache policy.  Memory of past work lives as long as the syntax it is
 about.  ``_INTERN``, the only module-level table, holds every closed
 node weakly, under its fields; an entry goes when its node dies.  Facts
@@ -415,17 +428,17 @@ def identity_sub(ctx: Context) -> Substitution:
 
 def children(t: Term) -> tuple[Term, ...]:
     """The terms at the free positions of ``t``, in order."""
-    match t:
-        case Coh() | Rec():
-            return t.sub.terms()
-        case Coind():
-            return t.components()
-        case Can():
-            return (t.subject, *[w for _, w in t.witnesses])
-        case Destr():
-            return (t.arg,)
-        case VarRef() | MetaRef():
-            return ()
+    c = type(t)
+    if c is Coh or c is Rec:
+        return t.sub.terms()
+    if c is Coind:
+        return t.components()
+    if c is Can:
+        return (t.subject, *[w for _, w in t.witnesses])
+    if c is Destr:
+        return (t.arg,)
+    if c is VarRef or c is MetaRef:
+        return ()
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -440,15 +453,15 @@ def map_children(t: Term, f: Callable[[Term], Term]) -> Term:
     new = tuple(map(f, old))
     if all(map(is_, old, new)):
         return t
-    match t:
-        case Coh(ps, ty, sub):
-            return Coh(ps, ty, _with_images(sub, new))
-        case Rec():
-            return Rec(*t.components(), _with_images(t.sub, new))
-        case Coind():
-            return Coind(*new)
-        case Can(_, wit):
-            return Can(new[0], tuple((x, w) for (x, _), w in zip(wit, new[1:])))
+    c = type(t)
+    if c is Coh:
+        return Coh(t.ps, t.ty, _with_images(t.sub, new))
+    if c is Rec:
+        return Rec(*t.components(), _with_images(t.sub, new))
+    if c is Coind:
+        return Coind(*new)
+    if c is Can:
+        return Can(new[0], tuple((x, w) for (x, _), w in zip(t.witnesses, new[1:])))
     return Destr(t.kind, new[0])  # the only other kind with a child
 
 
@@ -476,7 +489,8 @@ class MemoMap:
         return map_children(t, self)
 
     def __call__(self, t: Term) -> Term:
-        if isinstance(t, (VarRef, MetaRef)):
+        c = type(t)
+        if c is VarRef or c is MetaRef:
             return self.leaf(t)
         out = self.memo.get(id(t))
         if out is None:
@@ -486,17 +500,19 @@ class MemoMap:
     def type(self, ty: Type) -> Type:
         out = self.memo.get(id(ty))
         if out is None:
-            match ty:
-                case Obj():
-                    return ty
-                case Arr(base, src, tgt):
-                    b, s, t = self.type(base), self(src), self(tgt)
-                    out = ty if b is base and s is src and t is tgt else Arr(b, s, t)
-                case Inv(base, subject):
-                    b, s = self.type(base), self(subject)
-                    out = ty if b is base and s is subject else Inv(b, s)
-                case _:
-                    raise TypeError(f"not a type: {ty!r}")
+            c = type(ty)
+            if c is Obj:
+                return ty
+            if c is Arr:
+                base, src, tgt = ty.base, ty.src, ty.tgt
+                b, s, t = self.type(base), self(src), self(tgt)
+                out = ty if b is base and s is src and t is tgt else Arr(b, s, t)
+            elif c is Inv:
+                base, subject = ty.base, ty.subject
+                b, s = self.type(base), self(subject)
+                out = ty if b is base and s is subject else Inv(b, s)
+            else:
+                raise TypeError(f"not a type: {ty!r}")
             self.memo[id(ty)] = out
         return out
 
@@ -513,7 +529,7 @@ class _Instantiate(MemoMap):
         self.keep = keep
 
     def leaf(self, x: Term) -> Term:
-        if isinstance(x, VarRef):
+        if type(x) is VarRef:
             t = self.images.get(x.var.name)
             if t is not None:
                 return t
@@ -582,14 +598,14 @@ def dim_type(ty: Type) -> int:
     its base's."""
     d = ty._fact
     if d is None:
-        match ty:
-            case Obj():
-                d = -1
-            case Arr(base, _, _) | Inv(base, _):
-                # an invertibility structure has the dimension of its subject
-                d = dim_type(base) + 1
-            case _:
-                raise TypeError(f"not a type: {ty!r}")
+        c = type(ty)
+        if c is Obj:
+            d = -1
+        elif c is Arr or c is Inv:
+            # an invertibility structure has the dimension of its subject
+            d = dim_type(ty.base) + 1
+        else:
+            raise TypeError(f"not a type: {ty!r}")
         ty._fact = d
     return d
 
@@ -642,8 +658,8 @@ def variables_used_term(t: Term, acc: dict[str, Var] | None = None) -> dict[str,
 
 def variables_used_type(ty: Type, acc: dict[str, Var] | None = None) -> dict[str, Var]:
     terms: list[Term] = []  # base first, in the order MemoMap.type visits them
-    while not isinstance(ty, Obj):
-        terms[:0] = (ty.src, ty.tgt) if isinstance(ty, Arr) else (ty.subject,)
+    while type(ty) is not Obj:
+        terms[:0] = (ty.src, ty.tgt) if type(ty) is Arr else (ty.subject,)
         ty = ty.base
     return _variables_used(terms, acc)
 
@@ -651,7 +667,7 @@ def variables_used_type(ty: Type, acc: dict[str, Var] | None = None) -> dict[str
 def _variables_used(roots: Iterable[Term], acc: dict[str, Var] | None) -> dict[str, Var]:
     out: dict[str, Var] = {} if acc is None else acc
     for t in subterms(roots):
-        if isinstance(t, VarRef):
+        if type(t) is VarRef:
             out.setdefault(t.var.name, t.var)
     return out
 
@@ -736,7 +752,7 @@ class _Canon(MemoMap):
         self.bound = bound
 
     def leaf(self, x: Term) -> Term:
-        v = self.bound.get(x.var.name) if isinstance(x, VarRef) else None
+        v = self.bound.get(x.var.name) if type(x) is VarRef else None
         return x if v is None else VarRef(v)
 
     def __call__(self, t: Term) -> Term:
@@ -750,15 +766,16 @@ class _Canon(MemoMap):
         return MemoMap.type(self, ty)
 
     def rebuild(self, t: Term) -> Term:
-        match t:
-            case Coh(ps, ty, sub):
-                head = coh_head_key(ps, ty)
-                return Coh(head.ps, head.ty, self.sub(sub))
-            case Rec():
-                return Rec(*rec_head_key(t).components(), self.sub(t.sub))
-            case Can(subject, wit):
-                names = _canon_context(subject.ps)[1] if isinstance(subject, Coh) else {}
-                return Can(self(subject), tuple([(names.get(x.name, x), self(w)) for x, w in wit]))
+        c = type(t)
+        if c is Coh:
+            head = coh_head_key(t.ps, t.ty)
+            return Coh(head.ps, head.ty, self.sub(t.sub))
+        if c is Rec:
+            return Rec(*rec_head_key(t).components(), self.sub(t.sub))
+        if c is Can:
+            subject = t.subject
+            names = _canon_context(subject.ps)[1] if type(subject) is Coh else {}
+            return Can(self(subject), tuple([(names.get(x.name, x), self(w)) for x, w in t.witnesses]))
         return map_children(t, self)
 
     def sub(self, sub: Substitution) -> Substitution:

@@ -413,3 +413,55 @@ def test_scaling_scripts_get_their_recorded_verdicts(seed, monkeypatch):
     generate = _load_scaling_generator(monkeypatch)
     for script in generate.scaling_scripts(seed):
         assert run_on_worker_stack(_script_verdicts, script.text) == list(script.expected), script.label
+
+
+def test_unifier_failure_texts():
+    """Each way ``unify_term``, ``unify_type`` and ``_match_type`` fail
+    keeps its text, and the traversals keep theirs on what is not a
+    node of the kind they take."""
+    from icatt.builtins import id_schema
+    from icatt.syntax import Can, Inv, MemoMap, Rec, children, dim_type, identity_sub
+
+    el = Elaborator(Environment())
+    x, y = VarRef(Var("x")), VarRef(Var("y"))
+    seed = Context(((Var("x"), Obj()),))
+
+    def cell(schema):
+        ps, ty = schema
+        return Coh(ps, ty, identity_sub(ps))
+
+    def rec(t):
+        return Rec(t, x, x, x, x, x, x, identity_sub(seed))
+
+    ident = cell(id_schema(1))
+    terms = [
+        (cell(comp_schema(2, 1)), ident, "distinct coherence heads"),
+        (rec(x), rec(Destr("linv", x)), "distinct recursive definitions"),
+        (ident, Destr("linv", x), "terms do not unify"),
+        (Destr("linv", x), Destr("rinv", x), "terms do not unify"),
+        (x, y, "terms do not unify"),
+        (Can(ident, ((Var("x"), x),)), Can(ident, ()), "terms do not unify"),
+    ]
+    for a, b, text in terms:
+        with pytest.raises(UnificationFailure) as info:
+            el.unify_term(a, b)
+        assert str(info.value) == f"{text} [unification]"
+    arr = Arr(Obj(), x, x)
+    for a, b in [(Obj(), arr), (arr, Inv(arr, y)), (Inv(arr, y), Obj())]:
+        for fail in (lambda: el.unify_type(a, b), lambda: el._match_type(a, b, {})):
+            with pytest.raises(UnificationFailure) as info:
+                fail()
+            assert str(info.value) == "types do not unify [unification]"
+    # same heads unify position by position
+    m = el.metas.fresh("m")
+    el.unify_term(Destr("linv", m), Destr("linv", x))
+    el.unify_type(Inv(Arr(Obj(), y, y), y), Inv(Arr(Obj(), y, y), y))
+    assert el.resolve(m) is x
+    for fail, arg, text in [
+        (children, Obj(), "not a term: Obj()"),
+        (MemoMap().type, x, "not a type: VarRef(var=Var(name='x'))"),
+        (dim_type, x, "not a type: VarRef(var=Var(name='x'))"),
+    ]:
+        with pytest.raises(TypeError) as info:
+            fail(arg)
+        assert str(info.value) == text

@@ -228,6 +228,22 @@ def test_cli_reports_truncated_input_at_its_last_token(tmp_path, script, where):
     assert out.stderr == f"{path}:{where} [syntax]\n"
 
 
+@pytest.mark.parametrize("script,where", [
+    ("let a (x : *) (rec : x -> x) = comp rec rec", "1:16: rec"),
+    ("let a (x : *) (coh : x -> x) = comp coh coh\nlet b (x : *) = x", "1:16: coh"),
+    ("coh c (x(inv)y) : x -> y", "1:10: inv"),
+])
+def test_cli_reports_a_keyword_binder_where_it_is_bound(tmp_path, script, where):
+    """A telescope or pasting binder spelled like a declaration keyword
+    is a reserved name at the binder, not a syntax error further on
+    where a term would have stopped at it."""
+    path = tmp_path / "kw.catt"
+    path.write_text(script)
+    out = _run_cli("check", str(path))
+    assert out.returncode == 1
+    assert out.stderr == f"{path}:{where} is a reserved name [shadowed-name]\n"
+
+
 def test_cli_keep_going(tmp_path):
     bad = tmp_path / "two.catt"
     bad.write_text(
@@ -559,6 +575,26 @@ def test_no_module_imports_a_name_it_never_uses():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
     assert not unused
+
+
+def test_no_module_dispatches_by_class_pattern():
+    """No icatt module picks a case with a class pattern (``case Arr(b,
+    s, t):``, which looks up ``__match_args__`` and calls ``getattr``
+    per capture) or matches on a tuple of subjects: each tests
+    ``type(x) is C`` instead (see :mod:`icatt.syntax`, Traversal)."""
+    import ast
+    from pathlib import Path
+
+    import icatt
+
+    found = []
+    for path in sorted(Path(icatt.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Match) and isinstance(node.subject, ast.Tuple):
+                found.append(f"{path.name}:{node.lineno} match on a tuple")
+            elif isinstance(node, ast.MatchClass):
+                found.append(f"{path.name}:{node.lineno} class pattern")
+    assert not found
 
 
 def _check_corpus_once():

@@ -834,3 +834,44 @@ def test_non_full_head_fails_on_every_use():
     for _ in range(2):
         with pytest.raises(NotFull):
             infer_term(TWO_CHAIN, bad)
+
+
+def test_dispatchers_keep_their_fallthrough_texts():
+    """Each function that picks its case by a node's class raises the
+    same class and text on a value of none of its cases."""
+    from icatt.elaborate import Elaborator
+    from icatt.errors import IllFormedType, NotCategorical
+    from icatt.kernel import _infer_term, check_type
+    from icatt.meta import classify_term, classify_type
+    from icatt.normalize import nf
+    from icatt.parser import SApp, STStar, SVar, SWild
+    from icatt.printer import show
+
+    class Odd:
+        name = "odd"
+
+        def __repr__(self):
+            return "Odd()"
+
+    x = VarRef(Var("x"))
+    ctx = Context(((Var("x"), Obj()),))
+    el = Elaborator(Environment())
+    not_a_type = "not a type: VarRef(var=Var(name='x'))"
+    for fail, cls, text in [
+        (lambda: check_type(ctx, x), IllFormedType, f"{not_a_type} [ill-formed-type]"),
+        (lambda: _infer_term(ctx, Obj()), TypeMismatch, "not a term: Obj() [type-mismatch]"),
+        (lambda: check_decl(Environment(), Odd()), TypeMismatch, "unknown declaration Odd() [type-mismatch]"),
+        (lambda: el.elab_infer(SApp(SWild(), ())), TypeMismatch,
+         "cannot elaborate SApp(head=SWild(span=(0, 0)), args=(), span=(0, 0)) [type-mismatch]"),
+        (lambda: el.elab_infer(STStar()), TypeMismatch, "cannot elaborate STStar(span=(0, 0)) [type-mismatch]"),
+        (lambda: el.elab_type(SVar("x")), TypeMismatch,
+         "not a surface type: SVar(name='x', span=(0, 0)) [type-mismatch]"),
+        (lambda: nf(Inv(Arr(Obj(), x, x), x)), NotCategorical,
+         "normal forms are defined for categorical entities only [not-categorical]"),
+        (lambda: classify_type(x), TypeError, not_a_type),
+        (lambda: classify_term(x, x), TypeError, not_a_type),
+        (lambda: show(Var("x")), TypeError, "cannot print Var(name='x')"),
+    ]:
+        with pytest.raises(cls) as info:
+            fail()
+        assert type(info.value) is cls and str(info.value) == text
