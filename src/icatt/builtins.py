@@ -116,7 +116,7 @@ def comp_of(args: list[tuple[Term, Type]]) -> tuple[Term, Type]:
         if i > 0 and not alpha_eq_term(ty.src, images[-2]):
             raise TypeMismatch(f"composite boundary mismatch at argument {i}")
         images += (ty.tgt, t)
-    cell = Coh(ctx, full, Substitution(tuple(zip(ctx.vars(), images)), ctx))
+    cell = Coh(ctx, full, Substitution.of(tuple(images), ctx))
     return cell, coh_type(cell)
 
 

@@ -580,12 +580,12 @@ class Elaborator:
                     )
         # a slot that nothing determined keeps an unsolved meta, which the
         # strict zonk of the declaration reports
-        pairs = []
+        images = []
         for v, _ in tele:
             image = assign.get(v.name)
             image = assign[v.name] = self.metas.fresh(v.name) if image is None else self.resolve(image)
-            pairs.append((v, image))
-        sub = Substitution(tuple(pairs), tele)
+            images.append(image)
+        sub = Substitution.of(tuple(images), tele)
         if schema.kind == "coh":
             # with no expected type, the cell's type is a fact kept on it,
             # which the kernel reads again
@@ -763,7 +763,7 @@ def elaborate_decl(env: Environment, sdecl: SurfaceDecl):
     for kind, surface in zip(DESTRUCTORS, comps[1:]):
         if kind == "lwit" and sdecl.kind == "rec":
             ind_ctx, hm, hp = equiv_ind_context(ctx, t_term, t_ty)
-            el.scope = ind_ctx.types()
+            el.scope = {v.name: ty for v, ty in reversed(ind_ctx.entries)}
             el.ih = ((hm, ind_ctx.lookup(hm)), (hp, ind_ctx.lookup(hp)))
         done.append(el.zonk_term(el.elab_check(surface, component_type(kind, t_ty, done))))
     if sdecl.kind == "inv":

@@ -33,6 +33,7 @@ from .syntax import (
     alpha_key_term,
     compose_sub,
     dim_type,
+    identity_sub,
     instantiate_type,
 )
 
@@ -119,7 +120,7 @@ def pullback_along_display(
         raise ValueError("display map must present a telescope extension")
     out_entries = list(dom.entries)
     names = {v.name for v, _ in dom}
-    images = dict(f.images())
+    images = {x.name: t for x, t in reversed(f.pairs)}
     for v, ty in extended.entries[len(base):]:
         new_name = rename(v.name)
         while new_name in names:
@@ -129,8 +130,8 @@ def pullback_along_display(
         out_entries.append((Var(new_name), instantiate_type(ty, images)))
         images[v.name] = VarRef(Var(new_name))
     pulled = Context(tuple(out_entries))
-    proj_dom = Substitution(tuple((v, VarRef(v)) for v, _ in dom), dom)
-    proj_top = Substitution(tuple((v, images[v.name]) for v, _ in extended), extended)
+    proj_dom = identity_sub(dom)
+    proj_top = Substitution.of(tuple([images[v.name] for v, _ in extended]), extended)
     return pulled, proj_dom, proj_top
 
 
@@ -287,7 +288,7 @@ def check_gamma(n: int) -> GammaReport:
     # bijection with the neutral terms, dimension by dimension
     bijection = True
     by_dim: dict[int, list] = {}
-    for (v, ty), (_, img) in zip(trunc.ctx, gamma.pairs):
+    for (v, ty), img in zip(trunc.ctx, gamma.images):
         d = dim_type(ty) + 1
         by_dim.setdefault(d, []).append(beta_reduce(img))
     for d, imgs in sorted(by_dim.items()):

@@ -21,8 +21,10 @@ What a construction derives is kept on the node it is about
 (:func:`~icatt.syntax.built_on`), and so lives as long as that syntax:
 on a pasting context, per dimension, the opposite context and the
 boundaries; on a coherence, per side and witness family, its inverse
-cells, and per side and witness canonical nodes, its cancellator
-stages.  Each is built once.
+cells; and on a canonical structure, per side, its cancellator stages.
+The stages contain the subject, so they are not kept on it: no fact
+kept on a node may contain that node (see :mod:`icatt.syntax`).  Each
+is built once.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ from .syntax import (
     Var,
     VarRef,
     alpha_eq_term,
-    alpha_key_term,
     apply_sub_term,
     built_on,
     coh_type,
@@ -85,14 +86,14 @@ def gamma_inverse(
     if dim_context(flipped) < n:
         return sub
     inv_kind = INVERSES[SIDES.index(side)]
-    pairs = []
+    images = []
     for v, vty in flipped:
         if dim_type(vty) + 1 == n:
             _check_witnesses((v,), witnesses)
-            pairs.append((v, Destr(inv_kind, witnesses[v.name])))
+            images.append(Destr(inv_kind, witnesses[v.name]))
         else:
-            pairs.append((v, sub.lookup(v)))
-    return Substitution(tuple(pairs), flipped)
+            images.append(sub.lookup(v))
+    return Substitution.of(tuple(images), flipped)
 
 
 def _opposite(ps: Context, n: int) -> tuple[Context, set[str], set[str]]:
@@ -155,13 +156,13 @@ def _master(theta: Context, base: Type, src_t: Term, tgt_t: Term, a: Term, b: Te
 
 
 def _sub_for(theta: Context, images: dict[str, Term]) -> Substitution:
-    return Substitution(tuple((v, images[v.name]) for v, _ in theta), theta)
+    return Substitution.of(tuple([images[v.name] for v, _ in theta.entries]), theta)
 
 
 def _img_ty(xi: Substitution, name: str) -> Arr:
     """The type of ``name`` in ``xi``'s codomain instantiated at ``xi``,
     read off its instantiated codomain."""
-    out = xi.codomain_types()[xi.codomain.vars().index(Var(name))]
+    out = xi.codomain_types()[xi.codomain.positions()[name]]
     assert isinstance(out, Arr)
     return out
 
@@ -169,16 +170,7 @@ def _img_ty(xi: Substitution, name: str) -> Arr:
 def coh_cancellator_steps(subject: Coh, side: str, witnesses: dict[str, Term]) -> list[_Step]:
     """The stages of the cancellation cell: from ``comp(inverse, cell)``
     (left) or ``comp(cell, inverse)`` (right) down to the identity.
-
-    The construction is exponential if recomputed naively, so the stages
-    are kept on the subject, per side and witness family up to
-    alpha-equivalence; they contain the subject, so the cyclic collector
-    frees them."""
-    key = ("steps", side, *sorted((k, alpha_key_term(v)) for k, v in witnesses.items()))
-    return built_on(subject, key, lambda: _coh_cancellator_steps(subject, side, witnesses))
-
-
-def _coh_cancellator_steps(subject: Coh, side: str, witnesses: dict[str, Term]) -> list[_Step]:
+    Built anew at each call: :func:`canonical_component` keeps them."""
     ps, ty, sub, n, tops = _cell_data(subject)
     _check_witnesses(tops, witnesses)
     unit_kind = UNITS[SIDES.index(side)]
@@ -247,10 +239,9 @@ def _coh_cancellator_steps(subject: Coh, side: str, witnesses: dict[str, Term]) 
     tgt_t: Term = rename_vars_term(fix_over, ren)
     base_t: Type = ty.base  # free variables lie in the shared boundary
 
-    left_inc = Substitution(tuple((v, VarRef(v)) for v, _ in left_part), left_part)
-    right_inc = Substitution(
-        tuple((v, VarRef(Var(ren.get(v.name, v.name)))) for v, _ in right_part), right_part
-    )
+    left_inc = identity_sub(left_part)
+    right_images = tuple([VarRef(Var(ren.get(v.name, v.name))) for v, _ in right_part])
+    right_inc = Substitution.of(right_images, right_part)
     if side == "left":
         first, second = Coh(flipped_ctx, flipped_ty, left_inc), Coh(ps, ty, right_inc)
     else:
@@ -409,7 +400,9 @@ def canonical_component(can_term: Can, kind: str) -> Term:
     side = SIDES[DESTRUCTORS.index(kind) % 2]
     if kind in INVERSES:
         return coh_inverse(subject, side, witnesses)
-    steps = coh_cancellator_steps(subject, side, witnesses)
+    # the stages contain the subject, so they are kept on the structure,
+    # which they do not contain
+    steps = built_on(can_term, ("steps", side), lambda: coh_cancellator_steps(subject, side, witnesses))
     cancel = _compose_steps(subject, side, steps)
     if kind in UNITS:
         return cancel

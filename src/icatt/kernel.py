@@ -14,7 +14,7 @@ no prefix context built; weakening is admissible, so an entry's type
 may be checked over the whole context once its variables are in scope.
 
 What the kernel learns lives as long as the syntax it is about: the type
-a term infers over a context is kept on the term node, under a weak
+a term infers over a context is kept on the term node, in one weak
 reference to the context node (:func:`~icatt.syntax.learn_over`), and
 goes when either dies.
 Whether a coherence is valid depends only on its head, never on the
@@ -302,16 +302,19 @@ def check_sub(ctx: Context, sub: Substitution, cod: Context) -> Substitution:
         not alpha_eq_context(sub.codomain, cod) or sub.codomain.names() != cod.names()
     ):
         raise BadSubstitution("substitution codomain does not match")
-    if len(sub.pairs) != len(cod):
-        raise BadSubstitution(
-            f"substitution has {len(sub.pairs)} assignments for {len(cod)} variables"
-        )
+    images = sub.images
+    if len(images) != len(cod):
+        raise BadSubstitution(f"substitution has {len(images)} assignments for {len(cod)} variables")
+    # the names assigned, unless they are cod's
+    names = sub.names
+    if names is None and sub.codomain is not cod:
+        names = sub.codomain.vars()
     # the one pass for the terms of the codomain that are not variables
-    inst = _Instantiate(sub.images())
-    for (x, t), (v, v_ty) in zip(sub.pairs, cod):
-        if x.name != v.name:
-            raise BadSubstitution(f"substitution assigns {x.name} where {v.name} was expected")
-        actual = infer_term(ctx, t)
+    inst = _Instantiate(sub)
+    for i, (v, v_ty) in enumerate(cod.entries):
+        if names is not None and names[i].name != v.name:
+            raise BadSubstitution(f"substitution assigns {names[i].name} where {v.name} was expected")
+        actual = infer_term(ctx, images[i])
         if not _fits(inst, v_ty, actual):
             raise BadSubstitution(
                 f"image of {v.name} has type {show(actual)}, expected {show(apply_sub_type(v_ty, sub))}"
@@ -340,7 +343,7 @@ def _fits(inst: _Instantiate, pat: Type, ty: Type) -> bool:
 def _same(inst: _Instantiate, pat: Term, t: Term) -> bool:
     """Whether ``inst(pat)`` is convertible with ``t``: a variable is read
     off the images, and only another term is instantiated."""
-    image = inst.images[pat.var.name] if type(pat) is VarRef else inst(pat)
+    image = inst.images.get(pat.var.name) if type(pat) is VarRef else inst(pat)
     return image is t or convertible_terms(image, t)
 
 

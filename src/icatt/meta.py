@@ -130,9 +130,8 @@ class _Suspension(MemoMap):
 
     def onto(self, sub: Substitution, scod: Context) -> Substitution:
         """``sub`` suspended onto ``scod``, the suspension of its codomain."""
-        (vneg, _), (vpos, _) = scod.entries[0], scod.entries[1]
-        pairs = ((vneg, self.base[0]), (vpos, self.base[1]))
-        return Substitution(pairs + tuple((x, self(t)) for x, t in sub.pairs), scod)
+        names = None if sub.names is None else (scod.entries[0][0], scod.entries[1][0], *sub.names)
+        return Substitution.of((*self.base, *map(self, sub.images)), scod, names)
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +299,8 @@ class _Opposite(MemoMap):
     def rebuild(self, t: Term) -> Term:
         if not isinstance(t, Coh):
             raise OppositeOnInv("opposite is only defined on Inv-free syntax")
-        ps, images = self.context(t.ps), t.sub.images()
-        return Coh(ps, self.type(t.ty), Substitution(tuple((v, self(images[v.name])) for v, _ in ps), ps))
+        ps, sub = self.context(t.ps), t.sub
+        return Coh(ps, self.type(t.ty), Substitution.of(tuple([self(sub.lookup(v)) for v, _ in ps]), ps))
 
 
 # ---------------------------------------------------------------------------
@@ -373,17 +372,11 @@ def classify_type(ty: Type) -> Substitution:
     classifying a type."""
     c = type(ty)
     if c is Obj:
-        return Substitution((), sphere(-1))
+        return Substitution.of((), sphere(-1))
     if c is Arr:
-        n = dim_type(ty)
-        prev = classify_type(ty.base)
-        pairs = prev.pairs + ((Var(f"d{n}-"), ty.src), (Var(f"d{n}+"), ty.tgt))
-        return Substitution(pairs, sphere(n))
+        return Substitution.of((*classify_type(ty.base).images, ty.src, ty.tgt), sphere(dim_type(ty)))
     if c is Inv:
-        m = dim_type(ty.base)
-        prev = classify_type(ty.base)
-        pairs = prev.pairs + ((disk_var(m + 1), ty.subject),)
-        return Substitution(pairs, disk(m + 1))
+        return Substitution.of((*classify_type(ty.base).images, ty.subject), disk(dim_type(ty.base) + 1))
     raise TypeError(f"not a type: {ty!r}")
 
 
@@ -391,13 +384,9 @@ def classify_term(t: Term, ty: Type) -> Substitution:
     """chi_{t,A} : into D^n for categorical types, E^{n} for Inv types."""
     c = type(ty)
     if c is Obj or c is Arr:
-        n = dim_type(ty) + 1
-        prev = classify_type(ty)
-        return Substitution(prev.pairs + ((disk_var(n), t),), disk(n))
+        return Substitution.of((*classify_type(ty).images, t), disk(dim_type(ty) + 1))
     if c is Inv:
-        n = dim_type(ty)
-        prev = classify_type(ty)
-        return Substitution(prev.pairs + ((equiv_var(n), t),), walking_equiv(n))
+        return Substitution.of((*classify_type(ty).images, t), walking_equiv(dim_type(ty)))
     raise TypeError(f"not a type: {ty!r}")
 
 
@@ -405,8 +394,7 @@ def rename_to(src_ctx: Context, dst_ctx: Context) -> Substitution:
     """Positional renaming substitution dst |- ren : src for alpha-equal
     contexts (src variables mapped to the dst variables in order)."""
     assert len(src_ctx) == len(dst_ctx)
-    pairs = tuple((v, VarRef(w)) for (v, _), (w, _) in zip(src_ctx, dst_ctx))
-    return Substitution(pairs, src_ctx)
+    return Substitution.of(tuple([VarRef(w) for w, _ in dst_ctx.entries]), src_ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -451,14 +439,12 @@ def equiv_ind_context(seed: Context, t: Term, t_ty: Type) -> tuple[Context, Var,
 def instantiation(seed: Context, r: Term, t: Term, t_ty: Type) -> Substitution:
     """The substitution seed -> EquivInd(seed, t) feeding the recursive
     calls ``r : Inv(t)`` into the inductive hypotheses."""
-    ind_ctx, h_minus, h_plus = equiv_ind_context(seed, t, t_ty)
+    ind_ctx, _, _ = equiv_ind_context(seed, t, t_ty)
     sseed, sr, _ = suspend_judgment(seed, r, Inv(t_ty, t))
     n = dim_type(seed.entries[-1][1])
     ren = rename_to(sseed, walking_equiv(n + 1))
     sr_canon = apply_sub_term(sr, ren)
     chi_l = wit_classifier(seed, "lwit")
     chi_r = wit_classifier(seed, "rwit")
-    pairs = identity_sub(seed).pairs
-    pairs += ((h_minus, apply_sub_term(sr_canon, chi_l)),)
-    pairs += ((h_plus, apply_sub_term(sr_canon, chi_r)),)
-    return Substitution(pairs, ind_ctx)
+    images = (*identity_sub(seed).images, apply_sub_term(sr_canon, chi_l), apply_sub_term(sr_canon, chi_r))
+    return Substitution.of(images, ind_ctx)

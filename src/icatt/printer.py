@@ -97,7 +97,7 @@ def _pieces(x) -> tuple:
         if kind is None:
             return ("coh[", x.ps, " : ", x.ty, "][", *_commas(x.sub.terms()), "]")
         if kind[0] == "id":
-            return ("id ", *_atom(x.sub.pairs[-1][1]))
+            return ("id ", *_atom(x.sub.images[-1]))
         return ("comp", *[p for v in top_variables(x) for p in (" ", *_atom(x.sub.lookup(v)))])
     if c is Destr:
         return (f"{DESTRUCTOR_SPELLINGS[DESTRUCTORS.index(x.kind)]} (", x.arg, ")")

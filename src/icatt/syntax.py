@@ -11,7 +11,12 @@ a node is computed once however often the node is rebuilt.  The one
 exception is syntax over an unsolved elaboration metavariable
 (``MetaRef``): such a node is *open*, and stays a plain node outside the
 table, because the elaborator builds many short-lived ones and zonks
-them away before the kernel sees a declaration.
+them away before the kernel sees a declaration.  A :class:`Substitution`
+keeps its images as one tuple in codomain order, and the names they are
+assigned to only where those are not its codomain's (hand-built syntax,
+which the kernel rejects): a name's image is read through the
+codomain's map from names to positions (:meth:`Context.positions`), and
+``pairs`` is built on demand.
 
 Canonical nodes.  Variables are named, and the binders of the pasting
 context of a coherence and of the seed of a recursor stay named, since
@@ -26,7 +31,13 @@ seed and its two inductive hypotheses (at the positions after the
 seed), and of a keyed context; the names a substitution or a witness
 family assigns are renamed with the context they name.  An entry that
 repeats a name also records the position it shadows, so a context that
-repeats a name never keys like one that does not.
+repeats a name never keys like one that does not.  Alpha-equality of
+terms and types (:func:`alpha_eq_term`, :func:`alpha_eq_type`) is
+decided without building canonical nodes, by one walk over both DAGs:
+heads compare by their canonical heads, variables by name, and two
+nodes that both keep their canonical node by it.  So conversion keeps
+no canonical twin of what it compares, and keys serve where a hash key
+is needed: canonical heads, and sets of terms up to alpha-equivalence.
 
 The six destructors are identified by the strings in :data:`DESTRUCTORS`
 ("lwit"/"rwit" are the invertibility witnesses of the left/right
@@ -77,8 +88,12 @@ node weakly, under its fields; an entry goes when its node dies.  Facts
 about a node are slots on it (see :class:`_Node`): among them its
 canonical node, its dimension, a substitution's instantiated codomain
 and a coherence cell's instantiated type, each computed once per node.
-A fact about a node over a context is kept on the node under a weak
-reference to the context (:func:`learn_over`), and traversal memos last
+A fact about a node over a context is one weak reference to the
+context, which carries the fact, kept on the node (a dict of them once
+it has several; :func:`learn_over`); its callback drops it when the
+context dies.  No fact kept on a node may contain that node: the keys of
+``_INTERN`` hold the fields of every node strongly, so the fact would
+keep the node alive for the life of the process.  Traversal memos last
 one pass.
 """
 
@@ -145,9 +160,9 @@ def _cons(cls, is_open: bool, *fields):
     return node
 
 
-def _open_in(pairs: tuple) -> bool:
-    """Whether the second item of any pair is an open node."""
-    for _, x in pairs:
+def _open_in(nodes) -> bool:
+    """Whether any of ``nodes`` is open."""
+    for x in nodes:
         if x._open:
             return True
     return False
@@ -157,8 +172,8 @@ class _Node:
     """Facts about a node, in slots outside its dataclass fields, None
     until computed: its canonical node (``_key``; a context's comes with
     its binders); a term's beta-normal form (``_beta``, written by
-    :mod:`icatt.normalize`); each name's type in a :class:`Context` or
-    image in a :class:`Substitution` (``_keys``); what the kernel and
+    :mod:`icatt.normalize`); each name's position in a :class:`Context`
+    (``_keys``); what the kernel and
     :mod:`icatt.inverse` learn about it (``_known``, see
     :func:`learn_over` and :func:`built_on`); in ``_fact``, a type's
     dimension, a substitution's instantiated codomain, a coherence's
@@ -312,7 +327,7 @@ class Can(_Node):
     witnesses: tuple[tuple[Var, Term], ...]
 
     def __new__(cls, subject: Term, witnesses: tuple[tuple[Var, Term], ...]) -> Can:
-        return _cons(cls, subject._open or _open_in(witnesses), subject, witnesses)
+        return _cons(cls, subject._open or _open_in([w for _, w in witnesses]), subject, witnesses)
 
 
 @_syntax_node
@@ -349,7 +364,7 @@ class Context(_Node):
     entries: tuple[tuple[Var, Type], ...] = ()
 
     def __new__(cls, entries: tuple[tuple[Var, Type], ...] = ()) -> Context:
-        return _cons(cls, _open_in(entries), entries)
+        return _cons(cls, _open_in([ty for _, ty in entries]), entries)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -363,47 +378,69 @@ class Context(_Node):
     def names(self) -> set[str]:
         return {v.name for v, _ in self.entries}
 
-    def types(self) -> dict[str, Type]:
-        """The type of each name (of its first entry), kept on the node;
-        callers only read it."""
+    def positions(self) -> dict[str, int]:
+        """The position of each name (of its first entry), kept on the
+        node; callers only read it."""
         out = self._keys
         if out is None:
-            out = self._keys = {v.name: ty for v, ty in reversed(self.entries)}
+            out = self._keys = {v.name: i for i, (v, _) in reversed(tuple(enumerate(self.entries)))}
         return out
 
     def lookup(self, var: Var) -> Type:
-        ty = self.types().get(var.name)
-        if ty is None:
+        i = self.positions().get(var.name)
+        if i is None:
             raise UnboundVariable(f"variable {var.name} not in context")
-        return ty
+        return self.entries[i][1]
 
 
 @_syntax_node
 class Substitution(_Node):
-    """Ordered assignments onto the variables of ``codomain``."""
+    """Ordered assignments onto the variables of ``codomain``: its
+    ``images`` in codomain order, and the ``names`` they are assigned to,
+    None when those are the codomain's own, as they are everywhere but in
+    hand-built syntax, which the kernel rejects."""
 
-    pairs: tuple[tuple[Var, Term], ...]
+    images: tuple[Term, ...]
     codomain: Context
+    names: tuple[Var, ...] | None
 
-    def __new__(cls, pairs: tuple[tuple[Var, Term], ...], codomain: Context) -> Substitution:
-        return _cons(cls, codomain._open or _open_in(pairs), pairs, codomain)
+    def __new__(cls, pairs: Iterable[tuple[Var, Term]], codomain: Context) -> Substitution:
+        """The substitution assigning each term of ``pairs`` to its name."""
+        pairs = tuple(pairs)
+        return cls.of(tuple([t for _, t in pairs]), codomain, tuple([x for x, _ in pairs]))
 
-    def images(self) -> dict[str, Term]:
-        """The image of each assigned name (of its first assignment),
-        kept on the node; callers only read it."""
-        out = self._keys
-        if out is None:
-            out = self._keys = {v.name: t for v, t in reversed(self.pairs)}
-        return out
+    @classmethod
+    def of(
+        cls, images: tuple[Term, ...], codomain: Context, names: tuple[Var, ...] | None = None
+    ) -> Substitution:
+        """The substitution assigning ``images`` to ``names``, by default
+        the codomain's names in order."""
+        if names is not None and names == codomain.vars():
+            names = None
+        return _cons(cls, codomain._open or _open_in(images), images, codomain, names)
+
+    @property
+    def pairs(self) -> tuple[tuple[Var, Term], ...]:
+        """Each assigned name with its image, in order; built on demand."""
+        return tuple(zip(self.codomain.vars() if self.names is None else self.names, self.images))
+
+    def get(self, name: str) -> Term | None:
+        """The image of ``name`` (of its first assignment), or None; so a
+        substitution serves as the mapping of an :class:`_Instantiate`."""
+        if self.names is None:
+            i = self.codomain.positions().get(name)
+        else:
+            i = next((i for i, x in enumerate(self.names) if x.name == name), None)
+        return None if i is None else self.images[i]
 
     def lookup(self, var: Var) -> Term:
-        t = self.images().get(var.name)
+        t = self.get(var.name)
         if t is None:
             raise UnboundVariable(f"substitution does not assign {var.name}")
         return t
 
     def terms(self) -> tuple[Term, ...]:
-        return tuple([t for _, t in self.pairs])
+        return self.images
 
     def codomain_types(self) -> tuple[Type, ...] | None:
         """The type of each entry of ``codomain``, by position,
@@ -411,14 +448,16 @@ class Substitution(_Node):
         several entries is rebuilt once; kept on the node.  None when the
         substitution does not assign exactly the codomain's names."""
         out = self._fact
-        if out is None and self.images().keys() == self.codomain.types().keys():
-            inst = _Instantiate(self.images())
+        if out is None and (
+            self.names is None or {x.name for x in self.names} == self.codomain.positions().keys()
+        ):
+            inst = _Instantiate(self)
             out = self._fact = tuple([inst.type(ty) for _, ty in self.codomain.entries])
         return out
 
 
 def identity_sub(ctx: Context) -> Substitution:
-    return Substitution(tuple((v, VarRef(v)) for v, _ in ctx), ctx)
+    return Substitution.of(tuple([VarRef(v) for v, _ in ctx.entries]), ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +482,7 @@ def children(t: Term) -> tuple[Term, ...]:
 
 
 def _with_images(sub: Substitution, images: Iterable[Term]) -> Substitution:
-    return Substitution(tuple([(x, s) for (x, _), s in zip(sub.pairs, images)]), sub.codomain)
+    return Substitution.of(tuple(images), sub.codomain, sub.names)
 
 
 def map_children(t: Term, f: Callable[[Term], Term]) -> Term:
@@ -518,12 +557,13 @@ class MemoMap:
 
 
 class _Instantiate(MemoMap):
-    """The map sending each variable to its image in ``images``; one with
-    no image raises, or maps to itself when ``keep``."""
+    """The map sending each variable to its image in ``images``, a map
+    from names or a substitution; one with no image raises, or maps to
+    itself when ``keep``."""
 
     __slots__ = ("images", "keep")
 
-    def __init__(self, images: Mapping[str, Term], keep: bool = False):
+    def __init__(self, images: Mapping[str, Term] | Substitution, keep: bool = False):
         self.memo = {}
         self.images = images
         self.keep = keep
@@ -564,16 +604,16 @@ def instantiate_type(ty: Type, images: Mapping[str, Term]) -> Type:
 
 
 def apply_sub_type(ty: Type, sub: Substitution) -> Type:
-    return _Instantiate(sub.images()).type(ty)
+    return _Instantiate(sub).type(ty)
 
 
 def apply_sub_term(t: Term, sub: Substitution) -> Term:
-    return _Instantiate(sub.images())(t)
+    return _Instantiate(sub)(t)
 
 
 def compose_sub(first: Substitution, second: Substitution) -> Substitution:
     """Pointwise composition: apply ``second`` to the terms of ``first``."""
-    return _with_images(first, map(_Instantiate(second.images()), first.terms()))
+    return _with_images(first, map(_Instantiate(second), first.images))
 
 
 def rename_vars_type(ty: Type, mapping: dict[str, str]) -> Type:
@@ -596,7 +636,10 @@ def _renaming(mapping: dict[str, str]) -> _Instantiate:
 def dim_type(ty: Type) -> int:
     """The dimension of ``ty``'s cells minus one; kept on the node, from
     its base's."""
-    d = ty._fact
+    try:
+        d = ty._fact
+    except AttributeError:  # not a node: refused by the class test below
+        d = None
     if d is None:
         c = type(ty)
         if c is Obj:
@@ -634,7 +677,7 @@ def top_entries(coh: Coh) -> Iterator[tuple[Var, Type]]:
     """Each of :func:`top_variables` with its type instantiated at the
     coherence's substitution, in order, by one pass for them all."""
     n = dim_type(coh.ty) + 1
-    inst = _Instantiate(coh.sub.images())
+    inst = _Instantiate(coh.sub)
     for v, ty in coh.ps.entries:
         if dim_type(ty) + 1 == n:
             yield v, inst.type(ty)
@@ -686,44 +729,60 @@ def fresh_name(base: str, avoid: set[str]) -> str:
 # ---------------------------------------------------------------------------
 
 
-class _ContextRef(ref):
-    """A weak reference to a context, keying a fact in the ``_known`` of
-    the node that ``owner`` names weakly."""
+class _Fact(ref):
+    """A fact about the node that ``owner`` names weakly, over the context
+    this references: the one object a fact costs.  Its callback drops it
+    from the node when the context dies."""
 
-    __slots__ = ("owner",)
+    __slots__ = ("owner", "fact")
 
 
-def _forget_fact(r: _ContextRef) -> None:
+def _forget_fact(r: _Fact) -> None:
     # the context died: drop the fact kept over it
     node = r.owner()
     if node is not None:
-        node._known.pop(r, None)
+        known = node._known
+        if known is r:
+            node._known = None
+        elif type(known) is dict:
+            known.pop(r, None)
 
 
 def known_over(node: _Node, ctx: Context):
     """The fact kept on ``node`` over ``ctx`` (:func:`learn_over`), or None."""
-    return None if node._known is None else node._known.get(ref(ctx))
+    known = node._known
+    if type(known) is _Fact:
+        return known.fact if known() is ctx else None
+    return None if known is None else known.get(ref(ctx))
 
 
 def learn_over(node: _Node, ctx: Context, fact):
-    """Keep ``fact`` on ``node`` over ``ctx``, under a weak reference to
-    ``ctx``, so it keeps no context alive and goes when either dies."""
-    if node._known is None:
-        node._known = {}
-    over = _ContextRef(ctx, _forget_fact)
-    over.owner = ref(node)
-    node._known[over] = fact
+    """Keep ``fact`` on ``node`` over ``ctx``, in a weak reference to
+    ``ctx``, so it keeps no context alive and goes when either dies.  A
+    node keeps its one such reference itself, and a dict of them once it
+    has facts over several contexts, or constructions (:func:`built_on`)."""
+    r = _Fact(ctx, _forget_fact)
+    r.owner, r.fact = ref(node), fact
+    known = node._known
+    if known is None:
+        node._known = r
+    else:
+        if type(known) is _Fact:
+            known = node._known = {known: known.fact}
+        known[r] = fact
     return fact
 
 
 def built_on(node: _Node, key: tuple, build: Callable[[], object]):
     """The construction ``key`` from ``node``, kept on it: ``build()``
-    the first time."""
-    if node._known is None:
-        node._known = {}
-    out = node._known.get(key)
+    the first time.  It must not contain ``node``: the intern table holds
+    the fields of every node strongly, so it would keep ``node`` alive."""
+    known = node._known
+    if type(known) is not dict:
+        known = node._known = {} if known is None else {known: known.fact}
+    out = known.get(key)
     if out is None:
-        out = node._known[key] = build()
+        out = known[key] = build()
     return out
 
 
@@ -773,14 +832,29 @@ class _Canon(MemoMap):
         if c is Rec:
             return Rec(*rec_head_key(t).components(), self.sub(t.sub))
         if c is Can:
-            subject = t.subject
-            names = _canon_context(subject.ps)[1] if type(subject) is Coh else {}
-            return Can(self(subject), tuple([(names.get(x.name, x), self(w)) for x, w in t.witnesses]))
+            return Can(self(t.subject), tuple(zip(_witness_keys(t), [self(w) for _, w in t.witnesses])))
         return map_children(t, self)
 
     def sub(self, sub: Substitution) -> Substitution:
-        codomain, names = _canon_context(sub.codomain)
-        return Substitution(tuple([(names.get(x.name, x), self(s)) for x, s in sub.pairs]), codomain)
+        codomain = _canon_context(sub.codomain)[0]
+        return Substitution.of(tuple(map(self, sub.images)), codomain, _canon_names(sub))
+
+
+def _canon_names(sub: Substitution) -> tuple[Var, ...] | None:
+    """The names assigned by the canonical node of ``sub``: renamed with
+    its codomain, and None when they are the canonical codomain's."""
+    if sub.names is None:
+        return None
+    canon, bound = _canon_context(sub.codomain)
+    names = tuple([bound.get(x.name, x) for x in sub.names])
+    return None if names == canon.vars() else names
+
+
+def _witness_keys(t: Can) -> tuple[Var, ...]:
+    """The keys of the witness family of the canonical node of ``t``:
+    renamed with its subject's pasting context."""
+    names = _canon_context(t.subject.ps)[1] if type(t.subject) is Coh else {}
+    return tuple([names.get(x.name, x) for x, _ in t.witnesses])
 
 
 def _canon_context(ctx: Context) -> tuple[Context, dict[str, Var]]:
@@ -852,11 +926,64 @@ def rec_head_key(t: Rec) -> Rec:
 
 
 def alpha_eq_term(a: Term, b: Term) -> bool:
-    return a is b or alpha_key_term(a) is alpha_key_term(b)
+    return a is b or _alpha_eq(a, b)
 
 
 def alpha_eq_type(a: Type, b: Type) -> bool:
-    return a is b or alpha_key_type(a) is alpha_key_type(b)
+    return a is b or _alpha_eq(a, b)
+
+
+def _alpha_eq(a: Term | Type, b: Term | Type) -> bool:
+    """Whether ``a`` and ``b`` have the same canonical node, decided by one
+    walk over both DAGs that builds no canonical node: heads compare by
+    their canonical heads (:func:`coh_head_key`, :func:`rec_head_key`),
+    variables by name, and two nodes that both keep their canonical node
+    by it.  A pair of nodes is visited once: a pair met again is equal,
+    for a pair found unequal ends the walk."""
+    seen: set[tuple[int, int]] = set()
+    todo = [(a, b)]
+    while todo:
+        a, b = todo.pop()
+        if a is b:
+            continue
+        c = type(a)
+        if c is not type(b) or c is VarRef or c is MetaRef or c is Obj:
+            # interned: distinct variables have distinct names, and there
+            # is one Obj; a metavariable is equal to itself only
+            return False
+        ka, kb = a._key, b._key
+        if ka is not None and kb is not None:
+            if (a if ka is True else ka) is not (b if kb is True else kb):
+                return False
+            continue
+        pair = (id(a), id(b))
+        if pair in seen:
+            continue
+        seen.add(pair)
+        if c is Arr:
+            todo += ((a.base, b.base), (a.src, b.src), (a.tgt, b.tgt))
+            continue
+        if c is Inv:
+            todo += ((a.base, b.base), (a.subject, b.subject))
+            continue
+        # a term: its head, everything but its free positions, then those
+        if (
+            c is Coh and coh_head_key(a.ps, a.ty) is not coh_head_key(b.ps, b.ty)
+            or c is Rec and rec_head_key(a) is not rec_head_key(b)
+            or c is Destr and a.kind != b.kind
+            or c is Can and _witness_keys(a) != _witness_keys(b)
+            or (c is Coh or c is Rec)
+            and (
+                _canon_context(a.sub.codomain)[0] is not _canon_context(b.sub.codomain)[0]
+                or _canon_names(a.sub) != _canon_names(b.sub)
+            )
+        ):
+            return False
+        xs, ys = children(a), children(b)
+        if len(xs) != len(ys):
+            return False
+        todo += zip(xs, ys)
+    return True
 
 
 def alpha_eq_context(a: Context, b: Context) -> bool:

@@ -1,5 +1,7 @@
 """The inverse and cancellator construction for coherence cells."""
 
+import json
+
 import pytest
 
 from icatt.builtins import comp_of, id_of
@@ -27,6 +29,8 @@ from icatt.syntax import (
     dim_type,
     identity_sub,
 )
+
+import fresh
 
 
 def arr0(s, t):
@@ -237,3 +241,48 @@ def _chain_can(k, dim):
 def test_all_components_check_chains(k, dim):
     amb, can_term = _chain_can(k, dim)
     _assert_components_check(amb, can_term)
+
+
+# four rounds of the six canonical components of every corpus `can`, each
+# round over the corpus contexts renamed apart; after each round, the live
+# entries of the intern table
+_ROUNDS_OF_COMPONENTS = """
+import gc, json, sys
+sys.setrecursionlimit(200_000)
+from icatt import syntax as s
+from icatt.elaborate import elaborate_decl
+from icatt.inverse import canonical_component
+from icatt.kernel import Environment, TermDecl, check_decl
+from icatt.parser import parse
+
+env, bodies = Environment(), []
+with open("proofs/invertibility.catt", encoding="utf-8") as corpus:
+    for sdecl in parse(corpus.read()):
+        decl = elaborate_decl(env, sdecl)
+        check_decl(env, decl)
+        if isinstance(decl, TermDecl):
+            bodies.append((decl.ctx, decl.term))
+sizes = []
+for i in range(4):
+    for ctx, term in bodies:
+        renamed = s.rename_vars_term(term, {v.name: f"{v.name}.{i}" for v, _ in ctx})
+        for t in s.subterms([renamed]):
+            if type(t) is s.Can:
+                for kind in s.DESTRUCTORS:
+                    canonical_component(t, kind)
+    gc.collect()
+    sizes.append(len(s._INTERN))
+print(json.dumps(sizes))
+"""
+
+
+def test_canonical_components_keep_no_dead_subject_alive():
+    """The cancellator stages of a canonical structure contain its
+    subject, so keeping them on the subject would root it through the
+    intern table's keys: after the first of four rounds of every corpus
+    ``can``'s components over renamed contexts, each round adds at most 8
+    live intern-table entries."""
+    out = fresh.run("-c", _ROUNDS_OF_COMPONENTS)
+    assert out.returncode == 0, out.stderr
+    sizes = json.loads(out.stdout)
+    assert all(b - a <= 8 for a, b in zip(sizes, sizes[1:])), sizes

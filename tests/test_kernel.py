@@ -670,7 +670,7 @@ def test_matching_agrees_with_instantiation(corpus_terms):
     subs += [(walking_equiv(1), gamma_sub(n)) for n in (2, 3)]
     verdicts = set()
     for ctx, sub in subs:
-        inst = kernel._Instantiate(sub.images())
+        inst = kernel._Instantiate(sub)
         actuals = [infer_term(ctx, t) for t in sub.terms()]
         for i, (_, v_ty) in enumerate(sub.codomain):
             expected = apply_sub_type(v_ty, sub)
@@ -746,6 +746,46 @@ def test_bad_substitution_text():
         "image of f has type x -> y, expected y -> x [bad-substitution]",
         "image of a has type comp f g -> h, expected comp f g2 -> h [bad-substitution]",
     ]
+
+
+def test_substitution_structure_texts_cold_and_warm():
+    """The diagnostics of a substitution that assigns the wrong name, too
+    many names, or onto the wrong codomain, byte for byte: checked cold,
+    and again after the cell of a correct twin was inferred."""
+    _in_fresh_interpreter(_substitution_structure_texts)
+
+
+def _substitution_structure_texts():
+    x, y, z = Var("x"), Var("y"), Var("z")
+    ps = Context(((x, Obj()),))
+    ambient = Context(((x, Obj()), (z, Obj())))
+    loop = arr0("x", "x")
+    bad = [
+        (Substitution(((z, v("x")),), ps), ps),
+        (Substitution(((x, v("x")), (z, v("z"))), ps), ps),
+        (Substitution(((y, v("x")),), Context(((y, Obj()),))), ps),
+    ]
+    want = [
+        "substitution assigns z where x was expected [bad-substitution]",
+        "substitution has 2 assignments for 1 variables [bad-substitution]",
+        "substitution codomain does not match [bad-substitution]",
+    ]
+
+    def texts():
+        out = []
+        for sub, cod in bad:
+            with pytest.raises(BadSubstitution) as exc:
+                check_sub(ambient, sub, cod)
+            out.append(str(exc.value))
+        return out
+
+    assert texts() == want
+    twin = Substitution(((x, v("z")),), ps)
+    assert infer_term(ambient, Coh(ps, loop, twin)) == arr0("z", "z")
+    assert texts() == want
+    for sub, _ in bad[:2]:
+        with pytest.raises(BadSubstitution):
+            infer_term(ambient, Coh(ps, loop, sub))
 
 
 def test_checking_the_corpus_instantiates_no_codomain():

@@ -10,9 +10,12 @@ from hypothesis import given, settings, strategies as st
 from icatt import syntax
 from icatt.builtins import comp_of, id_of
 from icatt.errors import UnboundVariable
+from icatt.inverse import canonical_component
 from icatt.kernel import infer_term
 from icatt.meta import suspend_judgment, walking_equiv
+from icatt.normalize import beta_reduce
 from icatt.syntax import (
+    DESTRUCTORS,
     Arr,
     Can,
     Coh,
@@ -20,6 +23,7 @@ from icatt.syntax import (
     Context,
     Destr,
     Inv,
+    MemoMap,
     MetaRef,
     Obj,
     Rec,
@@ -28,6 +32,7 @@ from icatt.syntax import (
     VarRef,
     alpha_eq_context,
     alpha_eq_term,
+    alpha_eq_type,
     alpha_key_context,
     alpha_key_term,
     alpha_key_type,
@@ -38,6 +43,7 @@ from icatt.syntax import (
     dim_type,
     fresh_name,
     identity_sub,
+    map_children,
     rename_vars_term,
     rename_vars_type,
     subterms,
@@ -125,6 +131,14 @@ def test_dimension_of_globular_example():
         (Var("h"), arr0("x", "x")),
     ))
     assert dim_context(ctx) == 2
+
+
+def test_dimension_refuses_what_is_not_a_type():
+    """A value that is not a type node is refused as a term node is."""
+    for x in (5, VarRef(Var("x"))):
+        with pytest.raises(TypeError) as exc:
+            dim_type(x)
+        assert str(exc.value) == f"not a type: {x!r}"
 
 
 def test_inv_dimension_matches_subject():
@@ -501,6 +515,48 @@ def test_alpha_keys_agree_with_reference(corpus_terms):
     n_ctxs = _assert_same_classes(contexts, alpha_key_context, ref.context)
     # the pools hold both alpha-equivalent and inequivalent entities
     assert 1 < n_terms < len(terms) and 1 < n_types < len(types) and 1 < n_ctxs < len(contexts)
+
+
+class _RenameApart(MemoMap):
+    """Each coherence rebuilt over its pasting context with every binder
+    renamed apart (``x`` to ``x~``), and each witness family's keys with
+    it: an alpha-equivalent copy sharing no coherence node."""
+
+    __slots__ = ()
+
+    def rebuild(self, t):
+        if isinstance(t, Coh):
+            m = {v.name: v.name + "~" for v, _ in t.ps}
+            ps = Context(tuple((Var(m[v.name]), rename_vars_type(ty, m)) for v, ty in t.ps))
+            sub = Substitution(tuple(zip(ps.vars(), map(self, t.sub.terms()))), ps)
+            return Coh(ps, rename_vars_type(t.ty, m), sub)
+        if isinstance(t, Can):
+            return Can(self(t.subject), tuple((Var(x.name + "~"), self(w)) for x, w in t.witnesses))
+        return map_children(t, self)
+
+
+def test_alpha_equality_is_equality_of_keys(corpus_terms):
+    """For every pair of a pool of terms (the corpus terms, copies of them
+    with every pasting-context binder renamed apart, their beta-normal
+    forms and the canonical components of their ``can``s), and of their
+    types, alpha-equality holds exactly when the alpha-keys are one node.
+    Every verdict is taken before any key of the copies is built."""
+    terms, types = [], []
+    for _, ctx, term, ty in corpus_terms:
+        apart = _RenameApart()
+        terms += [term, apart(term), beta_reduce(term)]
+        types += [ty, apart.type(ty)]
+        for can in [x for x in subterms([term]) if isinstance(x, Can)]:
+            for kind in DESTRUCTORS:
+                component = canonical_component(can, kind)
+                terms.append(component)
+                types.append(infer_term(ctx, component))
+    for pool, eq, key in ((terms, alpha_eq_term, alpha_key_term), (types, alpha_eq_type, alpha_key_type)):
+        pool = list({id(x): x for x in pool}.values())
+        verdicts = [[eq(a, b) for b in pool] for a in pool]
+        keys = [key(a) for a in pool]
+        assert verdicts == [[ka is kb for kb in keys] for ka in keys]
+        assert 1 < len(set(map(id, keys))) < len(pool)
 
 
 def _small_contexts(n):
