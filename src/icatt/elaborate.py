@@ -73,7 +73,7 @@ from .errors import (
     UnsolvedMeta,
     WrongWitnessSet,
 )
-from .kernel import CohDecl, Environment, RecDecl, TermDecl, infer_term
+from .kernel import CohDecl, Environment, RecDecl, TermDecl, convertible_terms, infer_term
 from .meta import (
     equiv_ind_context,
     suspend_context,
@@ -300,20 +300,27 @@ class Elaborator:
             self._bind(b, a)
             return
         c = type(a)
+        clash = None
         if c is not type(b):
-            raise UnificationFailure("terms do not unify")
-        if c is Coh:
+            clash = "terms do not unify"
+        elif c is Coh:
             if coh_head_key(a.ps, a.ty) is not coh_head_key(b.ps, b.ty):
-                raise UnificationFailure("distinct coherence heads")
+                clash = "distinct coherence heads"
         elif c is Rec:
             if rec_head_key(a) is not rec_head_key(b):
-                raise UnificationFailure("distinct recursive definitions")
+                clash = "distinct recursive definitions"
         elif c is VarRef and a.var.name == b.var.name:
             return
         elif not (
             c is Coind or c is Destr and a.kind == b.kind or c is Can and len(a.witnesses) == len(b.witnesses)
         ):
-            raise UnificationFailure("terms do not unify")
+            clash = "terms do not unify"
+        if clash is not None:
+            # two closed sides that clash are equal when the kernel's
+            # conversion, which compares beta-normal forms, says so
+            if a._open or b._open or not convertible_terms(a, b):
+                raise UnificationFailure(clash)
+            return
         # same head: unify position by position
         for c1, c2 in zip(children(a), children(b)):
             self.unify_term(c1, c2, seen)

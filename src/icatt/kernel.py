@@ -35,10 +35,15 @@ shared by the whole check.  The expected type is built only to report a
 failure.  The result type is instantiated once and kept on the
 coherence node (:func:`~icatt.syntax.coh_type`), where the elaborator
 put it when it built the cell.  A recursive
-definition's body is checked at every inference of a distinct ``Rec``
-node: such inferences are few (at most nine in one run of the corpus or
-of any benchmark workload), so a memo of bodies would not pay for
-itself.
+definition splits the same way: its body (the seed, the arrow-typed
+subject and the six other components over the seed and its inductive
+extension) is checked once per canonical head
+(:func:`~icatt.syntax.rec_head_key`), and only its successes are marked
+on that head (:func:`_check_rec_body`), while every instance infers its
+subject, checks its substitution and builds its result type.  A body
+check costs an inductive extension, a suspension and seven inferences:
+checking the corpus infers recursors 7 times over 3 heads, and the
+``metatheory`` benchmark 9 times over 3.
 """
 
 from __future__ import annotations
@@ -84,12 +89,14 @@ from .syntax import (
     alpha_eq_type,
     apply_sub_term,
     apply_sub_type,
+    built_on,
     coh_head_key,
     coh_type,
     dim_type,
     identity_sub,
     known_over,
     learn_over,
+    rec_head_key,
     top_entries,
     top_variables,
     variables_used_term,
@@ -281,6 +288,16 @@ def _infer_can(ctx: Context, t: Can) -> Type:
 
 def _infer_rec(ctx: Context, t: Rec) -> Type:
     seed = t.sub.codomain
+    built_on(rec_head_key(t), ("body",), lambda: _check_rec_body(seed, t))
+    t_ty = infer_term(seed, t.t)
+    check_sub(ctx, t.sub, seed)
+    return Inv(apply_sub_type(t_ty, t.sub), apply_sub_term(t.t, t.sub))
+
+
+def _check_rec_body(seed: Context, t: Rec) -> bool:
+    """Check a recursor's body: its seed is a walking equivalence, its
+    subject is arrow-typed over the seed, and its six other components
+    have their types over the seed and its inductive extension."""
     if len(seed.names()) != len(seed):
         raise DuplicateVariable("seed context of a recursive definition repeats a name")
     if not seed.entries or not isinstance(seed.entries[-1][1], Inv):
@@ -293,8 +310,7 @@ def _infer_rec(ctx: Context, t: Rec) -> Type:
         raise TypeMismatch("recursive definitions need a positive-dimensional subject")
     ind_ctx, _, _ = equiv_ind_context(seed, t.t, t_ty)
     _check_components(seed, ind_ctx, t_ty, t.components())
-    check_sub(ctx, t.sub, seed)
-    return Inv(apply_sub_type(t_ty, t.sub), apply_sub_term(t.t, t.sub))
+    return True
 
 
 def check_sub(ctx: Context, sub: Substitution, cod: Context) -> Substitution:

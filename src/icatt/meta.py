@@ -7,7 +7,12 @@ in that order, so the kernel's pasting judgment and the reordering used
 by opposites and the inverse construction cannot disagree.
 
 Suspension and opposites are :class:`~icatt.syntax.MemoMap` passes, so
-they cost the distinct nodes of shared syntax; disks, spheres and
+they cost the distinct nodes of shared syntax.  What suspension derives
+from a head alone is kept on the node it suspends, so it is made once
+per head, however many passes meet it: a context's suspension on the
+context, a coherence type's on the type (by the base of its pasting
+context's suspension), and a recursor's suspended head cell on the
+recursor.  Disks, spheres and
 walking equivalences are built with canonical names (``d0-``, ``d0+``,
 ``d1``, ``e1``, ...) so that classifying substitutions are easy to
 assemble.  Suspending a canonical context gives an alpha-equal copy of
@@ -37,6 +42,7 @@ from .syntax import (
     VarRef,
     apply_sub_term,
     apply_sub_type,
+    built_on,
     compose_sub,
     dim_context,
     dim_type,
@@ -60,7 +66,7 @@ def suspend_term(t: Term, base: tuple[Term, Term]) -> Term:
 
 
 def suspend_context(ctx: Context) -> Context:
-    return _Suspension(_base_avoiding(ctx)).entries(ctx)
+    return _suspended_context(ctx)
 
 
 def suspension_base(sctx: Context) -> tuple[Term, Term]:
@@ -71,28 +77,39 @@ def suspension_base(sctx: Context) -> tuple[Term, Term]:
 def suspend_sub(sub: Substitution, base: tuple[Term, Term]) -> Substitution:
     """Suspend a substitution; ``base`` gives the images of the two new
     codomain objects (the new domain objects, at a top-level use)."""
-    s = _Suspension(base)
-    return s.onto(sub, s.at(_base_avoiding(sub.codomain)).entries(sub.codomain))
+    return _Suspension(base).onto(sub, _suspended_context(sub.codomain))
 
 
 def suspend_judgment(ctx: Context, t: Term, ty: Type) -> tuple[Context, Term, Type]:
     """Suspend a typed term together with its context."""
-    s = _Suspension(_base_avoiding(ctx))
-    return s.entries(ctx), s(t), s.type(ty)
+    sctx = _suspended_context(ctx)
+    s = _Suspension(suspension_base(sctx))
+    return sctx, s(t), s.type(ty)
 
 
-def _base_avoiding(ctx: Context) -> tuple[Term, Term]:
-    """The base objects of the suspension of ``ctx``."""
-    avoid = ctx.names()
-    return VarRef(Var(fresh_name("v-", avoid))), VarRef(Var(fresh_name("v+", avoid)))
+def _suspended_context(ctx: Context) -> Context:
+    """``ctx`` suspended onto two new objects whose names it avoids, kept
+    on ``ctx``."""
+
+    def build() -> Context:
+        avoid = ctx.names()
+        neg, pos = Var(fresh_name("v-", avoid)), Var(fresh_name("v+", avoid))
+        s = _Suspension((VarRef(neg), VarRef(pos)))
+        return Context(((neg, Obj()), (pos, Obj())) + tuple((v, s.type(ty)) for v, ty in ctx))
+
+    return built_on(ctx, ("suspension",), build)
 
 
 class _Suspension(MemoMap):
     """Suspension onto ``base``: the object type becomes the arrow type
     between the base objects, and each coherence or recursor head is
-    suspended by the pass onto its own base.  The first pass of a call
-    keeps one pass per other base in ``passes``, and each refers to it
-    weakly (``first``), so no pass is part of a reference cycle."""
+    suspended onto its own base, the one its context's suspension starts
+    with.  A head's suspension is kept on the node it suspends: a
+    context's on the context, a coherence type's on the type (by base),
+    and a recursor's suspended head cell on the recursor.  The first pass
+    of a call keeps one pass per other base in ``passes``, and each
+    refers to it weakly (``first``), so no pass is part of a reference
+    cycle."""
 
     __slots__ = ("base", "first", "passes", "__weakref__")
 
@@ -107,26 +124,26 @@ class _Suspension(MemoMap):
             return first
         return first.passes.get(base) or first.passes.setdefault(base, _Suspension(base, self.first))
 
-    def entries(self, ctx: Context) -> Context:
-        """``ctx`` suspended onto this base, whose names it avoids."""
-        neg, pos = self.base
-        return Context(((neg.var, Obj()), (pos.var, Obj())) + tuple((v, self.type(ty)) for v, ty in ctx))
-
     def type(self, ty: Type) -> Type:
         return Arr(ty, *self.base) if type(ty) is Obj else MemoMap.type(self, ty)
 
     def rebuild(self, t: Term) -> Term:
         c = type(t)
         if c is Coh:
-            ps = t.ps
-            head = self.at(_base_avoiding(ps))
-            sps = head.entries(ps)
-            return Coh(sps, head.type(t.ty), self.onto(t.sub, sps))
+            sps = _suspended_context(t.ps)
+            base = suspension_base(sps)
+            sty = built_on(t.ty, ("suspension", *base), lambda: self.at(base).type(t.ty))
+            return Coh(sps, sty, self.onto(t.sub, sps))
         if c is Rec:
-            head = self.at(_base_avoiding(t.sub.codomain))
-            sseed = head.entries(t.sub.codomain)
-            return Rec(*map(head, t.components()), self.onto(t.sub, sseed))
+            cell = built_on(t, ("suspension",), lambda: self.head_cell(t))
+            return Rec(*cell.components(), self.onto(t.sub, cell.sub.codomain))
         return map_children(t, self)
+
+    def head_cell(self, t: Rec) -> Rec:
+        """The suspension of ``t``'s head: its components suspended onto
+        the base of its seed's suspension, at the identity of that."""
+        sseed = _suspended_context(t.sub.codomain)
+        return Rec(*map(self.at(suspension_base(sseed)), t.components()), identity_sub(sseed))
 
     def onto(self, sub: Substitution, scod: Context) -> Substitution:
         """``sub`` suspended onto ``scod``, the suspension of its codomain."""

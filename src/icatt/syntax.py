@@ -86,12 +86,22 @@ Cache policy.  Memory of past work lives as long as the syntax it is
 about.  ``_INTERN``, the only module-level table, holds every closed
 node weakly, under its fields; an entry goes when its node dies.  Facts
 about a node are slots on it (see :class:`_Node`): among them its
-canonical node, its dimension, a substitution's instantiated codomain
-and a coherence cell's instantiated type, each computed once per node.
+canonical node, its dimension, a substitution's instantiated codomain,
+a coherence cell's instantiated type and a recursor's canonical head
+(:func:`rec_head_key`), each computed once per node.
 A fact about a node over a context is one weak reference to the
 context, which carries the fact, kept on the node (a dict of them once
 it has several; :func:`learn_over`); its callback drops it when the
-context dies.  No fact kept on a node may contain that node: the keys of
+context dies.  What depends only on a head is kept on the head, and so
+made once per head: on a coherence's type, over its pasting context,
+its canonical head cell (:func:`coh_head_key`); on that cell, the mark
+of a checked head (:mod:`icatt.kernel`) and, over the pasting context,
+weak references to its cancellator plans (:mod:`icatt.inverse`); on a
+canonical recursor head, the mark of a checked body; on a context, its
+suspension; on a coherence's type, its suspension onto the base of its
+context's; and on a recursor, its suspended head cell
+(:mod:`icatt.meta`; :func:`built_on`).  No fact kept
+on a node may contain that node: the keys of
 ``_INTERN`` hold the fields of every node strongly, so the fact would
 keep the node alive for the life of the process.  Traversal memos last
 one pass.
@@ -177,8 +187,9 @@ class _Node:
     :mod:`icatt.inverse` learn about it (``_known``, see
     :func:`learn_over` and :func:`built_on`); in ``_fact``, a type's
     dimension, a substitution's instantiated codomain, a coherence's
-    instantiated type, or a telescope's explicit argument positions,
-    which the elaborator writes; and whether it is open (``_open``)."""
+    instantiated type, a recursor's canonical head, or a telescope's
+    explicit argument positions, which the elaborator writes; and
+    whether it is open (``_open``)."""
 
     __slots__ = ("_key", "_beta", "_keys", "_known", "_fact", "_open", "__weakref__")
 
@@ -634,23 +645,19 @@ def _renaming(mapping: dict[str, str]) -> _Instantiate:
 
 
 def dim_type(ty: Type) -> int:
-    """The dimension of ``ty``'s cells minus one; kept on the node, from
-    its base's."""
-    try:
+    """The dimension of ``ty``'s cells minus one; kept on an arrow or
+    invertibility type, from its base's.  The class is tested first,
+    since other nodes keep other facts in the same slot."""
+    c = type(ty)
+    if c is Arr or c is Inv:
         d = ty._fact
-    except AttributeError:  # not a node: refused by the class test below
-        d = None
-    if d is None:
-        c = type(ty)
-        if c is Obj:
-            d = -1
-        elif c is Arr or c is Inv:
+        if d is None:
             # an invertibility structure has the dimension of its subject
-            d = dim_type(ty.base) + 1
-        else:
-            raise TypeError(f"not a type: {ty!r}")
-        ty._fact = d
-    return d
+            d = ty._fact = dim_type(ty.base) + 1
+        return d
+    if c is Obj:
+        return -1
+    raise TypeError(f"not a type: {ty!r}")
 
 
 def dim_context(ctx: Context) -> int:
@@ -917,12 +924,26 @@ def rec_head_key(t: Rec) -> Rec:
     """The canonical head of a recursor: its components made canonical,
     the first five over its seed and the last two over the seed extended
     by the two inductive-hypothesis variables, at the identity of its
-    canonical seed."""
-    seed = t.sub.codomain
-    canon, bound = _canon_context(seed)
-    ext = {**bound, **{h: Var(f"#{len(seed) + i}") for i, h in enumerate(rec_hyp_names(seed))}}
-    comps = t.components()
-    return Rec(*map(_Canon(bound), comps[:5]), *map(_Canon(ext), comps[5:]), identity_sub(canon))
+    canonical seed.  Kept on ``t`` and on its head cell, the recursor
+    with its components at the identity of its seed, so recursors share
+    it while one of them or their head cell lives (True when it is the
+    node itself, so no node refers to itself)."""
+    k = t._fact
+    if k is None:
+        seed = t.sub.codomain
+        cell = Rec(*t.components(), identity_sub(seed))
+        k = cell._fact
+        if k is None:
+            canon, bound = _canon_context(seed)
+            ext = {**bound, **{h: Var(f"#{len(seed) + i}") for i, h in enumerate(rec_hyp_names(seed))}}
+            comps = t.components()
+            k = Rec(*map(_Canon(bound), comps[:5]), *map(_Canon(ext), comps[5:]), identity_sub(canon))
+            cell._fact = True if k is cell else k
+        elif k is True:
+            k = cell
+        if t is not cell:
+            t._fact = k
+    return t if k is True else k
 
 
 def alpha_eq_term(a: Term, b: Term) -> bool:

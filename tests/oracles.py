@@ -4,6 +4,7 @@ never needs."""
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 from icatt.errors import BadSubstitution, NotFull, SyntaxErrorIcatt
@@ -24,6 +25,7 @@ from icatt.printer import show
 from icatt.syntax import (
     DESTRUCTORS,
     Arr,
+    Can,
     Context,
     Destr,
     Inv,
@@ -37,6 +39,7 @@ from icatt.syntax import (
     alpha_key_term,
     apply_sub_type,
     dim_type,
+    subterms,
 )
 
 # ---------------------------------------------------------------------------
@@ -285,3 +288,66 @@ def print_surface_decl(d: SurfaceDecl) -> str:
 
 def print_surface_file(decls) -> str:
     return "\n\n".join(print_surface_decl(d) for d in decls) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Structural digests
+# ---------------------------------------------------------------------------
+
+
+def dag_digest(root) -> str:
+    """The SHA-256 of ``root``'s DAG serialised with node numbering: each
+    distinct node once, after its parts, as its class and its fields,
+    where a node is written as its number and a name, a destructor kind
+    or None by value.  Two roots digest alike exactly when they are the
+    same syntax, names included, whatever their sharing."""
+    number: dict[int, int] = {}
+    lines: list[str] = []
+    stack = [(root, False)]
+    while stack:
+        node, ready = stack.pop()
+        if id(node) in number:
+            continue
+        fields = [getattr(node, f) for f in type(node).__match_args__]
+        if ready:
+            number[id(node)] = len(lines)
+            lines.append(f"{type(node).__name__} {_serialise(fields, number)}")
+            continue
+        stack.append((node, True))
+        stack += [(x, False) for x in reversed(_nodes_in(fields))]
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+
+
+def _nodes_in(value) -> list:
+    if isinstance(value, (list, tuple)):
+        return [x for v in value for x in _nodes_in(v)]
+    return [] if value is None or isinstance(value, str) else [value]
+
+
+def _serialise(value, number: dict[int, int]) -> str:
+    if isinstance(value, (list, tuple)):
+        return "(" + " ".join(_serialise(v, number) for v in value) + ")"
+    if value is None or isinstance(value, str):
+        return repr(value)
+    return f"#{number[id(value)]}"
+
+
+def corpus_component_digests(decls) -> list[str]:
+    """One line per distinct canonical structure of the checked
+    declarations ``decls``, in order of first occurrence: its digest and
+    the digests of its six canonical components, in the order of
+    :data:`~icatt.syntax.DESTRUCTORS`."""
+    from icatt.inverse import canonical_component
+    from icatt.kernel import RecDecl, TermDecl
+
+    roots = []
+    for decl in decls:
+        if isinstance(decl, TermDecl):
+            roots.append(decl.term)
+        elif isinstance(decl, RecDecl):
+            roots += decl.components
+    return [
+        " ".join([dag_digest(t)] + [dag_digest(canonical_component(t, kind)) for kind in DESTRUCTORS])
+        for t in subterms(roots)
+        if isinstance(t, Can)
+    ]

@@ -465,3 +465,14 @@ def test_unifier_failure_texts():
         with pytest.raises(TypeError) as info:
             fail(arg)
         assert str(info.value) == text
+
+
+def test_closed_sides_that_clash_unify_up_to_conversion():
+    """A body whose type differs from the declared one only up to
+    beta-reduction is accepted: ``linv (can (id x { }))`` reduces to
+    ``id x``, and the elaborator settles a clash of two closed sides by
+    the kernel's conversion, as the kernel does."""
+    env = Environment()
+    (sdecl,) = parse("let c (x : *) : linv (can (id x { })) -> linv (can (id x { })) = id (id x)\n")
+    check_decl(env, elaborate_decl(env, sdecl))
+    assert isinstance(env.lookup("c"), TermDecl)

@@ -31,6 +31,7 @@ from icatt.syntax import (
 )
 
 import fresh
+from oracles import corpus_component_digests
 
 
 def arr0(s, t):
@@ -286,3 +287,65 @@ def test_canonical_components_keep_no_dead_subject_alive():
     assert out.returncode == 0, out.stderr
     sizes = json.loads(out.stdout)
     assert all(b - a <= 8 for a, b in zip(sizes, sizes[1:])), sizes
+
+
+def test_canonical_components_match_golden_digests(corpus_env):
+    """The six canonical components of every distinct ``can`` in the
+    checked corpus are, node for node, the syntax recorded in
+    ``tests/golden/can_components.txt`` (see
+    :func:`oracles.corpus_component_digests`)."""
+    _, checked = corpus_env
+    golden = (fresh.ROOT / "tests" / "golden" / "can_components.txt").read_text(encoding="utf-8")
+    assert corpus_component_digests(checked) == golden.splitlines()
+
+
+# the six canonical components of every corpus `can`, twice: the plans and
+# instance passes each round makes, and the distinct heads and structures
+_PLANS_PER_HEAD = """
+import json, sys
+sys.setrecursionlimit(200_000)
+from icatt import inverse, syntax as s
+from icatt.elaborate import elaborate_decl
+from icatt.kernel import Environment, TermDecl, check_decl
+from icatt.parser import parse
+
+plans, passes = [], []
+make, stages = inverse._Plan.__init__, inverse._Plan.stages
+def counting_make(self, subject, side):
+    plans.append((subject.ps, subject.ty, side))
+    make(self, subject, side)
+def counting_stages(self, subject, witnesses):
+    passes.append((subject, self.side))
+    return stages(self, subject, witnesses)
+inverse._Plan.__init__, inverse._Plan.stages = counting_make, counting_stages
+
+env, bodies = Environment(), []
+with open("proofs/invertibility.catt", encoding="utf-8") as corpus:
+    for sdecl in parse(corpus.read()):
+        decl = elaborate_decl(env, sdecl)
+        check_decl(env, decl)
+        if isinstance(decl, TermDecl):
+            bodies.append(decl.term)
+cans = [t for t in s.subterms(bodies) if type(t) is s.Can]
+rounds = []
+for _ in range(2):
+    for t in cans:
+        for kind in s.DESTRUCTORS:
+            inverse.canonical_component(t, kind)
+    rounds.append((len(plans), len(passes)))
+heads = {(c.ps, c.ty, side) for c, side in passes}
+print(json.dumps([rounds, len(heads), len(set(plans)), len({(id(c.ps), id(c.ty), side) for c, side in passes})]))
+"""
+
+
+def test_cancellator_plans_once_per_head():
+    """Each cancellator plan is built once per subject pasting context,
+    type and side, while every structure's stages are built by their own
+    pass over it, once: over the corpus's ``can``s, fewer plans than
+    passes, and a second round builds neither."""
+    out = fresh.run("-c", _PLANS_PER_HEAD)
+    assert out.returncode == 0, out.stderr
+    rounds, heads, distinct_plans, _ = json.loads(out.stdout)
+    (plans, passes), again = rounds
+    assert again == [plans, passes]
+    assert plans == distinct_plans == heads < passes

@@ -63,6 +63,7 @@ from icatt.syntax import (
     coh_head_key,
     identity_sub,
     rename_vars_term,
+    rename_vars_type,
     subterms,
 )
 
@@ -786,6 +787,93 @@ def _substitution_structure_texts():
     for sub, _ in bad[:2]:
         with pytest.raises(BadSubstitution):
             infer_term(ambient, Coh(ps, loop, sub))
+
+
+def test_recursor_bodies_check_once_per_head():
+    """Checking the corpus infers recursors 7 times, over 3 canonical
+    heads, and checks each head's body once."""
+    _in_fresh_interpreter(_recursor_bodies_check_once_per_head)
+
+
+def _counting_rec_bodies() -> tuple[list, list]:
+    bodies, inferences = [], []
+    check_body, infer_rec = kernel._check_rec_body, kernel._infer_rec
+
+    def counting_body(seed, t):
+        bodies.append(t)  # held, so no head is rebuilt as a new node
+        return check_body(seed, t)
+
+    def counting_rec(ctx, t):
+        inferences.append(t)
+        return infer_rec(ctx, t)
+
+    kernel._check_rec_body, kernel._infer_rec = counting_body, counting_rec
+    return bodies, inferences
+
+
+def _recursor_bodies_check_once_per_head():
+    bodies, inferences = _counting_rec_bodies()
+    env = Environment()
+    for sdecl in parse(fresh.CORPUS.read_text(encoding="utf-8")):
+        check_decl(env, elaborate_decl(env, sdecl))
+    assert (len(bodies), len(inferences)) == (3, 7)
+    assert len({syntax.rec_head_key(t) for t in inferences}) == 3
+
+
+def _linv_inv_unchecked():
+    """The corpus up to linv-inv checked, and linv-inv elaborated."""
+    env = Environment()
+    for sdecl in parse(fresh.CORPUS.read_text(encoding="utf-8")):
+        decl = elaborate_decl(env, sdecl)
+        if decl.name == "linv-inv":
+            return decl
+        check_decl(env, decl)
+
+
+def _renamed_rec(seed, comps, tag):
+    """The recursor over ``seed`` with ``comps``, its seed's names renamed
+    apart by ``tag``."""
+    ren = {x.name: f"{x.name}.{tag}" for x, _ in seed}
+    renamed = Context(tuple((Var(ren[x.name]), rename_vars_type(ty, ren)) for x, ty in seed))
+    return Rec(*(rename_vars_term(c, ren) for c in comps), identity_sub(renamed))
+
+
+def test_alpha_renamed_recursors_share_one_body_check():
+    """Two copies of linv-inv with their seeds renamed apart have one
+    canonical head, and inferring both checks its body once."""
+    _in_fresh_interpreter(_alpha_renamed_recursors_share_one_body_check)
+
+
+def _alpha_renamed_recursors_share_one_body_check():
+    decl = _linv_inv_unchecked()
+    bodies, _ = _counting_rec_bodies()
+    copies = [_renamed_rec(decl.seed, decl.components, tag) for tag in "ab"]
+    assert copies[0] is not copies[1]
+    assert syntax.rec_head_key(copies[0]) is syntax.rec_head_key(copies[1])
+    for r in copies:
+        assert isinstance(infer_term(r.sub.codomain, r), Inv)
+    assert len(bodies) == 1
+
+
+def test_failing_recursor_body_fails_on_every_use():
+    """A recursor whose body does not check is never remembered: each use
+    raises the same category, before and after its well-typed twin and an
+    alpha-renamed copy of it are inferred."""
+    _in_fresh_interpreter(_failing_recursor_body_fails_on_every_use)
+
+
+def _failing_recursor_body_fails_on_every_use():
+    decl = _linv_inv_unchecked()
+    t, _, *rest = decl.components
+    bad_comps = (t, t, *rest)  # the left inverse of f : x -> y must go y -> x
+    bad = Rec(*bad_comps, identity_sub(decl.seed))
+    cold = _verdict(decl.seed, bad)
+    good = Rec(*decl.components, identity_sub(decl.seed))  # held, and so are the facts on its nodes
+    assert isinstance(_verdict(decl.seed, good), Inv)
+    copy = _renamed_rec(decl.seed, bad_comps, "a")
+    assert syntax.rec_head_key(copy) is syntax.rec_head_key(bad)
+    warm = [_verdict(decl.seed, bad), _verdict(copy.sub.codomain, copy), _verdict(decl.seed, bad)]
+    assert cold == "type-mismatch" and warm == [cold] * 3
 
 
 def test_checking_the_corpus_instantiates_no_codomain():

@@ -1,6 +1,8 @@
 """Meta-operations: suspension, opposites, disks/spheres, classifiers,
 the inductive extension of the walking equivalence."""
 
+import json
+
 import pytest
 
 from icatt.builtins import comp_of, id_of
@@ -24,6 +26,7 @@ from icatt.meta import (
     walking_equiv,
     wit_classifier,
 )
+import fresh
 from icatt.syntax import (
     Arr,
     Substitution,
@@ -311,3 +314,62 @@ def test_opposites_and_suspension_cost_distinct_nodes(monkeypatch):
         assert len(built) <= 20 * depth
     monkeypatch.setattr(syntax, "_cons", cons)
     assert opposite_term(1, opposite_term(1, r)) is r
+
+
+# the corpus checked, then every corpus body and coherence cell suspended
+# twice, each time with its context: the suspensions of contexts,
+# coherence heads and recursors that are built, and the ones met
+_SUSPENSIONS_PER_HEAD = """
+import json, sys
+sys.setrecursionlimit(200_000)
+from icatt import meta, syntax as s
+from icatt.elaborate import elaborate_decl
+from icatt.kernel import CohDecl, Environment, TermDecl, check_decl
+from icatt.parser import parse
+
+met, built = [], []
+rebuild, keep = meta._Suspension.rebuild, meta.built_on
+def counting_rebuild(self, t):
+    met.append(t)
+    return rebuild(self, t)
+def counting_keep(node, key, build):
+    def counted():
+        built.append(node)
+        return build()
+    return keep(node, key, counted)
+meta._Suspension.rebuild, meta.built_on = counting_rebuild, counting_keep
+
+env, items = Environment(), []
+with open("proofs/invertibility.catt", encoding="utf-8") as corpus:
+    for sdecl in parse(corpus.read()):
+        decl = elaborate_decl(env, sdecl)
+        check_decl(env, decl)
+        if isinstance(decl, TermDecl):
+            items.append((decl.ctx, decl.term, decl.ty))
+        elif isinstance(decl, CohDecl):
+            items.append((decl.ps, s.Coh(decl.ps, decl.ty, s.identity_sub(decl.ps)), decl.ty))
+
+out, rounds = [], []
+for _ in range(2):
+    out += [meta.suspend_judgment(*item) for item in items]
+    rounds.append(len(built))
+kinds = [type(node).__name__ for node in built]
+heads = {(t.ty, meta.suspension_base(meta.suspend_context(t.ps))) for t in met if type(t) is s.Coh}
+contexts = {ctx for ctx, _, _ in items} | {t.ps for t in met if type(t) is s.Coh}
+contexts |= {t.sub.codomain for t in met if type(t) is s.Rec}
+recs = {t for t in met if type(t) is s.Rec}
+print(json.dumps([rounds, kinds.count("Context"), len(contexts), kinds.count("Arr"), len(heads),
+                  kinds.count("Rec"), len(recs), len(built) == len(set(map(id, built)))]))
+"""
+
+
+def test_suspension_keeps_each_head_once():
+    """Suspension keeps what it derives from a head on the node it
+    suspends: checking the corpus, then suspending every corpus body and
+    coherence cell twice, suspends each context, each coherence head and
+    each recursor once, and the second round suspends none."""
+    out = fresh.run("-c", _SUSPENSIONS_PER_HEAD)
+    assert out.returncode == 0, out.stderr
+    rounds, contexts, met_contexts, heads, met_heads, recs, met_recs, once = json.loads(out.stdout)
+    assert rounds[0] == rounds[1] > 0 and once
+    assert (contexts, heads, recs) == (met_contexts, met_heads, met_recs)

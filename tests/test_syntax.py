@@ -38,12 +38,14 @@ from icatt.syntax import (
     alpha_key_type,
     apply_sub_term,
     apply_sub_type,
+    coh_type,
     compose_sub,
     dim_context,
     dim_type,
     fresh_name,
     identity_sub,
     map_children,
+    rec_head_key,
     rename_vars_term,
     rename_vars_type,
     subterms,
@@ -139,6 +141,22 @@ def test_dimension_refuses_what_is_not_a_type():
         with pytest.raises(TypeError) as exc:
             dim_type(x)
         assert str(exc.value) == f"not a type: {x!r}"
+
+
+def test_dimension_refuses_a_node_keeping_another_fact():
+    """A coherence cell and a recursor are refused before and after they
+    keep another fact in the slot where a type keeps its dimension: the
+    cell its instantiated type, the recursor its canonical head."""
+    x = VarRef(Var("x"))
+    cell = id_of(x, Obj())
+    rec = Rec(x, x, x, x, x, x, x, identity_sub(Context(((Var("x"), Obj()),))))
+    for node, keep in ((cell, coh_type), (rec, rec_head_key)):
+        for _ in range(2):
+            with pytest.raises(TypeError) as exc:
+                dim_type(node)
+            assert str(exc.value) == f"not a type: {node!r}"
+            keep(node)
+    assert coh_type(cell) is Arr(Obj(), x, x)
 
 
 def test_inv_dimension_matches_subject():
