@@ -41,15 +41,20 @@ arguments is stored once, and later traversals of the declaration cost
 its number of distinct nodes.  Nothing is attempted that may fail on
 accepted input, so no solution is ever undone.
 
-Unification is the fallback of matching, for a pattern that is not a
-telescope variable.  It costs distinct node pairs, not tree size.
-Identical terms unify at once, and each top-level call (a
-:meth:`Elaborator.unify_term` or :meth:`Elaborator.unify_type` from
-outside the unifier) keeps one set of the pairs of nodes, by identity,
-it has unified, visiting each pair once; the set is dropped when the
-call returns.  This is sound because a pair unified once stays unified,
-and a failure raises out of the whole elaboration.  The occurs check
-walks each open node once, following solved metas, and builds nothing.
+Matching is unification with an assignment table: given one,
+:meth:`Elaborator.unify_type` reads its first side as a pattern over the
+schema's telescope, in which a variable with no image gets its
+counterpart, a variable with one stands for it, and any other term is
+instantiated and then unified.  Unification costs distinct node pairs,
+not tree size.  Identical terms unify at once, and each top-level call
+(a :meth:`Elaborator.unify_term` or :meth:`Elaborator.unify_type` from
+outside the unifier) keeps one set of the pairs of nodes it has unified,
+visiting each pair once; the set holds its nodes, so an instance made
+for a pattern is never mistaken for a later node at its address, and
+goes when the call returns.  This is sound because a pair unified once
+stays unified, and a failure raises out of the whole elaboration.  The
+occurs check walks each open node once, following solved metas, and
+builds nothing.
 A telescope's explicit positions are computed once and cached on its
 :class:`~icatt.syntax.Context`.
 """
@@ -280,16 +285,28 @@ class Elaborator:
 
     # -- unification -------------------------------------------------------
 
-    def unify_term(self, a: Term, b: Term, seen: set | None = None) -> None:
+    def unify_term(self, a: Term, b: Term, seen: set | None = None, assign: dict | None = None) -> None:
         """Unify ``a`` with ``b``, solving metas.  ``seen`` holds the pairs
-        of nodes (by identity) already unified by the same top-level call;
-        a call from outside the unifier leaves it out and gets a fresh one."""
+        of nodes already unified by the same top-level call, which it keeps
+        alive; a call from outside the unifier leaves it out and gets a
+        fresh one.  With ``assign``, ``a`` is a pattern over a schema's
+        telescope: a telescope variable with no image in ``assign`` gets
+        ``b``, one with an image stands for it, and any other pattern is
+        instantiated (:class:`_Instantiator`)."""
+        if assign is not None:
+            if type(a) is not VarRef:
+                a = _Instantiator(self, assign)(a)
+            elif a.var.name in assign:
+                a = assign[a.var.name]
+            else:
+                assign[a.var.name] = b
+                return
         a, b = self.resolve(a), self.resolve(b)
         if a is b:
             return
         if seen is None:
             seen = set()
-        pair = (id(a), id(b))
+        pair = (a, b)
         if pair in seen:
             return
         seen.add(pair)
@@ -347,8 +364,11 @@ class Elaborator:
                 stack.extend(children(x))
         return False
 
-    def unify_type(self, a: Type | None, b: Type | None, seen: set | None = None) -> None:
-        """Unify two types; ``seen`` as for :meth:`unify_term`."""
+    def unify_type(
+        self, a: Type | None, b: Type | None, seen: set | None = None, assign: dict | None = None
+    ) -> None:
+        """Unify two types, base first; ``seen`` and ``assign`` as for
+        :meth:`unify_term`, each one for the whole type."""
         if a is None or b is None:
             return
         if seen is None:
@@ -358,13 +378,13 @@ class Elaborator:
             if c is Obj:
                 return
             if c is Arr:
-                self.unify_type(a.base, b.base, seen)
-                self.unify_term(a.src, b.src, seen)
-                self.unify_term(a.tgt, b.tgt, seen)
+                self.unify_type(a.base, b.base, seen, assign)
+                self.unify_term(a.src, b.src, seen, assign)
+                self.unify_term(a.tgt, b.tgt, seen, assign)
                 return
             if c is Inv:
-                self.unify_type(a.base, b.base, seen)
-                self.unify_term(a.subject, b.subject, seen)
+                self.unify_type(a.base, b.base, seen, assign)
+                self.unify_term(a.subject, b.subject, seen, assign)
                 return
         raise UnificationFailure("types do not unify")
 
@@ -558,14 +578,14 @@ class Elaborator:
                 # an explicit variable occurs in no slot's type
                 assign[v.name], ty = data
                 try:
-                    self._match_type(v_ty, ty, assign)
+                    self.unify_type(v_ty, ty, assign=assign)
                 except UnificationFailure as e:
                     raise UnificationFailure(
                         f"argument for {v.name} does not fit: {e.message}", span=span
                     )
         if expected is not None:
             try:
-                self._match_type(schema.ty, expected, assign)
+                self.unify_type(schema.ty, expected, assign=assign)
             except UnificationFailure as e:
                 raise UnificationFailure(f"result does not fit here: {e.message}", span=span)
         for pos, data in zip(explicit, arg_data):
@@ -602,36 +622,6 @@ class Elaborator:
         if schema.kind == "term":
             return apply_sub_term(schema.term, sub), out_ty
         return Rec(*schema.components, sub), out_ty
-
-    def _match_type(self, pat: Type, ty: Type, assign: dict[str, Term]) -> None:
-        """Match ``pat``, a type over a schema's telescope, against
-        ``ty``: a telescope variable with no image gets its counterpart,
-        and any other pair of terms is unified with ``pat``'s side
-        instantiated."""
-        c = type(pat)
-        if c is type(ty):
-            if c is Obj:
-                return
-            if c is Arr:
-                self._match_type(pat.base, ty.base, assign)
-                self._match_term(pat.src, ty.src, assign)
-                self._match_term(pat.tgt, ty.tgt, assign)
-                return
-            if c is Inv:
-                self._match_type(pat.base, ty.base, assign)
-                self._match_term(pat.subject, ty.subject, assign)
-                return
-        raise UnificationFailure("types do not unify")
-
-    def _match_term(self, pat: Term, t: Term, assign: dict[str, Term]) -> None:
-        if type(pat) is VarRef:
-            image = assign.get(pat.var.name)
-            if image is None:
-                assign[pat.var.name] = t
-                return
-        else:
-            image = _Instantiator(self, assign)(pat)
-        self.unify_term(image, t)
 
     def _elab_can(self, s: SCan, expected: Type | None) -> tuple[Term, Type | None]:
         expected = self._zonkish_type(expected)
@@ -724,9 +714,9 @@ def elaborate_decl(env: Environment, sdecl: SurfaceDecl):
     # the telescope is read into the elaborator's scope, and its context
     # built once at the end
     entries = []
-    for name, sty in sdecl.telescope:
+    for (name, sty), binder in zip(sdecl.telescope, sdecl.binders):
         if name in RESERVED_NAMES:
-            raise ShadowedName(f"{name} is a reserved name", span=sdecl.span)
+            raise ShadowedName(f"{name} is a reserved name", span=binder.span)
         ty = el.zonk_type(el.elab_type(sty))
         if name in el.scope:
             raise DuplicateVariable(f"variable {name} already in context")

@@ -456,16 +456,20 @@ def _plan(subject: Coh, side: str) -> _Plan:
     return plan
 
 
-def coh_cancellator_steps(subject: Coh, side: str, witnesses: dict[str, Term]) -> tuple[_Plan, list[_Step]]:
+def coh_cancellator_steps(
+    subject: Coh, side: str, witnesses: dict[str, Term]
+) -> tuple[_Plan, list[_Step], Term]:
     """The stages of the cancellation cell, from ``comp(inverse, cell)``
     (left) or ``comp(cell, inverse)`` (right) down to the identity, with
     the plan they follow (:func:`_plan`), which must be kept as long as
-    them.  The plan is built once per pasting context, type and side;
-    the stages are built anew at each call, by one pass that maps the
+    them, and their composite, the cancellation cell.  The plan is built
+    once per pasting context, type and side; the stages and their
+    composite are built anew at each call, by one pass that maps the
     structure's images and witnesses through the plan:
     :func:`canonical_component` keeps them."""
     plan = _plan(subject, side)
-    return plan, plan.stages(subject, witnesses)
+    steps = plan.stages(subject, witnesses)
+    return plan, steps, _compose_steps(subject, side, steps)
 
 
 def _loop_type(subject: Coh, side: str) -> Arr:
@@ -493,9 +497,8 @@ def canonical_component(can_term: Can, kind: str) -> Term:
     if kind in INVERSES:
         return coh_inverse(subject, side, witnesses)
     # the stages contain the subject, so they are kept on the structure,
-    # which they do not contain, and so is the plan they follow
-    _, steps = built_on(can_term, ("steps", side), lambda: coh_cancellator_steps(subject, side, witnesses))
-    cancel = _compose_steps(subject, side, steps)
+    # which they do not contain, with their plan and their composite
+    _, steps, cancel = built_on(can_term, ("steps", side), lambda: coh_cancellator_steps(subject, side, witnesses))
     if kind in UNITS:
         return cancel
     if len(steps) == 1:

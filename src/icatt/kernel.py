@@ -27,11 +27,12 @@ head raises on every use.  The per-instance
 part runs at every inference of a node: each image of the substitution
 is inferred, and the type of its codomain entry is *matched* against
 the inferred type (:func:`_fits`), so the codomain instantiated at the
-substitution is never built.  A variable of the entry's type stands for
-its image, which is compared with the inferred side by identity and
-then by conversion; only a term that is not a variable (in the walking
-equivalence's seeds and truncations) is instantiated, by one pass
-shared by the whole check.  The expected type is built only to report a
+substitution is never built.  A substitution is its images in codomain
+order, so a variable of the entry's type stands for the image at its
+position in the codomain, which is compared with the inferred side by
+identity and then by conversion; only a term that is not a variable
+(in the walking equivalence's seeds and truncations) is instantiated,
+by one pass shared by the whole check.  The expected type is built only to report a
 failure.  The result type is instantiated once and kept on the
 coherence node (:func:`~icatt.syntax.coh_type`), where the elaborator
 put it when it built the cell.  A recursive
@@ -314,22 +315,19 @@ def _check_rec_body(seed: Context, t: Rec) -> bool:
 
 
 def check_sub(ctx: Context, sub: Substitution, cod: Context) -> Substitution:
-    if sub.codomain is not cod and (
-        not alpha_eq_context(sub.codomain, cod) or sub.codomain.names() != cod.names()
-    ):
-        raise BadSubstitution("substitution codomain does not match")
+    if sub.codomain is not cod:
+        if not alpha_eq_context(sub.codomain, cod) or sub.codomain.names() != cod.names():
+            raise BadSubstitution("substitution codomain does not match")
+        # an alpha-equivalent node over the same names orders them otherwise
+        for x, v in zip(sub.codomain.vars(), cod.vars()):
+            if x is not v:
+                raise BadSubstitution(f"substitution assigns {x.name} where {v.name} was expected")
     images = sub.images
     if len(images) != len(cod):
         raise BadSubstitution(f"substitution has {len(images)} assignments for {len(cod)} variables")
-    # the names assigned, unless they are cod's
-    names = sub.names
-    if names is None and sub.codomain is not cod:
-        names = sub.codomain.vars()
     # the one pass for the terms of the codomain that are not variables
     inst = _Instantiate(sub)
     for i, (v, v_ty) in enumerate(cod.entries):
-        if names is not None and names[i].name != v.name:
-            raise BadSubstitution(f"substitution assigns {names[i].name} where {v.name} was expected")
         actual = infer_term(ctx, images[i])
         if not _fits(inst, v_ty, actual):
             raise BadSubstitution(
@@ -357,9 +355,11 @@ def _fits(inst: _Instantiate, pat: Type, ty: Type) -> bool:
 
 
 def _same(inst: _Instantiate, pat: Term, t: Term) -> bool:
-    """Whether ``inst(pat)`` is convertible with ``t``: a variable is read
-    off the images, and only another term is instantiated."""
-    image = inst.images.get(pat.var.name) if type(pat) is VarRef else inst(pat)
+    """Whether ``inst(pat)`` is convertible with ``t``: a variable's image
+    is read off the substitution by its codomain position, and only
+    another term is instantiated."""
+    sub = inst.images
+    image = sub.images[sub.codomain.positions()[pat.var.name]] if type(pat) is VarRef else inst(pat)
     return image is t or convertible_terms(image, t)
 
 

@@ -147,8 +147,7 @@ class _Suspension(MemoMap):
 
     def onto(self, sub: Substitution, scod: Context) -> Substitution:
         """``sub`` suspended onto ``scod``, the suspension of its codomain."""
-        names = None if sub.names is None else (scod.entries[0][0], scod.entries[1][0], *sub.names)
-        return Substitution.of((*self.base, *map(self, sub.images)), scod, names)
+        return Substitution.of((*self.base, *map(self, sub.images)), scod)
 
 
 # ---------------------------------------------------------------------------

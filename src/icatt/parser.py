@@ -122,6 +122,7 @@ class SurfaceDecl:
     kind: str  # coh | let | inv | rec
     name: str
     telescope: tuple[tuple[str, SurfaceType], ...]
+    binders: tuple[SVar, ...]  # each entry's name where it is bound
     ty: SurfaceType | None = None
     body: SurfaceTerm | None = None
     components: tuple[SurfaceTerm, ...] | None = None
@@ -179,11 +180,11 @@ class _Parser:
         if kind != "ident" or kw not in KEYWORDS:
             raise SyntaxErrorIcatt(f"expected a declaration keyword, got {kw!r}", span=span)
         name = self.expect("ident")[1]
-        telescope = self.parse_telescope()
+        telescope, binders = self.parse_telescope()
         if kw == "coh":
             self.expect("colon")
             ty = self.parse_type()
-            return SurfaceDecl("coh", name, telescope, ty=ty, span=span)
+            return SurfaceDecl("coh", name, telescope, binders, ty=ty, span=span)
         if kw == "let":
             ty = None
             if self.at("colon"):
@@ -191,7 +192,7 @@ class _Parser:
                 ty = self.parse_type()
             self.expect("eq")
             body = self.parse_term()
-            return SurfaceDecl("let", name, telescope, ty=ty, body=body, span=span)
+            return SurfaceDecl("let", name, telescope, binders, ty=ty, body=body, span=span)
         self.expect("eq")
         self.expect("lbrace")
         comps = [self.parse_term()]
@@ -199,29 +200,29 @@ class _Parser:
             self.next()
             comps.append(self.parse_term())
         self.expect("rbrace")
-        return SurfaceDecl(kw, name, telescope, components=tuple(comps), span=span)
+        return SurfaceDecl(kw, name, telescope, binders, components=tuple(comps), span=span)
 
     # -- telescopes --------------------------------------------------------
 
-    def parse_telescope(self) -> tuple[tuple[str, SurfaceType], ...]:
-        entries: list[tuple[str, SurfaceType]] = []
+    def parse_telescope(self) -> tuple[tuple[tuple[str, SurfaceType], ...], tuple[SVar, ...]]:
+        """The entries of a telescope, and each entry's binder."""
+        entries: list[tuple[SVar, SurfaceType]] = []
         while self.at("lpar"):
             self.next()
             after = self.peek(1)
             if self.at("ident") and after is not None and after[0] == "colon":
-                name = self.binder()
+                binder = self.binder()
                 self.next()  # colon
-                ty = self.parse_type()
-                entries.append((name, ty))
+                entries.append((binder, self.parse_type()))
                 self.expect("rpar")
             else:
                 items = self.parse_ps_items()
                 self.expect("rpar")
                 entries.extend(_emit_ps(items, STStar()))
-        return tuple(entries)
+        return tuple((x.name, ty) for x, ty in entries), tuple(x for x, _ in entries)
 
     def parse_ps_items(self) -> list:
-        """Alternating names and nested groups: x (f) y (g(a)h) z ..."""
+        """Alternating binders and nested groups: x (f) y (g(a)h) z ..."""
         items: list = [self.binder()]
         while self.at("lpar"):
             self.next()
@@ -232,14 +233,14 @@ class _Parser:
             items.append(nxt)
         return items
 
-    def binder(self) -> str:
-        """A name bound by a telescope; one spelled like a declaration
-        keyword is refused here, where it is bound, since a term would
+    def binder(self) -> SVar:
+        """A name bound by a telescope, where it is bound; one spelled
+        like a declaration keyword is refused here, since a term would
         end at it."""
         _, name, line, col = self.expect("ident")
         if name in KEYWORDS:
             raise ShadowedName(f"{name} is a reserved name", span=(line, col))
-        return name
+        return SVar(name, (line, col))
 
     # -- types -------------------------------------------------------------
 
@@ -325,14 +326,14 @@ def _span_of(t) -> tuple[int, int]:
     return getattr(t, "span", (0, 0))
 
 
-def _emit_ps(items: list, base: SurfaceType) -> list[tuple[str, SurfaceType]]:
-    entries: list[tuple[str, SurfaceType]] = [(items[0], base)]
-    prev = items[0]
+def _emit_ps(items: list, base: SurfaceType) -> list[tuple[SVar, SurfaceType]]:
+    entries = [(items[0], base)]
+    prev = items[0].name
     for k in range(1, len(items), 2):
         group, nxt = items[k], items[k + 1]
         entries.append((nxt, base))
-        entries.extend(_emit_ps(group, STArrow(SVar(prev), SVar(nxt))))
-        prev = nxt
+        entries.extend(_emit_ps(group, STArrow(SVar(prev), SVar(nxt.name))))
+        prev = nxt.name
     return entries
 
 

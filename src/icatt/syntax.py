@@ -12,11 +12,11 @@ exception is syntax over an unsolved elaboration metavariable
 (``MetaRef``): such a node is *open*, and stays a plain node outside the
 table, because the elaborator builds many short-lived ones and zonks
 them away before the kernel sees a declaration.  A :class:`Substitution`
-keeps its images as one tuple in codomain order, and the names they are
-assigned to only where those are not its codomain's (hand-built syntax,
-which the kernel rejects): a name's image is read through the
-codomain's map from names to positions (:meth:`Context.positions`), and
-``pairs`` is built on demand.
+is its images, one tuple in the order of its codomain's variables, as in
+the theory; built from pairs, it refuses any that name other variables,
+so a misnamed substitution cannot be written.  A name's image is read
+through the codomain's map from names to positions
+(:meth:`Context.positions`), and ``pairs`` is built on demand.
 
 Canonical nodes.  Variables are named, and the binders of the pasting
 context of a coherence and of the seed of a recursor stay named, since
@@ -28,8 +28,9 @@ equal up to renaming bound names, and then their alpha-keys
 binding position, spelled ``#i`` so no source identifier can spell it.
 Bound are the names of a coherence's pasting context, of a recursor's
 seed and its two inductive hypotheses (at the positions after the
-seed), and of a keyed context; the names a substitution or a witness
-family assigns are renamed with the context they name.  An entry that
+seed), and of a keyed context; a substitution's codomain is keyed with
+it, and the keys of a witness family are renamed with the subject's
+pasting context.  An entry that
 repeats a name also records the position it shadows, so a context that
 repeats a name never keys like one that does not.  Alpha-equality of
 terms and types (:func:`alpha_eq_term`, :func:`alpha_eq_type`) is
@@ -114,7 +115,7 @@ from operator import is_
 from typing import Callable, Iterable, Iterator, Mapping, Union
 from weakref import ref
 
-from .errors import UnboundVariable
+from .errors import BadSubstitution, UnboundVariable
 
 # The six destructors.  Destructor i projects component i + 1 of an
 # invertibility structure; they come in (left, right) pairs: the
@@ -406,42 +407,38 @@ class Context(_Node):
 
 @_syntax_node
 class Substitution(_Node):
-    """Ordered assignments onto the variables of ``codomain``: its
-    ``images`` in codomain order, and the ``names`` they are assigned to,
-    None when those are the codomain's own, as they are everywhere but in
-    hand-built syntax, which the kernel rejects."""
+    """Assignments onto the variables of ``codomain``: its ``images``,
+    one per variable, in codomain order."""
 
     images: tuple[Term, ...]
     codomain: Context
-    names: tuple[Var, ...] | None
 
     def __new__(cls, pairs: Iterable[tuple[Var, Term]], codomain: Context) -> Substitution:
-        """The substitution assigning each term of ``pairs`` to its name."""
+        """The substitution assigning each term of ``pairs`` to its name;
+        the names must be the codomain's, in order."""
         pairs = tuple(pairs)
-        return cls.of(tuple([t for _, t in pairs]), codomain, tuple([x for x, _ in pairs]))
+        if len(pairs) != len(codomain):
+            raise BadSubstitution(f"substitution has {len(pairs)} assignments for {len(codomain)} variables")
+        for (x, _), (v, _) in zip(pairs, codomain.entries):
+            if x is not v:
+                raise BadSubstitution(f"substitution assigns {x.name} where {v.name} was expected")
+        return cls.of(tuple([t for _, t in pairs]), codomain)
 
     @classmethod
-    def of(
-        cls, images: tuple[Term, ...], codomain: Context, names: tuple[Var, ...] | None = None
-    ) -> Substitution:
-        """The substitution assigning ``images`` to ``names``, by default
-        the codomain's names in order."""
-        if names is not None and names == codomain.vars():
-            names = None
-        return _cons(cls, codomain._open or _open_in(images), images, codomain, names)
+    def of(cls, images: tuple[Term, ...], codomain: Context) -> Substitution:
+        """The substitution assigning ``images`` to the codomain's names
+        in order."""
+        return _cons(cls, codomain._open or _open_in(images), images, codomain)
 
     @property
     def pairs(self) -> tuple[tuple[Var, Term], ...]:
         """Each assigned name with its image, in order; built on demand."""
-        return tuple(zip(self.codomain.vars() if self.names is None else self.names, self.images))
+        return tuple(zip(self.codomain.vars(), self.images))
 
     def get(self, name: str) -> Term | None:
-        """The image of ``name`` (of its first assignment), or None; so a
+        """The image of ``name`` (of its first entry), or None; so a
         substitution serves as the mapping of an :class:`_Instantiate`."""
-        if self.names is None:
-            i = self.codomain.positions().get(name)
-        else:
-            i = next((i for i, x in enumerate(self.names) if x.name == name), None)
+        i = self.codomain.positions().get(name)
         return None if i is None else self.images[i]
 
     def lookup(self, var: Var) -> Term:
@@ -453,15 +450,12 @@ class Substitution(_Node):
     def terms(self) -> tuple[Term, ...]:
         return self.images
 
-    def codomain_types(self) -> tuple[Type, ...] | None:
+    def codomain_types(self) -> tuple[Type, ...]:
         """The type of each entry of ``codomain``, by position,
         instantiated at this substitution in one pass, so a type shared by
-        several entries is rebuilt once; kept on the node.  None when the
-        substitution does not assign exactly the codomain's names."""
+        several entries is rebuilt once; kept on the node."""
         out = self._fact
-        if out is None and (
-            self.names is None or {x.name for x in self.names} == self.codomain.positions().keys()
-        ):
+        if out is None:
             inst = _Instantiate(self)
             out = self._fact = tuple([inst.type(ty) for _, ty in self.codomain.entries])
         return out
@@ -492,10 +486,6 @@ def children(t: Term) -> tuple[Term, ...]:
     raise TypeError(f"not a term: {t!r}")
 
 
-def _with_images(sub: Substitution, images: Iterable[Term]) -> Substitution:
-    return Substitution.of(tuple(images), sub.codomain, sub.names)
-
-
 def map_children(t: Term, f: Callable[[Term], Term]) -> Term:
     """``t`` rebuilt with ``f`` applied at each free position; ``t``
     itself when every image is the child it replaces."""
@@ -505,9 +495,9 @@ def map_children(t: Term, f: Callable[[Term], Term]) -> Term:
         return t
     c = type(t)
     if c is Coh:
-        return Coh(t.ps, t.ty, _with_images(t.sub, new))
+        return Coh(t.ps, t.ty, Substitution.of(new, t.sub.codomain))
     if c is Rec:
-        return Rec(*t.components(), _with_images(t.sub, new))
+        return Rec(*t.components(), Substitution.of(new, t.sub.codomain))
     if c is Coind:
         return Coind(*new)
     if c is Can:
@@ -624,7 +614,7 @@ def apply_sub_term(t: Term, sub: Substitution) -> Term:
 
 def compose_sub(first: Substitution, second: Substitution) -> Substitution:
     """Pointwise composition: apply ``second`` to the terms of ``first``."""
-    return _with_images(first, map(_Instantiate(second), first.images))
+    return Substitution.of(tuple(map(_Instantiate(second), first.images)), first.codomain)
 
 
 def rename_vars_type(ty: Type, mapping: dict[str, str]) -> Type:
@@ -807,8 +797,8 @@ def _keyed(x, make: Callable):
 class _Canon(MemoMap):
     """The canonical node of terms and types: each variable in ``bound``
     renamed to its position, each coherence and recursor head made
-    canonical, and the names a substitution or witness family assigns
-    renamed with the context they name.  With nothing bound, each closed
+    canonical, a substitution's codomain keyed, and the keys of a witness
+    family renamed with the subject's pasting context.  With nothing bound, each closed
     node keeps its canonical node (:func:`_keyed`)."""
 
     __slots__ = ("bound",)
@@ -843,18 +833,7 @@ class _Canon(MemoMap):
         return map_children(t, self)
 
     def sub(self, sub: Substitution) -> Substitution:
-        codomain = _canon_context(sub.codomain)[0]
-        return Substitution.of(tuple(map(self, sub.images)), codomain, _canon_names(sub))
-
-
-def _canon_names(sub: Substitution) -> tuple[Var, ...] | None:
-    """The names assigned by the canonical node of ``sub``: renamed with
-    its codomain, and None when they are the canonical codomain's."""
-    if sub.names is None:
-        return None
-    canon, bound = _canon_context(sub.codomain)
-    names = tuple([bound.get(x.name, x) for x in sub.names])
-    return None if names == canon.vars() else names
+        return Substitution.of(tuple(map(self, sub.images)), _canon_context(sub.codomain)[0])
 
 
 def _witness_keys(t: Can) -> tuple[Var, ...]:
@@ -994,10 +973,7 @@ def _alpha_eq(a: Term | Type, b: Term | Type) -> bool:
             or c is Destr and a.kind != b.kind
             or c is Can and _witness_keys(a) != _witness_keys(b)
             or (c is Coh or c is Rec)
-            and (
-                _canon_context(a.sub.codomain)[0] is not _canon_context(b.sub.codomain)[0]
-                or _canon_names(a.sub) != _canon_names(b.sub)
-            )
+            and _canon_context(a.sub.codomain)[0] is not _canon_context(b.sub.codomain)[0]
         ):
             return False
         xs, ys = children(a), children(b)

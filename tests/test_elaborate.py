@@ -416,9 +416,9 @@ def test_scaling_scripts_get_their_recorded_verdicts(seed, monkeypatch):
 
 
 def test_unifier_failure_texts():
-    """Each way ``unify_term``, ``unify_type`` and ``_match_type`` fail
-    keeps its text, and the traversals keep theirs on what is not a
-    node of the kind they take."""
+    """Each way ``unify_term`` and ``unify_type``, with and without an
+    assignment table, fail keeps its text, and the traversals keep
+    theirs on what is not a node of the kind they take."""
     from icatt.builtins import id_schema
     from icatt.syntax import Can, Inv, MemoMap, Rec, children, dim_type, identity_sub
 
@@ -448,7 +448,7 @@ def test_unifier_failure_texts():
         assert str(info.value) == f"{text} [unification]"
     arr = Arr(Obj(), x, x)
     for a, b in [(Obj(), arr), (arr, Inv(arr, y)), (Inv(arr, y), Obj())]:
-        for fail in (lambda: el.unify_type(a, b), lambda: el._match_type(a, b, {})):
+        for fail in (lambda: el.unify_type(a, b), lambda: el.unify_type(a, b, assign={})):
             with pytest.raises(UnificationFailure) as info:
                 fail()
             assert str(info.value) == "types do not unify [unification]"

@@ -232,11 +232,14 @@ def test_cli_reports_truncated_input_at_its_last_token(tmp_path, script, where):
     ("let a (x : *) (rec : x -> x) = comp rec rec", "1:16: rec"),
     ("let a (x : *) (coh : x -> x) = comp coh coh\nlet b (x : *) = x", "1:16: coh"),
     ("coh c (x(inv)y) : x -> y", "1:10: inv"),
+    ("let a (x : *) (linv : x -> x) = linv", " let a: 1:16: linv"),
+    ("coh c (x(f)y(comp)z) : x -> z", " coh c: 1:14: comp"),
 ])
 def test_cli_reports_a_keyword_binder_where_it_is_bound(tmp_path, script, where):
-    """A telescope or pasting binder spelled like a declaration keyword
-    is a reserved name at the binder, not a syntax error further on
-    where a term would have stopped at it."""
+    """A telescope or pasting binder spelled like a reserved name is
+    reported at the binder: a declaration keyword by the parser, not as a
+    syntax error further on where a term would have stopped at it, and
+    any other name by the elaborator, in its declaration's message."""
     path = tmp_path / "kw.catt"
     path.write_text(script)
     out = _run_cli("check", str(path))

@@ -299,8 +299,9 @@ def test_canonical_components_match_golden_digests(corpus_env):
     assert corpus_component_digests(checked) == golden.splitlines()
 
 
-# the six canonical components of every corpus `can`, twice: the plans and
-# instance passes each round makes, and the distinct heads and structures
+# the six canonical components of every corpus `can`, twice: the plans,
+# instance passes and compositions of stages each round makes, the
+# distinct heads and structures, and the number of `can`s
 _PLANS_PER_HEAD = """
 import json, sys
 sys.setrecursionlimit(200_000)
@@ -309,15 +310,19 @@ from icatt.elaborate import elaborate_decl
 from icatt.kernel import Environment, TermDecl, check_decl
 from icatt.parser import parse
 
-plans, passes = [], []
-make, stages = inverse._Plan.__init__, inverse._Plan.stages
+plans, passes, composed = [], [], []
+make, stages, compose = inverse._Plan.__init__, inverse._Plan.stages, inverse._compose_steps
 def counting_make(self, subject, side):
     plans.append((subject.ps, subject.ty, side))
     make(self, subject, side)
 def counting_stages(self, subject, witnesses):
     passes.append((subject, self.side))
     return stages(self, subject, witnesses)
+def counting_compose(subject, side, steps):
+    composed.append((subject, side))
+    return compose(subject, side, steps)
 inverse._Plan.__init__, inverse._Plan.stages = counting_make, counting_stages
+inverse._compose_steps = counting_compose
 
 env, bodies = Environment(), []
 with open("proofs/invertibility.catt", encoding="utf-8") as corpus:
@@ -332,20 +337,23 @@ for _ in range(2):
     for t in cans:
         for kind in s.DESTRUCTORS:
             inverse.canonical_component(t, kind)
-    rounds.append((len(plans), len(passes)))
+    rounds.append((len(plans), len(passes), len(composed)))
 heads = {(c.ps, c.ty, side) for c, side in passes}
-print(json.dumps([rounds, len(heads), len(set(plans)), len({(id(c.ps), id(c.ty), side) for c, side in passes})]))
+distinct = len({(id(c.ps), id(c.ty), side) for c, side in passes})
+print(json.dumps([rounds, len(heads), len(set(plans)), distinct, len(cans)]))
 """
 
 
 def test_cancellator_plans_once_per_head():
     """Each cancellator plan is built once per subject pasting context,
     type and side, while every structure's stages are built by their own
-    pass over it, once: over the corpus's ``can``s, fewer plans than
-    passes, and a second round builds neither."""
+    pass over it, once, and composed once per structure and side: over
+    the corpus's ``can``s, fewer plans than passes, and a second round
+    builds none of them."""
     out = fresh.run("-c", _PLANS_PER_HEAD)
     assert out.returncode == 0, out.stderr
-    rounds, heads, distinct_plans, _ = json.loads(out.stdout)
-    (plans, passes), again = rounds
-    assert again == [plans, passes]
+    rounds, heads, distinct_plans, _, cans = json.loads(out.stdout)
+    (plans, passes, composed), again = rounds
+    assert again == [plans, passes, composed]
     assert plans == distinct_plans == heads < passes
+    assert composed == 2 * cans

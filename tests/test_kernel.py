@@ -513,13 +513,23 @@ def _cell_of(desc):
 
 def _verdicts(ambient, cells, order):
     """The verdict on each described cell over the described ambient
-    context, inferred in ``order`` from syntax built for this call and
-    kept as text, so no node of the call outlives it; and weak
-    references to the canonical nodes of the cells and of their heads."""
+    context, built and inferred in ``order`` from syntax made for this
+    call (a cell whose substitution cannot be built gets the category of
+    that error) and kept as text, so no node of the call outlives it;
+    and weak references to the canonical nodes of the cells built and of
+    their heads."""
     ctx = _ctx_of(ambient)
-    built = [_cell_of(c) for c in cells]
-    verdicts = {i: repr(_verdict(ctx, built[i])) for i in order}
-    keys = [alpha_key_term(c) for c in built] + [coh_head_key(c.ps, c.ty) for c in built]
+    built = {}
+
+    def verdict(i):
+        try:
+            built[i] = _cell_of(cells[i])
+        except IcattError as exc:
+            return exc.category
+        return _verdict(ctx, built[i])
+
+    verdicts = {i: repr(verdict(i)) for i in order}
+    keys = [alpha_key_term(c) for c in built.values()] + [coh_head_key(c.ps, c.ty) for c in built.values()]
     return verdicts, list(map(weakref.ref, keys))
 
 
@@ -750,9 +760,10 @@ def test_bad_substitution_text():
 
 
 def test_substitution_structure_texts_cold_and_warm():
-    """The diagnostics of a substitution that assigns the wrong name, too
-    many names, or onto the wrong codomain, byte for byte: checked cold,
-    and again after the cell of a correct twin was inferred."""
+    """The diagnostics of a substitution that assigns the wrong name or
+    too many names, which cannot be built, and of one onto the wrong
+    codomain, byte for byte: cold, and again after the cell of a correct
+    twin was inferred."""
     _in_fresh_interpreter(_substitution_structure_texts)
 
 
@@ -761,11 +772,8 @@ def _substitution_structure_texts():
     ps = Context(((x, Obj()),))
     ambient = Context(((x, Obj()), (z, Obj())))
     loop = arr0("x", "x")
-    bad = [
-        (Substitution(((z, v("x")),), ps), ps),
-        (Substitution(((x, v("x")), (z, v("z"))), ps), ps),
-        (Substitution(((y, v("x")),), Context(((y, Obj()),))), ps),
-    ]
+    misnamed = [((z, v("x")),), ((x, v("x")), (z, v("z")))]
+    wrong_codomain = Substitution(((y, v("x")),), Context(((y, Obj()),)))
     want = [
         "substitution assigns z where x was expected [bad-substitution]",
         "substitution has 2 assignments for 1 variables [bad-substitution]",
@@ -774,19 +782,34 @@ def _substitution_structure_texts():
 
     def texts():
         out = []
-        for sub, cod in bad:
+        for pairs in misnamed:
             with pytest.raises(BadSubstitution) as exc:
-                check_sub(ambient, sub, cod)
+                Substitution(pairs, ps)
             out.append(str(exc.value))
+        with pytest.raises(BadSubstitution) as exc:
+            check_sub(ambient, wrong_codomain, ps)
+        out.append(str(exc.value))
         return out
 
     assert texts() == want
     twin = Substitution(((x, v("z")),), ps)
     assert infer_term(ambient, Coh(ps, loop, twin)) == arr0("z", "z")
     assert texts() == want
-    for sub, _ in bad[:2]:
-        with pytest.raises(BadSubstitution):
-            infer_term(ambient, Coh(ps, loop, sub))
+    with pytest.raises(BadSubstitution):
+        infer_term(ambient, Coh(ps, loop, wrong_codomain))
+
+
+def test_a_codomain_ordering_its_names_otherwise_is_refused():
+    """A substitution onto an alpha-equivalent pasting context that
+    orders the same names otherwise is refused at its first misplaced
+    name: its images follow its codomain's order, not the cell's."""
+    ps = Context(((Var("x"), Obj()), (Var("y"), Obj()), (Var("f"), arr0("x", "y"))))
+    flipped = Context(((Var("y"), Obj()), (Var("x"), Obj()), (Var("f"), arr0("y", "x"))))
+    ambient = Context(((Var("a"), Obj()), (Var("b"), Obj()), (Var("g"), arr0("a", "b"))))
+    sub = Substitution(((Var("y"), v("a")), (Var("x"), v("b")), (Var("f"), v("g"))), flipped)
+    with pytest.raises(BadSubstitution) as exc:
+        infer_term(ambient, Coh(ps, Arr(arr0("x", "y"), v("f"), v("f")), sub))
+    assert str(exc.value) == "substitution assigns y where x was expected [bad-substitution]"
 
 
 def test_recursor_bodies_check_once_per_head():
@@ -921,6 +944,44 @@ def _checking_the_corpus_instantiates_no_codomain():
     check_decl(chain, elaborate_decl(chain, parse(_comp_id_chain(2000))[0]))
     assert checks[0] > 2000
     assert made == [] and alone == [] and rebuilt == []
+
+
+def test_checking_the_corpus_reads_images_by_position():
+    """Checking the corpus reads the image of each variable of a
+    codomain entry's type by the variable's position in the codomain:
+    ``check_sub`` itself, leaving out the inference of each image, makes
+    no ``Substitution.get`` call."""
+    _in_fresh_interpreter(_checking_the_corpus_reads_images_by_position)
+
+
+def _checking_the_corpus_reads_images_by_position():
+    # whether the innermost traced call is check_sub's own work
+    inside, gets, checks = [False], [0], [0]
+    get, check_sub_once, infer_once = Substitution.get, kernel.check_sub, kernel.infer_term
+
+    def counting_get(sub, name):
+        gets[0] += inside[-1]
+        return get(sub, name)
+
+    def marking(fn, own):
+        def marked(*args):
+            checks[0] += own
+            inside.append(own)
+            try:
+                return fn(*args)
+            finally:
+                inside.pop()
+
+        return marked
+
+    Substitution.get = counting_get
+    kernel.check_sub = marking(check_sub_once, True)
+    kernel.infer_term = marking(infer_once, False)
+    env = Environment()
+    for sdecl in parse(fresh.CORPUS.read_text(encoding="utf-8")):
+        check_decl(env, elaborate_decl(env, sdecl))
+    assert checks[0] > 100
+    assert gets[0] == 0
 
 
 def test_context_check_keys_linearly():

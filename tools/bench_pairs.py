@@ -15,6 +15,11 @@ from that commit.  At the end, for each workload and each metric of the
 pairs just run, it prints each side's median and quartiles, the
 parent's interquartile range and how many pairs the change won, by the
 direction ``BENCHMARK.json`` gives the metric; ties count for neither.
+An end-to-end metric is also checked against its bound there (a fraction
+of the parent's median): it is flagged ``over bound`` when the change's
+median is worse than the parent's by more than the bound, and
+``unresolved`` when the parent's interquartile range exceeds the bound,
+unless every change run beats every parent run.
 
 Standard library only.  Run from anywhere; each run's working directory
 is its checkout.
@@ -66,6 +71,12 @@ def directions(root: Path) -> dict[str, str]:
     return {m["name"]: m["better"] for m in spec.get("end_to_end", []) + spec.get("per_layer", [])}
 
 
+def bounds(root: Path) -> dict[str, float]:
+    """Each end-to-end metric's bound, as a fraction of the parent's median."""
+    spec = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
+    return {m["name"]: m["bound"] for m in spec.get("end_to_end", []) if "bound" in m}
+
+
 def quartiles(values: list[float]) -> tuple[float, float, float]:
     """First quartile, median and third quartile."""
     if len(values) < 2:
@@ -74,10 +85,12 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarise(records: list[dict], better: dict[str, str]) -> list[str]:
+def summarise(
+    records: list[dict], better: dict[str, str], bound: dict[str, float] | None = None
+) -> list[str]:
     """One line per workload and metric over the complete pairs of
-    ``records``: each side's quartiles, the parent's IQR, and the pairs
-    the change won."""
+    ``records``: each side's quartiles, the parent's IQR, the flags of a
+    metric with a ``bound``, and the pairs the change won."""
     pairs: dict[tuple[str, int, int], dict[str, dict]] = {}
     for r in records:
         pairs.setdefault((r["workload"], r["seed"], r["pair"]), {})[r["side"]] = r["result"]
@@ -95,10 +108,18 @@ def summarise(records: list[dict], better: dict[str, str]) -> list[str]:
             won = sum(1 for a, b in zip(values["parent"], values["change"]) if sign * (b - a) > 0)
             (p1, pm, p3), (c1, cm, c3) = quartiles(values["parent"]), quartiles(values["change"])
             change = (cm - pm) / pm * 100 if pm else 0.0
+            flags = ""
+            if bound and name in bound:
+                limit = bound[name] * abs(pm)
+                if sign * (pm - cm) > limit:
+                    flags += "  over bound"
+                beats_all = min(sign * c for c in values["change"]) > max(sign * p for p in values["parent"])
+                if p3 - p1 > limit and not beats_all:
+                    flags += "  unresolved"
             lines.append(
                 f"  {name:14s} parent {pm:.4f} [{p1:.4f}, {p3:.4f}]  change {cm:.4f} [{c1:.4f}, {c3:.4f}]"
                 f"  {change:+.1f} %  |diff| {'>' if abs(cm - pm) > p3 - p1 else '<='} parent IQR {p3 - p1:.4f}"
-                f"  change won {won}/{len(done)}"
+                f"{flags}  change won {won}/{len(done)}"
             )
     return lines
 
@@ -141,7 +162,7 @@ def main(argv: list[str] | None = None) -> int:
                 metrics = result.get("metrics", {})
                 shown_metrics = ", ".join(f"{k} {v['value']:.4f}" for k, v in metrics.items())
                 print(f"[{order}] {workload} seed {seed} {side}: {shown_metrics}", flush=True)
-    for line in summarise(ran, directions(roots["change"])):
+    for line in summarise(ran, directions(roots["change"]), bounds(roots["change"])):
         print(line)
     return 0
 
